@@ -4,7 +4,10 @@ The forward transform straightens the trace of a hypothesized target
 track rho_e + s u_e so it no longer depends on slow time; a slow-time
 difference then removes it, and the inverse transform returns to the
 original coordinates.  Composing stages removes several targets one by
-one.
+one.  ``annihilate`` composes its stages on the row spectra: the
+slow-time difference commutes with the per-row FFT and consecutive
+shifts add their delays, so a plan costs one FFT round trip and one
+phase ramp per stage.
 
 ``locate_stationary`` and ``remove_stationary`` use the same
 straightening to take out the echoes of stationary points found in a
@@ -30,7 +33,13 @@ from .geom import (
 )
 from .imaging import ImageGrid, _parabolic_offset, image_points
 from .scene import Target
-from .signal import TraceMatrix, fast_time_shift, next_fast_odd
+from .signal import (
+    TraceMatrix,
+    fast_time_shift,
+    next_fast_odd,
+    phase_ramp,
+    warn_wrap,
+)
 
 __all__ = [
     "AnnihilationStage",
@@ -107,6 +116,29 @@ def tt_inverse(trace: TraceMatrix, rho_e, u_vec=None) -> TraceMatrix:
     return out.replace(tag="range-compressed")
 
 
+def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
+    """Slow-time difference of rows ``d``, real or complex, over ``valid_rows``.
+
+    Returns the differenced rows, zero outside the new valid range, and
+    that range.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    start, stop = valid_rows
+    if stop - start <= order:
+        raise ValueError(
+            f"need more than {order} valid rows, have {stop - start}"
+        )
+    out = np.zeros_like(d)
+    if order == 1:
+        out[start : stop - 1] = (d[start + 1 : stop] - d[start : stop - 1]) / ds
+        return out, (start, stop - 1)
+    out[start + 1 : stop - 1] = (
+        d[start + 2 : stop] - 2.0 * d[start + 1 : stop - 1] + d[start : stop - 2]
+    ) / ds**2
+    return out, (start + 1, stop - 1)
+
+
 def slow_diff(trace: TraceMatrix, order: int = 1) -> TraceMatrix:
     """Slow-time difference along rows.
 
@@ -115,25 +147,10 @@ def slow_diff(trace: TraceMatrix, order: int = 1) -> TraceMatrix:
     that lose their neighbors are zeroed and dropped from
     ``valid_rows``.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    start, stop = trace.valid_rows
-    if stop - start <= order:
-        raise ValueError(
-            f"need more than {order} valid rows, have {stop - start}"
-        )
-    ds = trace.aperture.ds
-    d = trace.data
-    out = np.zeros_like(d)
-    if order == 1:
-        out[start : stop - 1] = (d[start + 1 : stop] - d[start : stop - 1]) / ds
-        new_valid = (start, stop - 1)
-    else:
-        out[start + 1 : stop - 1] = (
-            d[start + 2 : stop] - 2.0 * d[start + 1 : stop - 1] + d[start : stop - 2]
-        ) / ds**2
-        new_valid = (start + 1, stop - 1)
-    return trace.replace(data=out, valid_rows=new_valid, tag="transformed")
+    data, valid = _row_difference(
+        trace.data, trace.valid_rows, order, trace.aperture.ds
+    )
+    return trace.replace(data=data, valid_rows=valid, tag="transformed")
 
 
 @dataclass(frozen=True)
@@ -196,18 +213,46 @@ class AnnihilationPlan:
 
 
 def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
-    """Apply each plan stage in order: straighten, difference, undo."""
+    """Apply each plan stage in order: straighten, difference, undo.
+
+    The stages compose on the row spectra.  Each stage's straightening
+    is the phase ramp of its track delays less those of the stage
+    before, the difference is taken between complex spectra, and one
+    ramp of the last stage's delays and one inverse FFT undo the last
+    straightening.  This equals ``tt_inverse(slow_diff(tt_forward(.)))``
+    stage by stage, since the slow-time difference commutes with the
+    per-row FFT and consecutive shifts add.  A stage whose track delays
+    exceed a quarter of the gate warns of circular wrap-around, once.
+    """
     if not plan.stages:
         raise ValueError("annihilation plan has no stages")
-    out = trace
+    _require_compressed(trace)
+    count, dt, ds = trace.axis.m + 1, trace.axis.dt, trace.aperture.ds
+    valid = trace.valid_rows
+    start, stop = valid
+    spectra = np.zeros((trace.n + 1, count // 2 + 1), dtype=complex)
+    spectra[start:stop] = np.fft.rfft(trace.data[start:stop], axis=1)
+    applied = np.zeros(trace.n + 1)
     for k, stage in enumerate(plan.stages):
+        delays = _track_delays(trace, stage.rho_e, stage.u_vec)
+        warn_wrap(delays, count, dt)
+        start, stop = valid
+        spectra[start:stop] *= phase_ramp(
+            delays[start:stop] - applied[start:stop], count, dt
+        )
+        applied = delays
         try:
-            out = tt_forward(out, stage.rho_e, stage.u_vec)
-            out = slow_diff(out, stage.order)
-            out = tt_inverse(out, stage.rho_e, stage.u_vec)
+            spectra, valid = _row_difference(spectra, valid, stage.order, ds)
         except ValueError as exc:
             raise ValueError(f"annihilation stage {k} failed: {exc}") from exc
-    return out
+    start, stop = valid
+    data = np.zeros_like(trace.data)
+    data[start:stop] = np.fft.irfft(
+        spectra[start:stop] * phase_ramp(-applied[start:stop], count, dt),
+        n=count,
+        axis=1,
+    )
+    return trace.replace(data=data, valid_rows=valid, tag="range-compressed")
 
 
 def leading_factor(traj: Trajectory, rho_e, target: Target, s) -> np.ndarray:
@@ -363,17 +408,6 @@ def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
     return out
 
 
-def _phase_ramp(delays: np.ndarray, count: int, dt: float) -> np.ndarray:
-    """exp(2 pi i f_k delay_j) over the real-FFT frequencies f_k of
-    ``count`` samples, built by cumulative products of the unit step
-    (a few times cheaper than the complex exponential; relative error
-    about k times machine epsilon)."""
-    ramp = np.empty((delays.size, count // 2 + 1), dtype=complex)
-    ramp[:, 0] = 1.0
-    ramp[:, 1:] = np.exp(2j * np.pi * delays / (count * dt))[:, None]
-    return np.cumprod(ramp, axis=1, out=ramp)
-
-
 class _PointWindow:
     """Valid rows straightened at one stationary point, over a short window.
 
@@ -409,7 +443,7 @@ class _PointWindow:
         )
 
     def _shifted(self, spectra: np.ndarray, delays: np.ndarray) -> np.ndarray:
-        ramp = _phase_ramp(delays, self.width, self.dt)
+        ramp = phase_ramp(delays, self.width, self.dt)
         return np.fft.irfft(spectra * ramp, n=self.width, axis=-1)[:, self.central]
 
     def window(self, extra=0.0) -> np.ndarray:

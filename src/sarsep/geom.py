@@ -20,7 +20,6 @@ __all__ = [
     "ViewFrame",
     "make_frame",
     "travel_time",
-    "delay_table",
     "delta_tau",
     "delta_tau_moving",
     "decompose_velocity",
@@ -149,17 +148,6 @@ def travel_time(traj: Trajectory, s, rho) -> np.ndarray:
     """
     r = traj.position(s)
     d = np.linalg.norm(r - np.asarray(rho, dtype=float), axis=-1)
-    return 2.0 * d / C_LIGHT
-
-
-def delay_table(traj: Trajectory, s: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Travel times for every (slow time, point) pair.
-
-    Returns an array of shape (len(s), len(points)).
-    """
-    r = traj.position(np.asarray(s, dtype=float))  # (S, 3)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))  # (P, 3)
-    d = np.linalg.norm(r[:, None, :] - pts[None, :, :], axis=-1)
     return 2.0 * d / C_LIGHT
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import travel_time
+from .geom import C_LIGHT, travel_time
 from .kernels import backproject_block
 from .signal import TraceMatrix
 
@@ -150,7 +150,7 @@ def image_points(
         pts = points[a : a + block]
         tracks = pts[None, :, :] + s[:, None, None] * u_vec[None, None, :]
         dist = np.linalg.norm(platform[:, None, :] - tracks, axis=-1)
-        dtau = 2.0 * dist / 299_792_458.0 - tau_ref[:, None]
+        dtau = 2.0 * dist / C_LIGHT - tau_ref[:, None]
         acc, missed_block = backproject_block(rows_up, t0, dt_up, dtau)
         values[a : a + pts.shape[0]] = acc
         missed += int(missed_block.sum())

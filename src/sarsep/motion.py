@@ -28,9 +28,9 @@ from .geom import (
     delta_tau_moving,
     make_frame,
 )
-from .imaging import ImageGrid, image_compensated, peak_extract
+from .imaging import ImageGrid, _parabolic_offset, image_compensated, peak_extract
 from .rpca import WindowLayout, separate_windowed
-from .signal import TraceMatrix, next_fast_odd
+from .signal import TraceMatrix, next_fast_odd, phase_ramp
 
 __all__ = [
     "VelocityEstimate",
@@ -80,27 +80,20 @@ class _BasebandRows:
         df = 1.0 / (count * trace.axis.dt)
         nu0 = trace.meta.get("nu0")
         bandwidth = trace.meta.get("bandwidth")
-        window = None
+        self.count, self.dt = count, trace.axis.dt
+        self.spectra, self.k_lo, self.ifft_len = one_sided, 0, count
         if nu0 is not None and bandwidth is not None:
             k0 = int(round(nu0 / df))
             keep = next_fast_odd(max(3, int(np.ceil(4.0 * bandwidth / df))))
             k_lo = k0 - keep // 2
             if keep < count and k_lo >= 1 and k_lo + keep <= spectra.shape[1]:
-                window = (k_lo, keep)
-        if window is None:
-            self.spectra = one_sided
-            self.freqs = np.fft.rfftfreq(count, trace.axis.dt)
-            self.ifft_len = count
-        else:
-            k_lo, keep = window
-            self.spectra = one_sided[:, k_lo : k_lo + keep]
-            self.freqs = (k_lo + np.arange(keep)) * df
-            self.ifft_len = keep
+                self.spectra = one_sided[:, k_lo : k_lo + keep]
+                self.k_lo, self.ifft_len = k_lo, keep
 
     def shifted(self, delays: np.ndarray) -> np.ndarray:
         """Complex rows advanced by per-row ``delays`` (out(t) = in(t + d))."""
-        phased = self.spectra * np.exp(
-            2j * np.pi * np.outer(delays, self.freqs)
+        phased = self.spectra * phase_ramp(
+            delays, self.count, self.dt, k0=self.k_lo, bins=self.spectra.shape[1]
         )
         if self.ifft_len == phased.shape[1]:
             return np.fft.ifft(phased, axis=1)
@@ -141,13 +134,6 @@ def g_curve(
         profile = np.abs(rows.shifted(delays)).sum(axis=0)
         values[i] = profile.max()
     return u_grid, values
-
-
-def _parabolic_offset(left: float, mid: float, right: float) -> float:
-    denom = left - 2.0 * mid + right
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
 
 
 def find_speed_peaks(
@@ -231,8 +217,9 @@ def estimate_cross_speed(
     u_perp = grid[i]
     if 0 < i < grid.size - 1:
         step_eff = grid[1] - grid[0]
+        # The vertex of the negated curve: its top is the minimum.
         u_perp = u_perp + step_eff * _parabolic_offset(
-            values[i - 1], values[i], values[i + 1]
+            -values[i - 1], -values[i], -values[i + 1]
         )
     return float(u_perp), (grid, values)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Aperture, Trajectory, make_frame, travel_time
+from .geom import C_LIGHT, Aperture, Trajectory, make_frame, travel_time
 from .kernels import accumulate_echoes
 from .signal import GATE_PAD_FACTOR, FastTimeAxis, TraceMatrix, make_gate
 
@@ -70,14 +70,10 @@ class Radar:
 
     @property
     def wavelength(self) -> float:
-        from .geom import C_LIGHT
-
         return C_LIGHT / self.nu0
 
     @property
     def range_resolution(self) -> float:
-        from .geom import C_LIGHT
-
         return C_LIGHT / self.bandwidth
 
 
@@ -180,7 +176,7 @@ def target_delta_tau(scene: SceneSpec) -> np.ndarray:
     dtau = np.empty((s.size, len(scene.targets)), dtype=float)
     for q, tgt in enumerate(scene.targets):
         d = np.linalg.norm(platform - tgt.position(s), axis=-1)
-        dtau[:, q] = 2.0 * d / 299_792_458.0 - tau_ref
+        dtau[:, q] = 2.0 * d / C_LIGHT - tau_ref
     return dtau
 
 

@@ -14,6 +14,7 @@ measures differential delay relative to the reference point rho_o.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,6 +36,8 @@ __all__ = [
     "FastTimeAxis",
     "make_gate",
     "TraceMatrix",
+    "phase_ramp",
+    "warn_wrap",
     "fractional_shift",
     "fast_time_shift",
     "range_compress",
@@ -185,6 +188,50 @@ class TraceMatrix:
         return dataclasses.replace(self, **changes)
 
 
+def phase_ramp(
+    delays, count: int, dt: float, k0: int = 0, bins: int | None = None
+) -> np.ndarray:
+    """exp(2 pi i f_k d_j) for delays d_j over a uniform frequency grid.
+
+    The grid is f_k = (k0 + k) / (count dt), k = 0 .. bins - 1: the bins
+    of a ``count``-point FFT from bin ``k0`` on, by default all the
+    real-FFT bins.  Row j holds delay d_j.  Each entry is the product of
+    one entry of a fine table (about sqrt(bins) unit steps) and one of a
+    coarse table (multiples of the fine table's length), so only
+    2 sqrt(bins) complex exponentials are evaluated per row.  Unlike a
+    cumulative product of unit steps, the error does not grow with k:
+    a ramp times the ramp of the negated delays is 1 to a few machine
+    epsilons.
+    """
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    if bins is None:
+        bins = count // 2 + 1
+    block = math.isqrt(bins) + 1
+    step = 2j * np.pi * delays[:, None] / (count * dt)
+    fine = np.exp(step * np.arange(block))
+    coarse = np.exp(step * (k0 + block * np.arange(-(-bins // block))))
+    ramp = coarse[:, :, None] * fine[:, None, :]
+    return ramp.reshape(delays.size, -1)[:, :bins]
+
+
+def warn_wrap(delays, count: int, dt: float, fraction: float = 0.25):
+    """Warn when a delay exceeds ``fraction`` of a ``count``-sample gate.
+
+    Spectral shifts are circular, so content moved that far may wrap
+    around and corrupt the opposite edge of the gate.  The warning
+    points at the caller of the function that calls this one.
+    """
+    width = (count - 1) * dt
+    worst = float(np.max(np.abs(delays)))
+    if worst > fraction * width:
+        warnings.warn(
+            f"fast-time shift of {worst:.3e} s exceeds {fraction:.0%} of "
+            f"the {width:.3e} s gate; circular wrap-around may corrupt rows",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def fractional_shift(
     rows: np.ndarray, delays, dt: float, warn_fraction: float = 0.25
 ) -> np.ndarray:
@@ -198,21 +245,9 @@ def fractional_shift(
     rows = np.asarray(rows, dtype=float)
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     count = rows.shape[-1]
-    width = (count - 1) * dt
-    worst = float(np.max(np.abs(delays)))
-    if worst > warn_fraction * width:
-        warnings.warn(
-            f"fast-time shift of {worst:.3e} s exceeds {warn_fraction:.0%} of "
-            f"the {width:.3e} s gate; circular wrap-around may corrupt rows",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    freqs = np.fft.rfftfreq(count, dt)
+    warn_wrap(delays, count, dt, warn_fraction)
     spectra = np.fft.rfft(rows, axis=-1)
-    if rows.ndim == 2:
-        spectra *= np.exp(2j * np.pi * freqs[None, :] * delays[:, None])
-    else:
-        spectra *= np.exp(2j * np.pi * freqs * delays[..., None])
+    spectra *= phase_ramp(delays.ravel(), count, dt).reshape(delays.shape + (-1,))
     return np.fft.irfft(spectra, n=count, axis=-1)
 
 

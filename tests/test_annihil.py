@@ -1,6 +1,7 @@
 """Travel-time straightening, annihilation filtering and echo removal."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sarsep.annihil import (
     tt_forward,
     tt_inverse,
 )
-from sarsep.geom import Aperture, CircularTrajectory, LinearTrajectory
+from sarsep.geom import C_LIGHT, Aperture, CircularTrajectory, LinearTrajectory
 from sarsep.scene import Radar, Target, simulate
 from sarsep.signal import FastTimeAxis, TraceMatrix
 
@@ -186,6 +187,53 @@ class TestAnnihilate:
         out = annihilate(trace, plan)
         assert out.valid_rows == (1, trace.n - 1)
         assert out.tag == "range-compressed"
+
+    def test_matches_the_stage_by_stage_transforms(self, flat_scene_builder):
+        still = Target(rho=np.array([0.5, 3.0, 0.0]))
+        mover = Target(rho=np.array([-0.5, 1.0, 0.0]), velocity=(1.0, -0.5, 0.0))
+        trace = simulate(flat_scene_builder([still, mover]))
+        data = trace.data.copy()
+        data[:2] = data[-1:] = 0.0
+        trace = trace.replace(data=data, valid_rows=(2, trace.n))
+        # Stages off the targets: a stage on a target cancels its echo
+        # down to rounding, and two routes to rounding residue need not
+        # agree to 1e-10 of its peak.
+        plan = AnnihilationPlan(
+            stages=(
+                AnnihilationStage(rho_e=(0.4, 2.5, 0.0), order=1),
+                AnnihilationStage(
+                    rho_e=(-0.3, 1.5, 0.0), u_vec=(0.8, -0.3, 0.0), order=2
+                ),
+                AnnihilationStage(rho_e=np.zeros(3), order=1),
+            )
+        )
+        expected = trace
+        for stage in plan.stages:
+            expected = tt_forward(expected, stage.rho_e, stage.u_vec)
+            expected = slow_diff(expected, stage.order)
+            expected = tt_inverse(expected, stage.rho_e, stage.u_vec)
+        out = annihilate(trace, plan)
+        assert out.valid_rows == expected.valid_rows == (3, trace.n - 3)
+        assert out.tag == "range-compressed"
+        np.testing.assert_allclose(
+            out.data,
+            expected.data,
+            rtol=0.0,
+            atol=1e-10 * np.max(np.abs(expected.data)),
+        )
+
+    def test_wrap_warning_once_per_far_stage(self, flat_scene_builder):
+        trace = simulate(flat_scene_builder([(0.0, 1.0, 0.0)]))
+        gate = trace.axis.m * trace.axis.dt
+        # A range offset of x moves the delay by about 2 x / c.
+        far = np.array([-0.2 * C_LIGHT * gate, 0.0, 0.0])
+        near = np.array([-0.1 * C_LIGHT * gate, 0.0, 0.0])
+        with pytest.warns(RuntimeWarning, match="circular wrap-around") as caught:
+            annihilate(trace, AnnihilationPlan.for_points([far, near]))
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            annihilate(trace, AnnihilationPlan.for_points([near, near]))
 
 
 class TestFactorReport:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sarsep.scene import simulate
+from sarsep.scene import Radar, simulate
 from sarsep.signal import (
     GATE_PAD_FACTOR,
     FastTimeAxis,
@@ -15,6 +15,7 @@ from sarsep.signal import (
     fractional_shift,
     make_gate,
     next_fast_odd,
+    phase_ramp,
     pulse,
     range_compress,
     range_expand,
@@ -137,6 +138,22 @@ class TestFractionalShift:
         rows = np.zeros((1, 16))
         with pytest.warns(RuntimeWarning, match="wrap"):
             fractional_shift(rows, [10.0], 1.0)
+
+
+class TestPhaseRamp:
+    def test_matches_the_complex_exponential(self):
+        rng = np.random.default_rng(5)
+        count, dt = 11907, Radar().dt
+        delays = rng.uniform(-0.25, 0.25, 8) * count * dt
+        full = np.fft.rfftfreq(count, dt)
+        k0, bins = 2500, 1201
+        band = (k0 + np.arange(bins)) / (count * dt)
+        for ramp, freqs in (
+            (phase_ramp(delays, count, dt), full),
+            (phase_ramp(delays, count, dt, k0=k0, bins=bins), band),
+        ):
+            exact = np.exp(2j * np.pi * np.outer(delays, freqs))
+            np.testing.assert_allclose(ramp, exact, rtol=0.0, atol=1e-11)
 
 
 class TestFastTimeShift:
