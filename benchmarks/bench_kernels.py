@@ -3,7 +3,10 @@
 Runs each hot loop on a desk-scale workload and reports the median
 wall time per call plus the speedup of the compiled path.  The numpy
 fallback is always available; the numba path is skipped when numba is
-missing or disabled through ``SARSEP_NO_NUMBA=1``.
+missing or disabled through ``SARSEP_NO_NUMBA=1``.  The ``svt`` line
+times one singular-value-thresholding step of principal component
+pursuit (``rpca._svd_threshold``, numpy only) on a window of the shape
+the reduced scene1 benchmark splits (87 pulses by 617 samples).
 
 Usage::
 
@@ -15,7 +18,7 @@ import time
 
 import numpy as np
 
-from sarsep import kernels
+from sarsep import kernels, rpca
 
 
 def median_time(func, repeats):
@@ -120,6 +123,14 @@ def bench_backproject(repeats):
     )
 
 
+def bench_svt(repeats, shape=(87, 617)):
+    window = np.random.default_rng(2).standard_normal(shape)
+    # Keeps about a tenth of the singular values.
+    threshold = float(np.quantile(np.linalg.svd(window, compute_uv=False), 0.9))
+    t_numpy = median_time(lambda: rpca._svd_threshold(window, threshold), repeats)
+    print(f"svt {shape[0]}x{shape[1]}         numpy   {t_numpy * 1e3:8.2f} ms")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -130,6 +141,7 @@ def main():
     print(f"kernel mode: {mode}")
     bench_echoes(args.repeats)
     bench_backproject(args.repeats)
+    bench_svt(args.repeats)
 
 
 if __name__ == "__main__":

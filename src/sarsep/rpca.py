@@ -1,8 +1,10 @@
 """Principal component pursuit and the windowed separation pipeline.
 
 ``pcp_solve`` splits a matrix into low-rank plus sparse parts with an
-inexact augmented-Lagrangian iteration.  ``separate_windowed`` first
-removes the echoes of stationary points located in a preliminary image
+inexact augmented-Lagrangian iteration, whose singular-value
+thresholding runs through the eigendecomposition of the short side's
+Gram matrix.  ``separate_windowed`` first removes the echoes of
+stationary points located in a preliminary image
 (``annihil.remove_stationary``), then applies ``pcp_solve`` to
 successive fast-time windows of what remains and stitches the parts
 back together; windowing is what makes the separation work when the
@@ -11,11 +13,11 @@ full matrix is itself sparse.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .annihil import locate_stationary, remove_stationary
 from .signal import TraceMatrix
@@ -23,12 +25,8 @@ from .signal import TraceMatrix
 #: Windows span this many 1/bandwidth units of fast time by default.
 WINDOW_SPAN_FACTOR = 16.0
 
-#: Full SVD below this minimum dimension; iterative partial SVD above.
-FULL_SVD_LIMIT = 512
-
 __all__ = [
     "WINDOW_SPAN_FACTOR",
-    "FULL_SVD_LIMIT",
     "PcpSolution",
     "pcp_solve",
     "WindowLayout",
@@ -62,31 +60,28 @@ def _shrink(x: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
-def _svd_threshold(
-    g: np.ndarray, threshold: float, sv: int
-) -> tuple[np.ndarray, int, int]:
-    """Singular value thresholding, with partial SVD on large matrices.
+def _wide(g: np.ndarray) -> np.ndarray:
+    """``g`` or its transpose, whichever has no more rows than columns."""
+    return g.T if g.shape[0] > g.shape[1] else g
 
-    Returns (thresholded matrix, number of kept values, next sv hint).
+
+def _svd_threshold(g: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+    """Singular value thresholding; returns (thresholded g, kept count).
+
+    With A the wide one of g and gᵀ, and (w, U) the eigenpairs of A Aᵀ,
+    this is U_k diag(1 - threshold/sqrt(w_k)) U_kᵀ A over the k values
+    with sqrt(w) above the threshold; it never divides by sqrt(w).
     """
-    mind = min(g.shape)
-    if mind <= FULL_SVD_LIMIT or sv >= mind - 1:
-        u, vals, vt = np.linalg.svd(g, full_matrices=False)
-    else:
-        # Deterministic start vector keeps repeated runs bit-identical.
-        v0 = np.full(mind, 1.0 / np.sqrt(mind))
-        u, vals, vt = scipy.sparse.linalg.svds(g, k=sv, v0=v0)
-        order = np.argsort(vals)[::-1]
-        u, vals, vt = u[:, order], vals[order], vt[order]
-    kept = int(np.sum(vals > threshold))
+    a = _wide(g)
+    w, u = np.linalg.eigh(a @ a.T)
+    sigma = np.sqrt(np.maximum(w, 0.0))
+    kept = int(np.count_nonzero(sigma > threshold))
     if kept == 0:
-        return np.zeros_like(g), 0, max(1, sv)
-    low = (u[:, :kept] * (vals[:kept] - threshold)) @ vt[:kept]
-    if kept < sv or mind <= FULL_SVD_LIMIT:
-        nxt = min(kept + 1, mind - 1)
-    else:
-        nxt = min(kept + int(round(0.05 * mind)), mind - 1)
-    return low, kept, max(nxt, 1)
+        return np.zeros_like(g), 0
+    # eigh sorts ascending, so the kept values are the last ones.
+    u = u[:, -kept:]
+    low = (u * (1.0 - threshold / sigma[-kept:])) @ (u.T @ a)
+    return (low if a is g else low.T), kept
 
 
 def pcp_solve(
@@ -133,7 +128,8 @@ def pcp_solve(
     if norm_fro == 0.0:
         z = np.zeros_like(m)
         return PcpSolution(z, z.copy(), 1, True, 0.0, 0, 0.0)
-    norm_two = float(np.linalg.svd(m, compute_uv=False)[0])
+    a = _wide(m)
+    norm_two = float(np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1]))
     if mu is None:
         mu = 1.25 / norm_two
     mu_cap = mu * 1.0e7
@@ -141,13 +137,12 @@ def pcp_solve(
     y = m / dual_scale
     s = np.zeros_like(m)
     low = np.zeros_like(m)
-    sv = 10
     rank = 0
     feasibility = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        low, rank, sv = _svd_threshold(m - s + y / mu, 1.0 / mu, sv)
+        low, rank = _svd_threshold(m - s + y / mu, 1.0 / mu)
         s = _shrink(m - low + y / mu, eta / mu)
         gap = m - low - s
         y += mu * gap
@@ -264,6 +259,8 @@ def separate_windowed(
     ``pcp_solve``; overlapping windows are blended with linear
     cross-fades applied to L and S with the same weights, so the
     stitched parts still sum to the input up to the solver feasibility.
+    Each window's ``diagnostics`` record holds the solver's statistics
+    and ``seconds``, the wall time of its ``pcp_solve``.
 
     Parameters
     ----------
@@ -304,9 +301,11 @@ def separate_windowed(
     acc_weight = np.zeros(n_cols)
     diagnostics = []
     for w_index, (a, b) in enumerate(layout.spans(n_cols)):
+        started = time.perf_counter()
         solution = pcp_solve(
             rows[:, a:b], eta=eta, tol=tol, max_iter=max_iter
         )
+        seconds = time.perf_counter() - started
         weights = _crossfade_weights(b - a, layout.overlap if b - a == layout.length else 0)
         acc_low[:, a:b] += solution.low * weights
         acc_sparse[:, a:b] += solution.sparse * weights
@@ -320,6 +319,7 @@ def separate_windowed(
                 "feasibility": solution.feasibility,
                 "rank": solution.rank,
                 "sparse_fraction": solution.sparse_fraction,
+                "seconds": seconds,
             }
         )
     acc_low /= acc_weight

@@ -8,6 +8,7 @@ from sarsep.rpca import (
     PcpSolution,
     SeparationResult,
     WindowLayout,
+    _svd_threshold,
     choose_window,
     pcp_solve,
     separate_windowed,
@@ -46,6 +47,39 @@ def compressed_trace(data, meta=None, valid_rows=None):
     )
 
 
+def reference_svt(g, threshold):
+    """Singular value thresholding by a full SVD."""
+    u, values, vt = np.linalg.svd(g, full_matrices=False)
+    kept = int(np.sum(values > threshold))
+    return (u[:, :kept] * (values[:kept] - threshold)) @ vt[:kept], kept
+
+
+class TestSvdThreshold:
+    @pytest.mark.parametrize(
+        "shape, rank, kept",
+        [((30, 70), 30, 12), ((70, 30), 30, 12), ((87, 617), 3, 3)],
+        ids=["wide", "tall", "rank-3"],
+    )
+    def test_matches_the_svd_reference(self, shape, rank, kept):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+        values = np.linalg.svd(g, compute_uv=False)
+        # Midway between two singular values, so no value sits at the cut.
+        threshold = 0.5 * (values[kept - 1] + values[kept])
+        low, count = _svd_threshold(g, threshold)
+        expected, expected_count = reference_svt(g, threshold)
+        assert count == expected_count == kept
+        assert low.shape == g.shape
+        assert np.linalg.norm(low - expected) <= 1e-10 * np.linalg.norm(g)
+
+    def test_everything_below_the_threshold_gives_zeros(self):
+        g = np.random.default_rng(6).normal(size=(40, 90))
+        threshold = 1.01 * np.linalg.svd(g, compute_uv=False)[0]
+        low, count = _svd_threshold(g, threshold)
+        assert count == 0
+        assert low.shape == g.shape and np.all(low == 0.0)
+
+
 class TestPcpSolve:
     def test_exact_recovery(self):
         rng = np.random.default_rng(7)
@@ -56,6 +90,19 @@ class TestPcpSolve:
         assert np.linalg.norm(sol.low - low) <= 1e-5 * np.linalg.norm(low)
         assert np.linalg.norm(sol.sparse - sparse) <= 1e-5 * np.linalg.norm(sparse)
         assert sol.rank == 3
+
+    def test_transposed_input_gives_the_transposed_split(self):
+        rng = np.random.default_rng(8)
+        low, sparse = make_instance(rng, rows=40, cols=90)
+        m = low + sparse
+        wide, tall = pcp_solve(m), pcp_solve(m.T)
+        assert tall.iterations == wide.iterations
+        assert tall.rank == wide.rank
+        scale = np.abs(m).max()
+        np.testing.assert_allclose(tall.low, wide.low.T, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(
+            tall.sparse, wide.sparse.T, rtol=0, atol=1e-10 * scale
+        )
 
     def test_zero_matrix_short_circuits(self):
         sol = pcp_solve(np.zeros((8, 12)))
@@ -174,6 +221,23 @@ class TestSeparateWindowed:
         for entry in res.diagnostics:
             assert entry["converged"]
             assert entry["feasibility"] <= 1e-7
+
+    def test_window_records_carry_the_solver_cost(self):
+        background, spikes = self.background_and_spikes()
+        trace = compressed_trace(background + spikes)
+        res = separate_windowed(trace, layout=WindowLayout(length=48, overlap=8))
+        for entry in res.diagnostics:
+            assert set(entry) == {
+                "window",
+                "columns",
+                "iterations",
+                "converged",
+                "feasibility",
+                "rank",
+                "sparse_fraction",
+                "seconds",
+            }
+            assert 0.0 < entry["seconds"] < 60.0
 
     def test_default_layout_comes_from_the_metadata(self):
         background, spikes = self.background_and_spikes()
