@@ -1,12 +1,11 @@
-"""Time the compiled kernels against their numpy fallbacks.
+"""Numpy micro-timings of sarsep's hot loops.
 
 Runs each hot loop on a desk-scale workload and reports the median
-wall time per call plus the speedup of the compiled path.  The numpy
-fallback is always available; the numba path is skipped when numba is
-missing or disabled through ``SARSEP_NO_NUMBA=1``.  The ``svt`` line
-times one singular-value-thresholding step of principal component
-pursuit (``rpca._svd_threshold``, numpy only) on a window of the shape
-the reduced scene1 benchmark splits (87 pulses by 617 samples).
+wall time per call: echo accumulation (``kernels.accumulate_echoes``),
+backprojection sampling (``kernels.backproject_block``), and one
+singular-value-thresholding step of principal component pursuit
+(``rpca._svd_threshold``) on a window of the shape the reduced scene1
+benchmark splits (87 pulses by 617 samples).
 
 Usage::
 
@@ -42,7 +41,7 @@ def echo_workload(rng, n_rows=117, n_t=8192, n_targets=30):
         "tau": tau,
         "t0": t0,
         "dt": dt,
-        "omega0": 2.0 * np.pi * 9.6e9,
+        "nu0": 9.6e9,
         "bandwidth": 622.0e6,
         "amps": amps,
         "half_support": half_support,
@@ -63,64 +62,30 @@ def backproject_workload(rng, n_rows=117, n_t=8192, n_pix=20000, upsample=4):
 
 def bench_echoes(repeats):
     work = echo_workload(np.random.default_rng(0))
-    args = (
-        work["tau"],
-        work["t0"],
-        work["dt"],
-        work["omega0"],
-        work["bandwidth"],
-        work["amps"],
-        work["half_support"],
-    )
+    out = np.zeros(work["shape"])
 
-    out_numpy = np.zeros(work["shape"])
-    out_numba = np.zeros(work["shape"])
+    def run():
+        out.fill(0.0)
+        kernels.accumulate_echoes(
+            out,
+            work["tau"],
+            work["t0"],
+            work["dt"],
+            work["nu0"],
+            work["bandwidth"],
+            work["amps"],
+            work["half_support"],
+        )
 
-    def run_numpy():
-        out_numpy.fill(0.0)
-        kernels.accumulate_echoes_numpy(out_numpy, *args)
-
-    def run_numba():
-        out_numba.fill(0.0)
-        kernels._accumulate_numba(out_numba, *args)
-
-    t_numpy = median_time(run_numpy, repeats)
+    t_numpy = median_time(run, repeats)
     print(f"accumulate_echoes  numpy   {t_numpy * 1e3:8.2f} ms")
-
-    if not kernels.HAS_NUMBA:
-        print("accumulate_echoes  numba   skipped (not available)")
-        return
-    run_numba()  # warm the JIT cache
-    t_numba = median_time(run_numba, repeats)
-    run_numpy()
-    run_numba()
-    err = np.max(np.abs(out_numba - out_numpy)) / np.max(np.abs(out_numpy))
-    print(
-        f"accumulate_echoes  numba   {t_numba * 1e3:8.2f} ms   "
-        f"speedup {t_numpy / t_numba:5.1f}x   rel diff {err:.1e}"
-    )
 
 
 def bench_backproject(repeats):
     work = backproject_workload(np.random.default_rng(1))
     args = (work["rows"], work["t0"], work["dt"], work["dtau"])
-
-    t_numpy = median_time(lambda: kernels.backproject_block_numpy(*args), repeats)
+    t_numpy = median_time(lambda: kernels.backproject_block(*args), repeats)
     print(f"backproject_block  numpy   {t_numpy * 1e3:8.2f} ms")
-
-    if not kernels.HAS_NUMBA:
-        print("backproject_block  numba   skipped (not available)")
-        return
-    kernels._backproject_numba(*args)  # warm the JIT cache
-    t_numba = median_time(lambda: kernels._backproject_numba(*args), repeats)
-    acc_numpy, miss_numpy = kernels.backproject_block_numpy(*args)
-    acc_numba, miss_numba = kernels._backproject_numba(*args)
-    err = np.max(np.abs(acc_numba - acc_numpy)) / np.max(np.abs(acc_numpy))
-    assert np.array_equal(miss_numpy, miss_numba)
-    print(
-        f"backproject_block  numba   {t_numba * 1e3:8.2f} ms   "
-        f"speedup {t_numpy / t_numba:5.1f}x   rel diff {err:.1e}"
-    )
 
 
 def bench_svt(repeats, shape=(87, 617)):
@@ -137,8 +102,6 @@ def main():
         "--repeats", type=int, default=5, help="timed calls per kernel (median)"
     )
     args = parser.parse_args()
-    mode = "numba" if kernels.HAS_NUMBA else "numpy only (SARSEP_NO_NUMBA or no numba)"
-    print(f"kernel mode: {mode}")
     bench_echoes(args.repeats)
     bench_backproject(args.repeats)
     bench_svt(args.repeats)

@@ -49,6 +49,7 @@ from .motion import (
     VelocityEstimate,
     estimate_cross_speed,
     estimate_location,
+    estimate_motion,
     estimate_range_speed,
     g_curve,
     g_perp_curve,

@@ -24,16 +24,8 @@ import numpy as np
 
 from . import io as sario
 from .annihil import AnnihilationPlan, annihilate, energy_ratio_db
-from .geom import compose_velocity, make_frame
 from .imaging import ImageGrid, image_compensated
-from .motion import (
-    estimate_cross_speed,
-    estimate_location,
-    find_speed_peaks,
-    g_curve,
-    separate_movers,
-    trial_velocity,
-)
+from .motion import estimate_motion, find_speed_peaks, g_curve, separate_movers
 from .presets import list_presets, load_preset, preset_scene
 from .ranklab import rank_study
 from .rpca import WindowLayout, separate_windowed
@@ -215,27 +207,12 @@ def _cmd_estimate_motion(args):
     u_grid = _parse_range(args.u_grid) if args.u_grid else None
     grid, values = g_curve(trace, u_grid)
     peaks = find_speed_peaks(grid, values, args.height_factor)
-    frame = make_frame(trace.traj, trace.rho_o)
-    estimates = []
-    for u, score in peaks[: args.max_movers]:
-        if args.rho_e == "auto":
-            rho = estimate_location(trace, trial_velocity(frame, u))
-        else:
-            rho = _parse_vector(args.rho_e)
-        perp_grid = _parse_range(args.u_perp_grid) if args.u_perp_grid else None
-        u_perp, _ = estimate_cross_speed(trace, rho, u, perp_grid)
-        u_vec = compose_velocity(frame, u, u_perp)
-        if args.rho_e == "auto":
-            rho = estimate_location(trace, u_vec)
-        estimates.append(
-            {
-                "u_meters_per_second": u,
-                "u_perp_meters_per_second": u_perp,
-                "u_vec_meters_per_second": u_vec.tolist(),
-                "rho_meters": rho.tolist(),
-                "g_score": score,
-            }
-        )
+    rho = None if args.rho_e == "auto" else _parse_vector(args.rho_e)
+    perp_grid = _parse_range(args.u_perp_grid) if args.u_perp_grid else None
+    estimates = [
+        estimate_motion(trace, u, score, rho=rho, u_perp_grid=perp_grid).to_dict()
+        for u, score in peaks[: args.max_movers]
+    ]
     report = {
         "peaks": [{"u_meters_per_second": u, "g_score": s} for u, s in peaks],
         "estimates": estimates,
@@ -421,9 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out-dir", default=".", help="directory for the run manifest and defaults"
     )
-    common.add_argument(
-        "--threads", type=int, default=None, help="compute threads for the kernels"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="simulate scene echoes")
@@ -548,13 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(args.threads)
-        except ImportError:
-            pass
     started = time.perf_counter()
     try:
         code, inputs, outputs = args.handler(args)

@@ -1,43 +1,28 @@
 """Hot loops: echo accumulation and backprojection sampling.
 
-Each kernel ships in two equivalent implementations, a numba-compiled
-one and a vectorized numpy one.  The compiled path is used when numba
-imports cleanly; set ``SARSEP_NO_NUMBA=1`` in the environment before
-import to force the numpy path.  ``benchmarks/bench_kernels.py`` times
-the two against each other.
+Both kernels are vectorized numpy.  ``benchmarks/bench_kernels.py``
+times them on desk-scale inputs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    if os.environ.get("SARSEP_NO_NUMBA"):
-        raise ImportError("numba disabled by SARSEP_NO_NUMBA")
-    from numba import njit, prange
+# There is no numba path; the constant stays because the environment
+# record in perfbench/run.py reads it.
+HAS_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-__all__ = [
-    "HAS_NUMBA",
-    "accumulate_echoes",
-    "accumulate_echoes_numpy",
-    "backproject_block",
-    "backproject_block_numpy",
-]
+__all__ = ["accumulate_echoes", "backproject_block"]
 
 
-def accumulate_echoes_numpy(out, tau, t0, dt, omega0, bandwidth, amps, half_support):
+def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
     """Add one Gaussian-carrier echo per (row, target) pair into ``out``.
 
-    out[j, i] += amps[k] * cos(omega0 (t_i - tau[j, k]))
+    out[j, i] += amps[k] * cos(2 pi nu0 (t_i - tau[j, k]))
                  * exp(-(bandwidth (t_i - tau[j, k]))^2 / 2)
     restricted to |t_i - tau[j, k]| <= half_support, with t_i = t0 + i dt.
     """
+    omega0 = 2.0 * np.pi * nu0
     n_rows, n_t = out.shape
     n_targets = tau.shape[1]
     for j in range(n_rows):
@@ -54,7 +39,7 @@ def accumulate_echoes_numpy(out, tau, t0, dt, omega0, bandwidth, amps, half_supp
     return out
 
 
-def backproject_block_numpy(rows, t0, dt, dtau):
+def backproject_block(rows, t0, dt, dtau):
     """Sum cubic-interpolated samples of complex rows at per-pixel delays.
 
     Parameters
@@ -71,7 +56,8 @@ def backproject_block_numpy(rows, t0, dt, dtau):
     acc : complex ndarray, shape (n_pix,)
         Per-pixel sum over rows of the interpolated samples.
     missed : int ndarray, shape (n_pix,)
-        Number of rows per pixel whose sample fell outside the grid.
+        Number of rows per pixel whose sample fell outside the grid,
+        that is whose base index is below 1 or above M - 3.
     """
     n_last = rows.shape[1] - 3
     x = (dtau - t0) / dt
@@ -92,84 +78,3 @@ def backproject_block_numpy(rows, t0, dt, dtau):
     )
     vals[~valid] = 0.0
     return vals.sum(axis=0), (~valid).sum(axis=0).astype(np.int64)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _accumulate_numba(out, tau, t0, dt, omega0, bandwidth, amps, half_support):
-        n_rows, n_t = out.shape
-        n_targets = tau.shape[1]
-        for j in prange(n_rows):
-            for k in range(n_targets):
-                tjk = tau[j, k]
-                i_lo = int(np.ceil((tjk - half_support - t0) / dt))
-                i_hi = int(np.floor((tjk + half_support - t0) / dt))
-                if i_lo < 0:
-                    i_lo = 0
-                if i_hi > n_t - 1:
-                    i_hi = n_t - 1
-                for i in range(i_lo, i_hi + 1):
-                    td = t0 + i * dt - tjk
-                    out[j, i] += (
-                        amps[k]
-                        * np.cos(omega0 * td)
-                        * np.exp(-0.5 * (bandwidth * td) ** 2)
-                    )
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _backproject_numba(rows, t0, dt, dtau):
-        n_rows = rows.shape[0]
-        n_last = rows.shape[1] - 3
-        n_pix = dtau.shape[1]
-        acc = np.zeros(n_pix, dtype=np.complex128)
-        missed = np.zeros(n_pix, dtype=np.int64)
-        for p in prange(n_pix):
-            total = 0.0 + 0.0j
-            miss = 0
-            for j in range(n_rows):
-                x = (dtau[j, p] - t0) / dt
-                base = int(np.floor(x))
-                if base < 1 or base > n_last:
-                    miss += 1
-                    continue
-                frac = x - base
-                w_m1 = -frac * (frac - 1.0) * (frac - 2.0) / 6.0
-                w_0 = (frac + 1.0) * (frac - 1.0) * (frac - 2.0) / 2.0
-                w_1 = -(frac + 1.0) * frac * (frac - 2.0) / 2.0
-                w_2 = (frac + 1.0) * frac * (frac - 1.0) / 6.0
-                total += (
-                    w_m1 * rows[j, base - 1]
-                    + w_0 * rows[j, base]
-                    + w_1 * rows[j, base + 1]
-                    + w_2 * rows[j, base + 2]
-                )
-            acc[p] = total
-            missed[p] = miss
-        return acc, missed
-
-
-def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
-    """Dispatch echo accumulation to the compiled or numpy kernel."""
-    tau = np.ascontiguousarray(tau, dtype=np.float64)
-    amps = np.ascontiguousarray(amps, dtype=np.float64)
-    omega0 = 2.0 * np.pi * nu0
-    if HAS_NUMBA:
-        return _accumulate_numba(
-            out, tau, float(t0), float(dt), omega0, float(bandwidth), amps,
-            float(half_support),
-        )
-    return accumulate_echoes_numpy(
-        out, tau, float(t0), float(dt), omega0, float(bandwidth), amps,
-        float(half_support),
-    )
-
-
-def backproject_block(rows, t0, dt, dtau):
-    """Dispatch backprojection sampling to the compiled or numpy kernel."""
-    rows = np.ascontiguousarray(rows, dtype=np.complex128)
-    dtau = np.ascontiguousarray(dtau, dtype=np.float64)
-    if HAS_NUMBA:
-        return _backproject_numba(rows, float(t0), float(dt), dtau)
-    return backproject_block_numpy(rows, float(t0), float(dt), dtau)

@@ -42,6 +42,7 @@ __all__ = [
     "g_perp_curve",
     "estimate_cross_speed",
     "estimate_location",
+    "estimate_motion",
     "separate_movers",
 ]
 
@@ -317,6 +318,46 @@ class VelocityEstimate:
         return out
 
 
+def estimate_motion(
+    trace: TraceMatrix,
+    u: float,
+    g_score: float,
+    u_vec=None,
+    rho=None,
+    u_perp_grid: np.ndarray | None = None,
+    step: float = 0.5,
+    extent: float = 80.0,
+    g_samples: tuple[np.ndarray, np.ndarray] | None = None,
+) -> VelocityEstimate:
+    """One mover's state at range speed u: locate, cross speed, relocate.
+
+    The mover is located in an image compensated with ``u_vec``
+    (default ``trial_velocity(frame, u)``), its cross-range speed is
+    scanned at that location, and it is located again at the composed
+    velocity.  A given ``rho`` is kept and skips both images.
+    ``g_samples``, the range-speed curve that gave u, is only stored.
+    """
+    frame = make_frame(trace.traj, trace.rho_o)
+    located = rho is None
+    if located:
+        first = trial_velocity(frame, u) if u_vec is None else u_vec
+        rho = estimate_location(trace, first, extent=extent)
+    u_perp, g_perp_samples = estimate_cross_speed(trace, rho, u, u_perp_grid, step)
+    u_vec = compose_velocity(frame, u, u_perp)
+    if located:
+        rho = estimate_location(trace, u_vec, extent=extent)
+    return VelocityEstimate(
+        u=u,
+        u_perp=u_perp,
+        u_vec=u_vec,
+        rho=rho,
+        g_score=g_score,
+        frame=frame,
+        g_samples=g_samples,
+        g_perp_samples=g_perp_samples,
+    )
+
+
 @dataclass(frozen=True)
 class MoverSeparation:
     """Output of the full detection pipeline.
@@ -389,7 +430,6 @@ def separate_movers(
         low, residual = initial.low, initial.sparse
         splits.append(initial.diagnostics)
         feasibility = initial.feasibility
-    frame = make_frame(trace.traj, trace.rho_o)
     movers: list[TraceMatrix] = []
     estimates: list[VelocityEstimate] = []
     g_curves: list[tuple[np.ndarray, np.ndarray]] = []
@@ -400,36 +440,26 @@ def separate_movers(
         if not peaks:
             break
         u, score = peaks[0]
-        rho = estimate_location(residual, trial_velocity(frame, u), extent=extent)
-        u_perp, _ = estimate_cross_speed(residual, rho, u, step=u_perp_step)
-        u_vec = compose_velocity(frame, u, u_perp)
-        rho = estimate_location(residual, u_vec, extent=extent)
-        straightened = tt_forward(residual, rho, u_vec)
+        scan = estimate_motion(residual, u, score, step=u_perp_step, extent=extent)
+        straightened = tt_forward(residual, scan.rho, scan.u_vec)
         peel = separate_windowed(straightened, layout=layout)
         splits.append(peel.diagnostics)
         feasibility = max(feasibility, peel.feasibility)
-        mover = tt_inverse(peel.low, rho, u_vec)
-        residual = tt_inverse(peel.sparse, rho, u_vec)
+        mover = tt_inverse(peel.low, scan.rho, scan.u_vec)
+        residual = tt_inverse(peel.sparse, scan.rho, scan.u_vec)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.
         u, score, g_samples = _refine_speed(mover, u, u_step)
-        rho = estimate_location(mover, u_vec, extent=extent)
-        u_perp, g_perp_samples = estimate_cross_speed(
-            mover, rho, u, step=u_perp_step
-        )
-        u_vec = compose_velocity(frame, u, u_perp)
-        rho = estimate_location(mover, u_vec, extent=extent)
         movers.append(mover)
         estimates.append(
-            VelocityEstimate(
-                u=u,
-                u_perp=u_perp,
-                u_vec=u_vec,
-                rho=rho,
-                g_score=score,
-                frame=frame,
+            estimate_motion(
+                mover,
+                u,
+                score,
+                u_vec=scan.u_vec,
+                step=u_perp_step,
+                extent=extent,
                 g_samples=g_samples,
-                g_perp_samples=g_perp_samples,
             )
         )
     return MoverSeparation(

@@ -10,6 +10,7 @@ import pytest
 from sarsep import io as sario
 from sarsep.cli import main
 from sarsep.geom import Aperture, LinearTrajectory, compose_velocity, make_frame
+from sarsep.motion import VelocityEstimate
 from sarsep.rpca import WindowLayout
 from sarsep.scene import Radar, SceneSpec, Target
 
@@ -311,6 +312,35 @@ class TestEstimateMotion:
         rho = np.asarray(estimate["rho_meters"])
         assert np.linalg.norm(rho[:2]) <= 0.5
 
+    def test_given_location_is_kept(self, mixture, tmp_path):
+        report = tmp_path / "motion.json"
+        rc = main(
+            [
+                "estimate-motion",
+                str(mixture),
+                "--rho-e=0.3,-0.2",
+                "--u-grid",
+                "0.5:0.25:6",
+                "--u-perp-grid=-2:0.5:2",
+                "--height-factor",
+                "1.5",
+                "--report",
+                str(report),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        estimates = json.loads(report.read_text())["estimates"]
+        assert estimates
+        keys = VelocityEstimate(
+            u=0.0, u_perp=0.0, u_vec=np.zeros(3), rho=np.zeros(3), g_score=0.0
+        ).to_dict().keys()
+        for estimate in estimates:
+            assert estimate.keys() == keys
+            assert estimate["rho_meters"] == [0.3, -0.2, 0.0]
+        assert estimates[0]["u_meters_per_second"] == pytest.approx(3.0, abs=0.25)
+
 
 class TestSeparateMovers:
     def test_pipeline_outputs_and_reconstruction(self, mixture, tmp_path):
@@ -589,21 +619,3 @@ class TestManifestAndErrors:
         bad.write_text("{not json")
         rc = main(["run", "--config", str(bad), "--out-dir", str(tmp_path)])
         assert rc == 4
-
-    def test_threads_flag_is_accepted(self, tmp_path):
-        rc = main(
-            [
-                "rank",
-                "--mode",
-                "single-stationary",
-                "--values",
-                "0.5",
-                "--threads",
-                "1",
-                "--out",
-                str(tmp_path / "r.csv"),
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
-        assert rc == 0
