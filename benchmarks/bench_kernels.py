@@ -2,10 +2,12 @@
 
 Runs each hot loop on a desk-scale workload and reports the median
 wall time per call: echo accumulation (``kernels.accumulate_echoes``),
-backprojection sampling (``kernels.backproject_block``), and one
-singular-value-thresholding step of principal component pursuit
-(``rpca._svd_threshold``) on a window of the shape the reduced scene1
-benchmark splits (87 pulses by 617 samples).
+backprojection sampling (``kernels.backproject_block``) on one block of
+the size ``imaging`` passes it, one motion-compensated image
+(``imaging.image_points`` on a 167 x 167 grid around scene1's first
+mover), and one singular-value-thresholding step of principal
+component pursuit (``rpca._svd_threshold``) on a window of the shape
+the reduced scene1 benchmark splits (87 pulses by 617 samples).
 
 Usage::
 
@@ -17,7 +19,8 @@ import time
 
 import numpy as np
 
-from sarsep import kernels, rpca
+from sarsep import imaging, kernels, rpca, scene
+from sarsep.presets import preset_scene
 
 
 def median_time(func, repeats):
@@ -49,14 +52,19 @@ def echo_workload(rng, n_rows=117, n_t=8192, n_targets=30):
     }
 
 
-def backproject_workload(rng, n_rows=117, n_t=8192, n_pix=20000, upsample=4):
-    """Inputs resembling one backprojection block of a desk-scale image."""
+def backproject_workload(rng, n_rows=87, n_t=2025, upsample=4):
+    """One backprojection block on rows the size of a reduced scene1 trace.
+
+    The delays are uniform over a band twice as wide as the gate and
+    centered on it, so about half of the samples fall outside it.
+    """
     dt = 2.0833e-11 / upsample
-    rows = (
-        rng.standard_normal((n_rows, n_t * upsample))
-        + 1j * rng.standard_normal((n_rows, n_t * upsample))
+    width = n_t * upsample
+    rows = rng.standard_normal((n_rows, width)) + 1j * rng.standard_normal(
+        (n_rows, width)
     )
-    dtau = rng.uniform(0.1, 0.9, size=(n_rows, n_pix)) * (n_t * upsample * dt)
+    n_pix = imaging._BLOCK
+    dtau = rng.uniform(-0.5, 1.5, size=(n_rows, n_pix)) * (width * dt)
     return {"rows": rows, "t0": 0.0, "dt": dt, "dtau": dtau}
 
 
@@ -88,6 +96,20 @@ def bench_backproject(repeats):
     print(f"backproject_block  numpy   {t_numpy * 1e3:8.2f} ms")
 
 
+def bench_image_points(repeats, extent=40.0, spacing=0.24):
+    spec = preset_scene("scene1")
+    mover = spec.moving_targets[0]
+    trace = scene.simulate(spec.subset([mover]))
+    grid = imaging.ImageGrid(
+        center=mover.rho, extent_x=extent, extent_y=extent, spacing=spacing
+    )
+    points = grid.points()
+    u_vec = mover.velocity
+    t_numpy = median_time(lambda: imaging.image_points(trace, points, u_vec), repeats)
+    ny, nx = grid.shape
+    print(f"image_points {ny}x{nx} numpy   {t_numpy * 1e3:8.2f} ms")
+
+
 def bench_svt(repeats, shape=(87, 617)):
     window = np.random.default_rng(2).standard_normal(shape)
     # Keeps about a tenth of the singular values.
@@ -104,6 +126,7 @@ def main():
     args = parser.parse_args()
     bench_echoes(args.repeats)
     bench_backproject(args.repeats)
+    bench_image_points(args.repeats)
     bench_svt(args.repeats)
 
 

@@ -5,6 +5,14 @@ Off-grid fast-time samples come from band-limited 4x Fourier
 upsampling of the analytic traces followed by 4-tap cubic
 interpolation, so the raw image is the sum of the real traces and the
 envelope is the magnitude of the matching analytic sum.
+
+Pixels are imaged in blocks of ``_BLOCK`` points, so each per-sample
+array of a block holds about 10^5 entries.  A block's distances come from
+one rank-3 product: with q_j = r(s_j) - s_j u - rho_o per pulse and
+p = rho - rho_o per point, |q_j - p|^2 = |q_j|^2 + |p|^2 - 2 q_j . p.
+Measuring both from ``rho_o`` keeps the rounding of the cancellation
+at the scale of the range, however far the scene lies from the origin.  ``kernels.backproject_block``
+then samples only the (pulse, pixel) pairs that fall inside the gate.
 """
 
 from __future__ import annotations
@@ -30,6 +38,13 @@ __all__ = [
 ]
 
 _ZERO3 = np.zeros(3)
+
+#: Fast-time upsampling factor of the analytic rows.
+_UPSAMPLE = 4
+
+#: Points per backprojection block.  On a 167 x 167 focus image, blocks
+#: of 256 to 1024 points timed alike and larger blocks were slower.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -105,65 +120,71 @@ class SarImage:
         return float(self.envelope.max())
 
 
-def _analytic_upsampled(trace: TraceMatrix, factor: int = 4):
-    """Analytic version of each row on a ``factor``-times finer grid.
+def _analytic_upsampled(trace: TraceMatrix):
+    """Analytic version of each valid row on a ``_UPSAMPLE``-times finer grid.
 
     Exact for the band-limited gated traces: the one-sided spectrum is
-    zero-padded and inverted at the finer step.  Returns (rows, t0, dt).
+    zero-padded and inverted at the finer step.  Only the rows in
+    ``trace.valid_rows`` are transformed and returned.  Returns
+    (rows, t0, dt).
     """
-    data = trace.data
+    start, stop = trace.valid_rows
+    data = trace.data[start:stop]
     count = data.shape[1]
     spectra = np.fft.rfft(data, axis=1)
-    fine = factor * count
+    fine = _UPSAMPLE * count
     padded = np.zeros((data.shape[0], fine), dtype=complex)
     padded[:, 0] = spectra[:, 0]
     padded[:, 1 : spectra.shape[1]] = 2.0 * spectra[:, 1:]
-    rows = np.fft.ifft(padded, axis=1) * factor
-    return rows, float(trace.t_times[0]), trace.axis.dt / factor
+    rows = np.fft.ifft(padded, axis=1) * _UPSAMPLE
+    return rows, float(trace.t_times[0]), trace.axis.dt / _UPSAMPLE
 
 
 def image_points(
-    trace: TraceMatrix,
-    points: np.ndarray,
-    u_vec=None,
-    upsample: int = 4,
-    block: int = 8192,
+    trace: TraceMatrix, points: np.ndarray, u_vec=None
 ) -> tuple[np.ndarray, int]:
     """Complex backprojection values at arbitrary in-plane points.
 
     Each point rho is imaged as the track rho + s u_vec.  Returns the
     complex sums and the count of (point, row) samples outside the gate.
+
+    The points go through ``kernels.backproject_block`` ``_BLOCK`` at a
+    time.  Per pulse, q_j = r(s_j) - s_j u_vec - rho_o is formed once;
+    per block, the distances |q_j - p| to the points p = rho - rho_o
+    come from |q_j|^2 + |p|^2 - 2 q_j . p, one (rows x 3) @ (3 x block)
+    product.
     """
     if not trace.compressed:
         raise ValueError("imaging expects range-compressed traces")
     u_vec = _ZERO3 if u_vec is None else np.asarray(u_vec, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows_up, t0, dt_up = _analytic_upsampled(trace, upsample)
+    rows_up, t0, dt_up = _analytic_upsampled(trace)
     start, stop = trace.valid_rows
     s = trace.s_times[start:stop]
-    rows_up = rows_up[start:stop]
     platform = trace.traj.position(s)
     tau_ref = travel_time(trace.traj, s, trace.rho_o)
+    q = platform - s[:, None] * u_vec - trace.rho_o
+    q_sq = np.einsum("ij,ij->i", q, q)[:, None]
+    q_m2 = -2.0 * q
+    centered = points - trace.rho_o
+    p_sq = np.einsum("ij,ij->i", centered, centered)
     values = np.empty(points.shape[0], dtype=complex)
     missed = 0
-    for a in range(0, points.shape[0], block):
-        pts = points[a : a + block]
-        tracks = pts[None, :, :] + s[:, None, None] * u_vec[None, None, :]
-        dist = np.linalg.norm(platform[:, None, :] - tracks, axis=-1)
-        dtau = 2.0 * dist / C_LIGHT - tau_ref[:, None]
+    for a in range(0, points.shape[0], _BLOCK):
+        b = a + _BLOCK
+        dtau = q_m2 @ centered[a:b].T
+        dtau += q_sq
+        dtau += p_sq[a:b]
+        np.sqrt(dtau, out=dtau)
+        dtau *= 2.0 / C_LIGHT
+        dtau -= tau_ref[:, None]
         acc, missed_block = backproject_block(rows_up, t0, dt_up, dtau)
-        values[a : a + pts.shape[0]] = acc
+        values[a:b] = acc
         missed += int(missed_block.sum())
     return values, missed
 
 
-def image_compensated(
-    trace: TraceMatrix,
-    grid: ImageGrid,
-    u_vec,
-    upsample: int = 4,
-    block: int = 8192,
-) -> SarImage:
+def image_compensated(trace: TraceMatrix, grid: ImageGrid, u_vec) -> SarImage:
     """Backprojection image with motion compensation at velocity u_vec.
 
     With u_vec = 0 this is exactly the plain image: the search points
@@ -172,9 +193,7 @@ def image_compensated(
     u_vec = np.asarray(u_vec, dtype=float)
     if u_vec.shape != (3,) or u_vec[2] != 0.0:
         raise ValueError("u_vec must be an in-plane 3-vector")
-    values, missed = image_points(
-        trace, grid.points(), u_vec, upsample=upsample, block=block
-    )
+    values, missed = image_points(trace, grid.points(), u_vec)
     shaped = values.reshape(grid.shape)
     if missed > 0:
         warnings.warn(
@@ -192,13 +211,9 @@ def image_compensated(
     )
 
 
-def image(
-    trace: TraceMatrix, grid: ImageGrid, upsample: int = 4, block: int = 8192
-) -> SarImage:
+def image(trace: TraceMatrix, grid: ImageGrid) -> SarImage:
     """Backprojection image of stationary search points."""
-    return image_compensated(
-        trace, grid, _ZERO3, upsample=upsample, block=block
-    )
+    return image_compensated(trace, grid, _ZERO3)
 
 
 def _parabolic_offset(left, mid, right):
@@ -258,7 +273,6 @@ def profile(
     half_extent: float,
     step: float,
     u_vec=None,
-    upsample: int = 4,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Envelope along a line through ``center`` in the imaging plane.
 
@@ -268,7 +282,7 @@ def profile(
     direction = direction / np.linalg.norm(direction)
     offsets = np.arange(-half_extent, half_extent + 0.5 * step, step)
     points = np.asarray(center, dtype=float) + offsets[:, None] * direction
-    values, _ = image_points(trace, points, u_vec, upsample=upsample)
+    values, _ = image_points(trace, points, u_vec)
     return offsets, np.abs(values)
 
 

@@ -42,6 +42,13 @@ def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
 def backproject_block(rows, t0, dt, dtau):
     """Sum cubic-interpolated samples of complex rows at per-pixel delays.
 
+    Only the in-gate (row, pixel) pairs are sampled: ``np.nonzero``
+    compacts them in row-major order, the four-tap cubic weights and
+    the four gathers from the flattened rows run on those pairs alone,
+    and ``np.bincount`` sums them per pixel, real and imaginary parts
+    separately.  Each pixel's samples are added in row order, and
+    out-of-gate pairs add nothing.
+
     Parameters
     ----------
     rows : complex ndarray, shape (n_rows, M)
@@ -59,22 +66,21 @@ def backproject_block(rows, t0, dt, dtau):
         Number of rows per pixel whose sample fell outside the grid,
         that is whose base index is below 1 or above M - 3.
     """
-    n_last = rows.shape[1] - 3
+    n_rows, n_pix = dtau.shape
+    width = rows.shape[1]
     x = (dtau - t0) / dt
-    base = np.floor(x).astype(np.int64)
+    base = np.floor(x)
+    row, pix = np.nonzero((base >= 1.0) & (base <= width - 3))
+    x = x[row, pix]
+    base = base[row, pix]
     frac = x - base
-    valid = (base >= 1) & (base <= n_last)
-    safe = np.clip(base, 1, n_last)
-    rowidx = np.arange(rows.shape[0])[:, None]
-    w_m1 = -frac * (frac - 1.0) * (frac - 2.0) / 6.0
-    w_0 = (frac + 1.0) * (frac - 1.0) * (frac - 2.0) / 2.0
-    w_1 = -(frac + 1.0) * frac * (frac - 2.0) / 2.0
-    w_2 = (frac + 1.0) * frac * (frac - 1.0) / 6.0
-    vals = (
-        w_m1 * rows[rowidx, safe - 1]
-        + w_0 * rows[rowidx, safe]
-        + w_1 * rows[rowidx, safe + 1]
-        + w_2 * rows[rowidx, safe + 2]
-    )
-    vals[~valid] = 0.0
-    return vals.sum(axis=0), (~valid).sum(axis=0).astype(np.int64)
+    start = row * width + base.astype(np.int64)
+    flat = rows.reshape(-1)
+    vals = (-frac * (frac - 1.0) * (frac - 2.0) / 6.0) * flat.take(start - 1)
+    vals += ((frac + 1.0) * (frac - 1.0) * (frac - 2.0) / 2.0) * flat.take(start)
+    vals += (-(frac + 1.0) * frac * (frac - 2.0) / 2.0) * flat.take(start + 1)
+    vals += ((frac + 1.0) * frac * (frac - 1.0) / 6.0) * flat.take(start + 2)
+    acc = np.empty(n_pix, dtype=complex)
+    acc.real = np.bincount(pix, weights=vals.real, minlength=n_pix)
+    acc.imag = np.bincount(pix, weights=vals.imag, minlength=n_pix)
+    return acc, n_rows - np.bincount(pix, minlength=n_pix)

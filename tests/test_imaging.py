@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from sarsep.geom import Aperture, LinearTrajectory, compose_velocity, make_frame
+from sarsep.geom import (
+    C_LIGHT,
+    Aperture,
+    LinearTrajectory,
+    compose_velocity,
+    make_frame,
+)
 from sarsep.imaging import (
+    _BLOCK,
     ImageGrid,
     SarImage,
     half_power_width,
@@ -14,6 +21,7 @@ from sarsep.imaging import (
     peak_extract,
     profile,
 )
+from sarsep.kernels import backproject_block
 from sarsep.scene import Radar, SceneSpec, Target, simulate
 
 pytestmark = pytest.mark.filterwarnings(
@@ -22,9 +30,9 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-def near_scene(targets, n=128):
+def near_scene(targets, n=128, rho_o=np.zeros(3)):
     traj = LinearTrajectory(
-        center=np.array([100.0, 0.0, 0.0]),
+        center=rho_o + np.array([100.0, 0.0, 0.0]),
         tangent=np.array([0.0, 1.0, 0.0]),
         speed=70.0,
     )
@@ -34,7 +42,7 @@ def near_scene(targets, n=128):
     )
     return SceneSpec(
         traj=traj,
-        rho_o=np.zeros(3),
+        rho_o=rho_o,
         targets=coerced,
         aperture=Aperture(n=n, ds=0.015),
         radar=Radar(),
@@ -130,6 +138,55 @@ class TestImaging:
             v_mixed, 1.5 * v_a - 0.5 * v_b,
             atol=1e-9 * np.max(np.abs(v_a)),
         )
+
+    def test_image_points_matches_per_point_norm_delays(self):
+        # Far from the origin, on a moving track, with one partial block
+        # and 40 points whose every sample falls outside the gate.
+        rho_o = np.array([8000.0, 6000.0, 0.0])
+        frame = make_frame(near_scene([], rho_o=rho_o).traj, rho_o)
+        u_vec = compose_velocity(frame, 2.0, 1.0)
+        mover = Target(rho=rho_o + np.array([1.0, 2.0, 0.0]), velocity=tuple(u_vec))
+        full = simulate(near_scene([mover], n=32, rho_o=rho_o))
+        start, stop = 2, full.n - 1
+        data = np.zeros_like(full.data)
+        data[start:stop] = full.data[start:stop]
+        trace = full.replace(data=data, valid_rows=(start, stop))
+        points = np.zeros((_BLOCK + 1, 3))
+        points[:, :2] = rho_o[:2] + np.random.default_rng(3).uniform(
+            -1.0, 1.0, (_BLOCK + 1, 2)
+        )
+        points[-1] = mover.rho  # the partial block's one point
+        points[:40, 0] += 500.0  # 500 m down-range: every sample misses
+
+        # Reference: analytic rows of every pulse, then per-point delays
+        # from np.linalg.norm, one point per kernel call.
+        spectra = np.fft.rfft(trace.data, axis=1)
+        padded = np.zeros((trace.n + 1, 4 * (trace.m + 1)), dtype=complex)
+        padded[:, 0] = spectra[:, 0]
+        padded[:, 1 : spectra.shape[1]] = 2.0 * spectra[:, 1:]
+        rows = (np.fft.ifft(padded, axis=1) * 4)[start:stop]
+        s = trace.s_times[start:stop]
+        platform = trace.traj.position(s)
+        tau_ref = 2.0 * np.linalg.norm(platform - rho_o, axis=-1) / C_LIGHT
+        expected = np.empty(points.shape[0], dtype=complex)
+        expected_missed = np.empty(points.shape[0], dtype=np.int64)
+        for i, point in enumerate(points):
+            track = point + s[:, None] * u_vec
+            dist = np.linalg.norm(platform - track, axis=-1)
+            dtau = (2.0 * dist / C_LIGHT - tau_ref)[:, None]
+            acc, missed = backproject_block(
+                rows, float(trace.t_times[0]), trace.axis.dt / 4, dtau
+            )
+            expected[i], expected_missed[i] = acc[0], missed[0]
+        assert np.all(expected_missed[:40] == stop - start)
+        assert expected_missed[-1] == 0 and expected_missed[40:].min() == 0
+
+        values, missed = image_points(trace, points, u_vec)
+        assert missed == expected_missed.sum()
+        np.testing.assert_allclose(
+            values, expected, rtol=0, atol=1e-9 * np.abs(expected).max()
+        )
+        assert np.all(values[:40] == 0.0)
 
     def test_missed_samples_warn(self):
         trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=8))

@@ -51,3 +51,12 @@ class TestBackprojectBlock:
         np.testing.assert_array_equal(missed, (~inside).sum(axis=0))
         expected = np.where(inside, exact, 0.0).sum(axis=0)
         np.testing.assert_allclose(acc, expected, rtol=1e-12, atol=0)
+
+    def test_block_with_no_sample_in_the_gate_is_zero(self):
+        rows, x, _, _ = self.case()
+        n_rows, n_pix = x.shape
+        x[:, : n_pix // 2] = -5.0 + x[:, : n_pix // 2] % 1.0
+        x[:, n_pix // 2 :] = self.M + 1.0 + x[:, n_pix // 2 :] % 1.0
+        acc, missed = backproject_block(rows, 0.0, self.DT, x * self.DT)
+        assert acc.shape == (n_pix,) and np.all(acc == 0.0)
+        np.testing.assert_array_equal(missed, np.full(n_pix, n_rows))
