@@ -50,7 +50,6 @@ from .motion import (
     estimate_cross_speed,
     estimate_location,
     estimate_motion,
-    estimate_range_speed,
     g_curve,
     g_perp_curve,
     separate_movers,

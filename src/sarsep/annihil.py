@@ -31,7 +31,7 @@ from .geom import (
     delta_tau_moving,
     make_frame,
 )
-from .imaging import ImageGrid, _parabolic_offset, image_points
+from .imaging import ImageGrid, _peak_positions, image_points
 from .scene import Target
 from .signal import (
     TraceMatrix,
@@ -290,7 +290,6 @@ class AnnihilationFactorReport:
     fd: np.ndarray
     predicted: np.ndarray
     remainder_bound: float
-    measured_ratio_db: float | None = None
 
     @property
     def max_abs_error(self) -> float:
@@ -390,22 +389,14 @@ def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
     )
     values, _ = image_points(trace, grid.points())
     env = np.abs(values.reshape(grid.shape))
-    # Local maxima only: greedy suppression would also return the
-    # shoulders of main lobes wider than its suppression radius.
+    # Local maxima only, so the shoulders of wide main lobes are not
+    # listed as points of their own.
     floor = env.max() * 10.0 ** (REMOVAL_FLOOR_DB / 20.0)
     is_peak = (env >= maximum_filter(env, size=3, mode="constant")) & (env >= floor)
     is_peak[[0, -1], :] = is_peak[:, [0, -1]] = False
     iy, ix = np.nonzero(is_peak & (env > 0.0))
     order = np.argsort(env[iy, ix], kind="stable")[::-1][:_MAX_CANDIDATES]
-    iy, ix = iy[order], ix[order]
-    out = np.zeros((iy.size, 3))
-    out[:, 0] = grid.x_axis[ix] + spacing * _parabolic_offset(
-        env[iy, ix - 1], env[iy, ix], env[iy, ix + 1]
-    )
-    out[:, 1] = grid.y_axis[iy] + spacing * _parabolic_offset(
-        env[iy - 1, ix], env[iy, ix], env[iy + 1, ix]
-    )
-    return out
+    return _peak_positions(env, grid, iy[order], ix[order])
 
 
 class _PointWindow:

@@ -122,6 +122,15 @@ def _sidecar(path) -> Path:
     return meta_path
 
 
+def _write_g_curve(path: Path, u_grid: np.ndarray, values: np.ndarray) -> Path:
+    """Write a g(u) curve as CSV: header, then one (u, g) row per trial."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["u_meters_per_second", "g"])
+        writer.writerows(zip(u_grid.tolist(), values.tolist()))
+    return path
+
+
 def _cmd_simulate(args):
     scene = _load_scene(args)
     out = Path(args.out) if args.out else Path(args.out_dir) / "scene.trc"
@@ -327,13 +336,9 @@ def _cmd_run(args):
     )
     outputs.append(estimates_path)
 
-    u_grid, values = result.diagnostics["g_curves"][0]
-    curve_path = out_dir / "g_curve.csv"
-    with open(curve_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u_meters_per_second", "g"])
-        writer.writerows(zip(u_grid.tolist(), values.tolist()))
-    outputs.append(curve_path)
+    outputs.append(
+        _write_g_curve(out_dir / "g_curve.csv", *result.diagnostics["g_curves"][0])
+    )
 
     imaging_cfg = config.get("imaging", {})
     ex, ey, spacing = _parse_grid(imaging_cfg.get("grid", "60x60:0.24"))
@@ -372,11 +377,7 @@ def _cmd_export(args):
     if args.kind == "g-curve":
         trace = sario.read_trace(args.input)
         u_grid = _parse_range(args.u_grid) if args.u_grid else None
-        grid, values = g_curve(trace, u_grid)
-        with open(out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["u_meters_per_second", "g"])
-            writer.writerows(zip(grid.tolist(), values.tolist()))
+        _write_g_curve(out, *g_curve(trace, u_grid))
     elif args.kind == "trace-pgm":
         trace = sario.read_trace(args.input)
         sario.write_pgm(out, np.abs(trace.data), args.floor_db)

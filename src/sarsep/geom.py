@@ -122,10 +122,6 @@ class Aperture:
             raise ValueError("ds must be positive")
 
     @property
-    def half_duration(self) -> float:
-        return 0.5 * self.n * self.ds
-
-    @property
     def times(self) -> np.ndarray:
         return (np.arange(self.n + 1) - self.n // 2) * self.ds
 

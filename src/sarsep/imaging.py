@@ -24,7 +24,7 @@ import numpy as np
 
 from .geom import C_LIGHT, travel_time
 from .kernels import backproject_block
-from .signal import TraceMatrix
+from .signal import AnalyticRows, TraceMatrix
 
 __all__ = [
     "ImageGrid",
@@ -120,26 +120,6 @@ class SarImage:
         return float(self.envelope.max())
 
 
-def _analytic_upsampled(trace: TraceMatrix):
-    """Analytic version of each valid row on a ``_UPSAMPLE``-times finer grid.
-
-    Exact for the band-limited gated traces: the one-sided spectrum is
-    zero-padded and inverted at the finer step.  Only the rows in
-    ``trace.valid_rows`` are transformed and returned.  Returns
-    (rows, t0, dt).
-    """
-    start, stop = trace.valid_rows
-    data = trace.data[start:stop]
-    count = data.shape[1]
-    spectra = np.fft.rfft(data, axis=1)
-    fine = _UPSAMPLE * count
-    padded = np.zeros((data.shape[0], fine), dtype=complex)
-    padded[:, 0] = spectra[:, 0]
-    padded[:, 1 : spectra.shape[1]] = 2.0 * spectra[:, 1:]
-    rows = np.fft.ifft(padded, axis=1) * _UPSAMPLE
-    return rows, float(trace.t_times[0]), trace.axis.dt / _UPSAMPLE
-
-
 def image_points(
     trace: TraceMatrix, points: np.ndarray, u_vec=None
 ) -> tuple[np.ndarray, int]:
@@ -158,7 +138,8 @@ def image_points(
         raise ValueError("imaging expects range-compressed traces")
     u_vec = _ZERO3 if u_vec is None else np.asarray(u_vec, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows_up, t0, dt_up = _analytic_upsampled(trace)
+    rows_up = AnalyticRows(trace).upsampled(_UPSAMPLE)
+    t0, dt_up = float(trace.t_times[0]), trace.axis.dt / _UPSAMPLE
     start, stop = trace.valid_rows
     s = trace.s_times[start:stop]
     platform = trace.traj.position(s)
@@ -228,42 +209,44 @@ def _parabolic_offset(left, mid, right):
     return np.clip(offset, -0.5, 0.5)
 
 
-def peak_extract(
-    img: SarImage, k: int = 1, min_separation: float | None = None
-) -> list[tuple[np.ndarray, float]]:
-    """Top-k envelope peaks with sub-pixel refinement.
+def _peak_positions(env: np.ndarray, grid: ImageGrid, iy, ix) -> np.ndarray:
+    """Positions of envelope pixels (iy, ix), refined below the pixel.
 
-    Peaks are taken greedily by magnitude with non-maximum suppression
-    inside ``min_separation`` meters (default four pixel spacings).
-    Returns (position, value) pairs, possibly fewer than k.
+    Along each axis the parabola through a pixel and its two neighbors
+    moves the pixel center by up to half a spacing; a pixel on the
+    border of that axis keeps its center.  Returns shape (len(iy), 3).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if min_separation is None:
-        min_separation = 4.0 * img.grid.spacing
-    env = img.envelope.copy()
-    xs, ys = img.grid.x_axis, img.grid.y_axis
-    peaks = []
-    for _ in range(k):
-        flat = int(np.argmax(env))
-        iy, ix = np.unravel_index(flat, env.shape)
-        value = float(env[iy, ix])
-        if value <= 0.0:
-            break
-        x, y = xs[ix], ys[iy]
-        if 0 < ix < xs.size - 1:
-            x += img.grid.spacing * _parabolic_offset(
-                env[iy, ix - 1], env[iy, ix], env[iy, ix + 1]
-            )
-        if 0 < iy < ys.size - 1:
-            y += img.grid.spacing * _parabolic_offset(
-                env[iy - 1, ix], env[iy, ix], env[iy + 1, ix]
-            )
-        peaks.append((np.array([x, y, 0.0]), value))
-        gx, gy = np.meshgrid(xs, ys)
-        mask = (gx - xs[ix]) ** 2 + (gy - ys[iy]) ** 2 < min_separation**2
-        env[mask] = 0.0
-    return peaks
+    iy, ix = np.atleast_1d(iy), np.atleast_1d(ix)
+    ny, nx = env.shape
+    mid = env[iy, ix]
+    dx = _parabolic_offset(
+        env[iy, np.maximum(ix - 1, 0)], mid, env[iy, np.minimum(ix + 1, nx - 1)]
+    )
+    dy = _parabolic_offset(
+        env[np.maximum(iy - 1, 0), ix], mid, env[np.minimum(iy + 1, ny - 1), ix]
+    )
+    out = np.zeros((iy.size, 3))
+    out[:, 0] = grid.x_axis[ix] + grid.spacing * np.where(
+        (ix > 0) & (ix < nx - 1), dx, 0.0
+    )
+    out[:, 1] = grid.y_axis[iy] + grid.spacing * np.where(
+        (iy > 0) & (iy < ny - 1), dy, 0.0
+    )
+    return out
+
+
+def peak_extract(img: SarImage) -> tuple[np.ndarray, float]:
+    """The strongest envelope pixel, refined below the pixel.
+
+    Returns (position, value); see ``_peak_positions`` for the
+    refinement.  Raises when the envelope is zero everywhere.
+    """
+    env = img.envelope
+    iy, ix = np.unravel_index(int(np.argmax(env)), env.shape)
+    value = float(env[iy, ix])
+    if value <= 0.0:
+        raise ValueError("image envelope is zero everywhere")
+    return _peak_positions(env, img.grid, iy, ix)[0], value
 
 
 def profile(

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .annihil import locate_stationary, remove_stationary, tt_forward, tt_inverse
+from .annihil import (
+    _bandwidth,
+    locate_stationary,
+    remove_stationary,
+    tt_forward,
+    tt_inverse,
+)
 from .geom import (
     C_LIGHT,
     ViewFrame,
@@ -30,7 +36,7 @@ from .geom import (
 )
 from .imaging import ImageGrid, _parabolic_offset, image_compensated, peak_extract
 from .rpca import WindowLayout, separate_windowed
-from .signal import TraceMatrix, next_fast_odd, phase_ramp
+from .signal import AnalyticRows, TraceMatrix
 
 __all__ = [
     "VelocityEstimate",
@@ -38,7 +44,6 @@ __all__ = [
     "trial_velocity",
     "g_curve",
     "find_speed_peaks",
-    "estimate_range_speed",
     "g_perp_curve",
     "estimate_cross_speed",
     "estimate_location",
@@ -61,46 +66,9 @@ def trial_velocity(frame: ViewFrame, u: float) -> np.ndarray:
     return np.array([u * b_m[0] / scale, u * b_m[1] / scale, 0.0])
 
 
-class _BasebandRows:
-    """Valid trace rows as one-sided spectra ready for fractional shifts.
-
-    Shifting by a per-row delay is a phase ramp on the spectrum.  When
-    the carrier and bandwidth are recorded in the trace metadata, only
-    the occupied band (carrier +- 2 bandwidth) is kept and inverted on
-    a coarser grid; magnitudes of row combinations are unchanged and
-    the scans run several times faster.
-    """
-
-    def __init__(self, trace: TraceMatrix):
-        start, stop = trace.valid_rows
-        rows = trace.data[start:stop]
-        count = rows.shape[1]
-        spectra = np.fft.rfft(rows, axis=1)
-        one_sided = spectra.copy()
-        one_sided[:, 1:] *= 2.0
-        df = 1.0 / (count * trace.axis.dt)
-        nu0 = trace.meta.get("nu0")
-        bandwidth = trace.meta.get("bandwidth")
-        self.count, self.dt = count, trace.axis.dt
-        self.spectra, self.k_lo, self.ifft_len = one_sided, 0, count
-        if nu0 is not None and bandwidth is not None:
-            k0 = int(round(nu0 / df))
-            keep = next_fast_odd(max(3, int(np.ceil(4.0 * bandwidth / df))))
-            k_lo = k0 - keep // 2
-            if keep < count and k_lo >= 1 and k_lo + keep <= spectra.shape[1]:
-                self.spectra = one_sided[:, k_lo : k_lo + keep]
-                self.k_lo, self.ifft_len = k_lo, keep
-
-    def shifted(self, delays: np.ndarray) -> np.ndarray:
-        """Complex rows advanced by per-row ``delays`` (out(t) = in(t + d))."""
-        phased = self.spectra * phase_ramp(
-            delays, self.count, self.dt, k0=self.k_lo, bins=self.spectra.shape[1]
-        )
-        if self.ifft_len == phased.shape[1]:
-            return np.fft.ifft(phased, axis=1)
-        padded = np.zeros((phased.shape[0], self.ifft_len), dtype=complex)
-        padded[:, : phased.shape[1]] = phased
-        return np.fft.ifft(padded, axis=1)
+#: Trial-speed steps of the range-speed and cross-speed scans, m/s.
+_U_STEP = 0.25
+_U_PERP_STEP = 0.5
 
 
 def _default_speed_grid(trace: TraceMatrix, step: float) -> np.ndarray:
@@ -108,8 +76,27 @@ def _default_speed_grid(trace: TraceMatrix, step: float) -> np.ndarray:
     return np.arange(-top, top + 0.5 * step, step)
 
 
+def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
+    """``score`` of the analytic valid rows straightened along each
+    track rho + s u_vec, for u_vec in ``velocities``."""
+    if not trace.compressed:
+        raise ValueError("speed scans expect range-compressed traces")
+    start, stop = trace.valid_rows
+    s = trace.s_times[start:stop]
+    rows = AnalyticRows(trace)
+    delays = (delta_tau_moving(trace.traj, s, rho, v, trace.rho_o) for v in velocities)
+    return np.array([score(rows.shifted(d)) for d in delays])
+
+
+def _vertex(grid: np.ndarray, values: np.ndarray, i: int, step: float):
+    """grid[i], moved to the top of the parabola through its neighbors."""
+    if not 0 < i < grid.size - 1:
+        return grid[i]
+    return grid[i] + step * _parabolic_offset(values[i - 1], values[i], values[i + 1])
+
+
 def g_curve(
-    trace: TraceMatrix, u_grid: np.ndarray | None = None, step: float = 0.25
+    trace: TraceMatrix, u_grid: np.ndarray | None = None, step: float = _U_STEP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-alignment score g(u) over a grid of trial range speeds.
 
@@ -118,23 +105,14 @@ def g_curve(
     across rows; g(u) is the maximum of that fast-time profile.  A
     mover with range speed u0 aligns (and peaks) near u = u0.
     """
-    if not trace.compressed:
-        raise ValueError("speed scans expect range-compressed traces")
     if u_grid is None:
         u_grid = _default_speed_grid(trace, step)
     u_grid = np.asarray(u_grid, dtype=float)
     frame = make_frame(trace.traj, trace.rho_o)
-    start, stop = trace.valid_rows
-    s = trace.s_times[start:stop]
-    rows = _BasebandRows(trace)
-    values = np.empty(u_grid.size)
-    for i, u in enumerate(u_grid):
-        delays = delta_tau_moving(
-            trace.traj, s, trace.rho_o, trial_velocity(frame, u), trace.rho_o
-        )
-        profile = np.abs(rows.shifted(delays)).sum(axis=0)
-        values[i] = profile.max()
-    return u_grid, values
+    velocities = (trial_velocity(frame, u) for u in u_grid)
+    return u_grid, _scan(
+        trace, trace.rho_o, velocities, lambda z: np.abs(z).sum(axis=0).max()
+    )
 
 
 def find_speed_peaks(
@@ -151,24 +129,7 @@ def find_speed_peaks(
     idx, _ = find_peaks(values, height=floor)
     order = idx[np.argsort(values[idx])[::-1]]
     step = u_grid[1] - u_grid[0] if u_grid.size > 1 else 0.0
-    peaks = []
-    for i in order:
-        u = u_grid[i]
-        if 0 < i < u_grid.size - 1:
-            u = u + step * _parabolic_offset(values[i - 1], values[i], values[i + 1])
-        peaks.append((float(u), float(values[i])))
-    return peaks
-
-
-def estimate_range_speed(
-    trace: TraceMatrix,
-    u_grid: np.ndarray | None = None,
-    step: float = 0.25,
-    height_factor: float = 3.0,
-) -> list[tuple[float, float]]:
-    """Range-speed peaks of g(u), strongest first (may be empty)."""
-    u_grid, values = g_curve(trace, u_grid, step)
-    return find_speed_peaks(u_grid, values, height_factor)
+    return [(float(_vertex(u_grid, values, i, step)), float(values[i])) for i in order]
 
 
 def g_perp_curve(
@@ -176,7 +137,7 @@ def g_perp_curve(
     rho_e,
     u: float,
     u_perp_grid: np.ndarray | None = None,
-    step: float = 0.5,
+    step: float = _U_PERP_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Misalignment score over trial cross-range speeds at fixed u.
 
@@ -185,24 +146,15 @@ def g_perp_curve(
     magnitude of the second slow-time difference, which is smallest
     when the trial matches the mover's cross-range speed.
     """
-    if not trace.compressed:
-        raise ValueError("speed scans expect range-compressed traces")
     if u_perp_grid is None:
         u_perp_grid = _default_speed_grid(trace, step)
     u_perp_grid = np.asarray(u_perp_grid, dtype=float)
-    rho_e = np.asarray(rho_e, dtype=float)
     frame = make_frame(trace.traj, trace.rho_o)
-    start, stop = trace.valid_rows
-    s = trace.s_times[start:stop]
-    rows = _BasebandRows(trace)
-    values = np.empty(u_perp_grid.size)
-    for i, u_perp in enumerate(u_perp_grid):
-        u_vec = compose_velocity(frame, u, u_perp)
-        delays = delta_tau_moving(trace.traj, s, rho_e, u_vec, trace.rho_o)
-        shifted = rows.shifted(delays)
-        second = shifted[2:] - 2.0 * shifted[1:-1] + shifted[:-2]
-        values[i] = np.abs(second).sum()
-    return u_perp_grid, values
+    velocities = (compose_velocity(frame, u, u_perp) for u_perp in u_perp_grid)
+    rho_e = np.asarray(rho_e, dtype=float)
+    return u_perp_grid, _scan(
+        trace, rho_e, velocities, lambda z: np.abs(z[2:] - 2.0 * z[1:-1] + z[:-2]).sum()
+    )
 
 
 def estimate_cross_speed(
@@ -210,43 +162,32 @@ def estimate_cross_speed(
     rho_e,
     u: float,
     u_perp_grid: np.ndarray | None = None,
-    step: float = 0.5,
+    step: float = _U_PERP_STEP,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Cross-range speed minimizing the g_perp misalignment score."""
     grid, values = g_perp_curve(trace, rho_e, u, u_perp_grid, step)
-    i = int(np.argmin(values))
-    u_perp = grid[i]
-    if 0 < i < grid.size - 1:
-        step_eff = grid[1] - grid[0]
-        # The vertex of the negated curve: its top is the minimum.
-        u_perp = u_perp + step_eff * _parabolic_offset(
-            -values[i - 1], -values[i], -values[i + 1]
-        )
+    du = grid[1] - grid[0] if grid.size > 1 else 0.0
+    # The vertex of the negated curve: its top is the minimum.
+    u_perp = _vertex(grid, -values, int(np.argmin(values)), du)
     return float(u_perp), (grid, values)
 
 
-def estimate_location(
-    trace: TraceMatrix,
-    u_vec,
-    center=None,
-    extent: float = 80.0,
-    spacing: float | None = None,
-) -> np.ndarray:
+def estimate_location(trace: TraceMatrix, u_vec, extent: float = 80.0) -> np.ndarray:
     """Mover location from the peak of a motion-compensated image.
 
-    Warns when the peak stands less than 3 dB above the median
-    envelope, a sign that the compensation velocity is wrong or the
-    trace holds no localized scatterer.
+    The image covers a square box of side ``extent`` around the
+    reference point at c/2B spacing, with B the bandwidth recorded in
+    the trace metadata; its strongest pixel is the location.  Warns when
+    the peak stands less than 3 dB above the median envelope, a sign
+    that the compensation velocity is wrong or the trace holds no
+    localized scatterer.
     """
-    if spacing is None:
-        bandwidth = trace.meta.get("bandwidth")
-        if bandwidth is None:
-            raise ValueError("trace metadata lacks a bandwidth; pass spacing")
-        spacing = C_LIGHT / (2.0 * bandwidth)
-    center = trace.rho_o if center is None else np.asarray(center, dtype=float)
-    grid = ImageGrid(center=center, extent_x=extent, extent_y=extent, spacing=spacing)
+    spacing = C_LIGHT / (2.0 * _bandwidth(trace))
+    grid = ImageGrid(
+        center=trace.rho_o, extent_x=extent, extent_y=extent, spacing=spacing
+    )
     img = image_compensated(trace, grid, u_vec)
-    (position, peak_value), = peak_extract(img, k=1)
+    position, peak_value = peak_extract(img)
     floor = float(np.median(img.envelope))
     if floor > 0.0:
         contrast_db = 20.0 * np.log10(peak_value / floor)
@@ -325,7 +266,6 @@ def estimate_motion(
     u_vec=None,
     rho=None,
     u_perp_grid: np.ndarray | None = None,
-    step: float = 0.5,
     extent: float = 80.0,
     g_samples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VelocityEstimate:
@@ -342,7 +282,7 @@ def estimate_motion(
     if located:
         first = trial_velocity(frame, u) if u_vec is None else u_vec
         rho = estimate_location(trace, first, extent=extent)
-    u_perp, g_perp_samples = estimate_cross_speed(trace, rho, u, u_perp_grid, step)
+    u_perp, g_perp_samples = estimate_cross_speed(trace, rho, u, u_perp_grid)
     u_vec = compose_velocity(frame, u, u_perp)
     if located:
         rho = estimate_location(trace, u_vec, extent=extent)
@@ -379,26 +319,19 @@ class MoverSeparation:
 
 
 def _refine_speed(
-    trace: TraceMatrix, u: float, step: float, half_width: float = 2.0
+    trace: TraceMatrix, u: float
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
-    """Re-peak g(u) on a narrow grid around a prior estimate."""
-    grid = np.arange(u - half_width, u + half_width + 0.5 * step, step)
+    """Re-peak g(u) on a grid of +-2 m/s around a prior estimate."""
+    grid = np.arange(u - 2.0, u + 2.0 + 0.5 * _U_STEP, _U_STEP)
     grid, values = g_curve(trace, u_grid=grid)
     i = int(np.argmax(values))
-    refined = grid[i]
-    if 0 < i < grid.size - 1:
-        refined = refined + step * _parabolic_offset(
-            values[i - 1], values[i], values[i + 1]
-        )
-    return float(refined), float(values[i]), (grid, values)
+    return float(_vertex(grid, values, i, _U_STEP)), float(values[i]), (grid, values)
 
 
 def separate_movers(
     trace: TraceMatrix,
     max_movers: int = 2,
     layout: WindowLayout | None = None,
-    u_step: float = 0.25,
-    u_perp_step: float = 0.5,
     extent: float = 80.0,
     height_factor: float = 3.0,
 ) -> MoverSeparation:
@@ -434,13 +367,13 @@ def separate_movers(
     estimates: list[VelocityEstimate] = []
     g_curves: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_movers):
-        u_grid, values = g_curve(residual, step=u_step)
+        u_grid, values = g_curve(residual)
         g_curves.append((u_grid, values))
         peaks = find_speed_peaks(u_grid, values, height_factor)
         if not peaks:
             break
         u, score = peaks[0]
-        scan = estimate_motion(residual, u, score, step=u_perp_step, extent=extent)
+        scan = estimate_motion(residual, u, score, extent=extent)
         straightened = tt_forward(residual, scan.rho, scan.u_vec)
         peel = separate_windowed(straightened, layout=layout)
         splits.append(peel.diagnostics)
@@ -449,7 +382,7 @@ def separate_movers(
         residual = tt_inverse(peel.sparse, scan.rho, scan.u_vec)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.
-        u, score, g_samples = _refine_speed(mover, u, u_step)
+        u, score, g_samples = _refine_speed(mover, u)
         movers.append(mover)
         estimates.append(
             estimate_motion(
@@ -457,7 +390,6 @@ def separate_movers(
                 u,
                 score,
                 u_vec=scan.u_vec,
-                step=u_perp_step,
                 extent=extent,
                 g_samples=g_samples,
             )

@@ -25,6 +25,9 @@ from .signal import TraceMatrix
 #: Windows span this many 1/bandwidth units of fast time by default.
 WINDOW_SPAN_FACTOR = 16.0
 
+#: Growth factor of the augmented-Lagrangian penalty per iteration.
+_MU_GROWTH = 1.6
+
 __all__ = [
     "WINDOW_SPAN_FACTOR",
     "PcpSolution",
@@ -89,15 +92,14 @@ def pcp_solve(
     eta: float | None = None,
     tol: float = 1e-7,
     max_iter: int = 1000,
-    mu: float | None = None,
-    mu_growth: float = 1.6,
 ) -> PcpSolution:
     """Split ``matrix`` into low-rank plus sparse parts.
 
     Solves min ||L||_* + eta ||S||_1 subject to L + S = M by the
     inexact augmented-Lagrangian method: alternating singular-value
     thresholding on L and entrywise soft-thresholding on S, with a dual
-    update and geometrically growing penalty.
+    update and a penalty that starts at 1.25/sigma_max and grows by
+    1.6 per iteration.
 
     Parameters
     ----------
@@ -109,8 +111,6 @@ def pcp_solve(
     max_iter : int
         Iteration cap; on hitting it the best iterate is returned with
         ``converged`` False.
-    mu, mu_growth : float, optional
-        Initial penalty (default 1.25/sigma_max) and its growth factor.
 
     Raises
     ------
@@ -130,8 +130,7 @@ def pcp_solve(
         return PcpSolution(z, z.copy(), 1, True, 0.0, 0, 0.0)
     a = _wide(m)
     norm_two = float(np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1]))
-    if mu is None:
-        mu = 1.25 / norm_two
+    mu = 1.25 / norm_two
     mu_cap = mu * 1.0e7
     dual_scale = max(norm_two, float(np.abs(m).max()) / eta)
     y = m / dual_scale
@@ -150,7 +149,7 @@ def pcp_solve(
         if feasibility <= tol:
             converged = True
             break
-        mu = min(mu * mu_growth, mu_cap)
+        mu = min(mu * _MU_GROWTH, mu_cap)
     if not converged:
         warnings.warn(
             f"pcp_solve hit the {max_iter}-iteration cap at feasibility "

@@ -180,10 +180,15 @@ def target_delta_tau(scene: SceneSpec) -> np.ndarray:
     return dtau
 
 
+def _design_gate(scene: SceneSpec, dtau: np.ndarray) -> FastTimeAxis:
+    """Gate covering the delays ``dtau`` plus GATE_PAD_FACTOR/bandwidth per side."""
+    pad = GATE_PAD_FACTOR / scene.radar.bandwidth
+    return make_gate(float(dtau.min()), float(dtau.max()), scene.radar.dt, pad)
+
+
 def simulate(
     scene: SceneSpec,
     axis: FastTimeAxis | None = None,
-    pad_factor: float = GATE_PAD_FACTOR,
     seed: int | None = None,
 ) -> TraceMatrix:
     """Simulate range-compressed echo traces for a scene.
@@ -197,11 +202,8 @@ def simulate(
     axis : FastTimeAxis, optional
         Gate to sample on.  By default a gate is designed to cover the
         differential-delay extremes of all targets plus
-        ``pad_factor``/bandwidth of padding on each side.  An explicit
-        gate that loses any target is rejected.
-    pad_factor : float
-        Gate padding in units of 1/bandwidth (ignored when ``axis`` is
-        given).
+        ``GATE_PAD_FACTOR``/bandwidth of padding on each side.  An
+        explicit gate that loses any target is rejected.
     seed : int, optional
         Recorded in the trace for provenance; the simulation itself is
         deterministic.
@@ -216,8 +218,7 @@ def simulate(
     radar = scene.radar
     dtau = target_delta_tau(scene)
     if axis is None:
-        pad = pad_factor / radar.bandwidth
-        axis = make_gate(float(dtau.min()), float(dtau.max()), radar.dt, pad)
+        axis = _design_gate(scene, dtau)
     else:
         t_lo, t_hi = axis.times[0], axis.times[-1]
         lost = [
@@ -241,13 +242,11 @@ def simulate(
         amps,
         KERNEL_CLIP_FACTOR / radar.bandwidth,
     )
-    meta = {
-        "kind": "simulated",
-        "nu0": radar.nu0,
-        "bandwidth": radar.bandwidth,
-        "targets": len(scene.targets),
-        "movers": len(scene.moving_targets),
-    }
+    return _simulated(scene, axis, data, seed)
+
+
+def _simulated(scene: SceneSpec, axis, data, seed) -> TraceMatrix:
+    """``data`` as the range-compressed trace of ``scene`` on ``axis``."""
     return TraceMatrix(
         data=data,
         aperture=scene.aperture,
@@ -255,7 +254,13 @@ def simulate(
         traj=scene.traj,
         rho_o=scene.rho_o,
         tag="range-compressed",
-        meta=meta,
+        meta={
+            "kind": "simulated",
+            "nu0": scene.radar.nu0,
+            "bandwidth": scene.radar.bandwidth,
+            "targets": len(scene.targets),
+            "movers": len(scene.moving_targets),
+        },
         seed=seed,
     )
 
@@ -263,7 +268,6 @@ def simulate(
 def simulate_split(
     scene: SceneSpec,
     axis: FastTimeAxis | None = None,
-    pad_factor: float = GATE_PAD_FACTOR,
     seed: int | None = None,
 ) -> tuple[TraceMatrix, TraceMatrix]:
     """Simulate the stationary-only and moving-only parts on one gate.
@@ -273,29 +277,12 @@ def simulate_split(
     Either part may be an all-zero matrix.
     """
     if axis is None:
-        dtau = target_delta_tau(scene)
-        pad = pad_factor / scene.radar.bandwidth
-        axis = make_gate(float(dtau.min()), float(dtau.max()), scene.radar.dt, pad)
+        axis = _design_gate(scene, target_delta_tau(scene))
 
     def part(targets) -> TraceMatrix:
         if targets:
             return simulate(scene.subset(targets), axis=axis, seed=seed)
         data = np.zeros((scene.aperture.n + 1, axis.m + 1), dtype=float)
-        return TraceMatrix(
-            data=data,
-            aperture=scene.aperture,
-            axis=axis,
-            traj=scene.traj,
-            rho_o=scene.rho_o,
-            tag="range-compressed",
-            meta={
-                "kind": "simulated",
-                "nu0": scene.radar.nu0,
-                "bandwidth": scene.radar.bandwidth,
-                "targets": 0,
-                "movers": 0,
-            },
-            seed=seed,
-        )
+        return _simulated(scene.subset(()), axis, data, seed)
 
     return part(scene.stationary_targets), part(scene.moving_targets)

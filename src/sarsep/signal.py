@@ -28,6 +28,10 @@ GATE_PAD_FACTOR = 6.0
 #: Allowed TraceMatrix provenance tags.
 TRACE_TAGS = ("raw", "range-compressed", "transformed", "filtered")
 
+#: Spectral shifts beyond this fraction of the gate width warn of
+#: circular wrap-around.
+_WRAP_FRACTION = 0.25
+
 __all__ = [
     "GATE_PAD_FACTOR",
     "TRACE_TAGS",
@@ -37,6 +41,7 @@ __all__ = [
     "make_gate",
     "TraceMatrix",
     "phase_ramp",
+    "AnalyticRows",
     "warn_wrap",
     "fractional_shift",
     "fast_time_shift",
@@ -214,8 +219,8 @@ def phase_ramp(
     return ramp.reshape(delays.size, -1)[:, :bins]
 
 
-def warn_wrap(delays, count: int, dt: float, fraction: float = 0.25):
-    """Warn when a delay exceeds ``fraction`` of a ``count``-sample gate.
+def warn_wrap(delays, count: int, dt: float):
+    """Warn when a delay exceeds a quarter of a ``count``-sample gate.
 
     Spectral shifts are circular, so content moved that far may wrap
     around and corrupt the opposite edge of the gate.  The warning
@@ -223,32 +228,70 @@ def warn_wrap(delays, count: int, dt: float, fraction: float = 0.25):
     """
     width = (count - 1) * dt
     worst = float(np.max(np.abs(delays)))
-    if worst > fraction * width:
+    if worst > _WRAP_FRACTION * width:
         warnings.warn(
-            f"fast-time shift of {worst:.3e} s exceeds {fraction:.0%} of "
+            f"fast-time shift of {worst:.3e} s exceeds {_WRAP_FRACTION:.0%} of "
             f"the {width:.3e} s gate; circular wrap-around may corrupt rows",
             RuntimeWarning,
             stacklevel=3,
         )
 
 
-def fractional_shift(
-    rows: np.ndarray, delays, dt: float, warn_fraction: float = 0.25
-) -> np.ndarray:
+def fractional_shift(rows: np.ndarray, delays, dt: float) -> np.ndarray:
     """Advance each row by its delay: out_j(t) = rows_j(t + delay_j).
 
     Implemented as a phase ramp on the real FFT, which is exact for
     band-limited rows and circular at the gate edges.  Warns when any
-    delay exceeds ``warn_fraction`` of the gate width, since wrapped
-    energy would then corrupt the opposite edge.
+    delay exceeds a quarter of the gate width, since wrapped energy
+    would then corrupt the opposite edge.
     """
     rows = np.asarray(rows, dtype=float)
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     count = rows.shape[-1]
-    warn_wrap(delays, count, dt, warn_fraction)
+    warn_wrap(delays, count, dt)
     spectra = np.fft.rfft(rows, axis=-1)
     spectra *= phase_ramp(delays.ravel(), count, dt).reshape(delays.shape + (-1,))
     return np.fft.irfft(spectra, n=count, axis=-1)
+
+
+class AnalyticRows:
+    """Analytic signals of a trace's valid rows, held as spectra.
+
+    ``spectra`` holds each valid row's one-sided spectrum with bins
+    k >= 1 doubled.  When the trace metadata records nu0 and the
+    bandwidth B, ``shifted`` keeps only the ``bins`` bins of nu0 +- 2B
+    from bin ``k_lo`` on: its output is the analytic row at ``bins``
+    times across the gate, times (count/bins) exp(-2 pi i k_lo n/bins) at
+    sample n.  Magnitudes of row sums are unchanged and the scans run
+    several times faster.  Otherwise ``k_lo`` is 0 and ``bins`` spans
+    the whole one-sided spectrum.
+    """
+
+    def __init__(self, trace: TraceMatrix):
+        self.count, self.dt = trace.axis.m + 1, trace.axis.dt
+        self.spectra = np.fft.rfft(trace.valid_data, axis=1)
+        self.spectra[:, 1:] *= 2.0
+        self.k_lo, self.bins = 0, self.spectra.shape[1]
+        nu0, bandwidth = trace.meta.get("nu0"), trace.meta.get("bandwidth")
+        if nu0 is not None and bandwidth is not None:
+            df = 1.0 / (self.count * self.dt)
+            keep = next_fast_odd(max(3, int(np.ceil(4.0 * bandwidth / df))))
+            k_lo = int(round(nu0 / df)) - keep // 2
+            if keep < self.count and k_lo >= 1 and k_lo + keep <= self.bins:
+                self.k_lo, self.bins = k_lo, keep
+
+    def shifted(self, delays) -> np.ndarray:
+        """Rows advanced by per-row ``delays``: out_j(t) = in_j(t + delays_j)."""
+        band = self.spectra[:, self.k_lo : self.k_lo + self.bins]
+        band = band * phase_ramp(delays, self.count, self.dt, self.k_lo, self.bins)
+        return np.fft.ifft(band, n=self.bins if self.k_lo else self.count, axis=1)
+
+    def upsampled(self, factor: int) -> np.ndarray:
+        """Analytic rows at step dt/``factor`` from the gate's first sample."""
+        rows, bins = self.spectra.shape
+        padded = np.zeros((rows, factor * self.count), dtype=complex)
+        padded[:, :bins] = self.spectra
+        return np.fft.ifft(padded, axis=1) * factor
 
 
 def fast_time_shift(trace: TraceMatrix, shifts) -> TraceMatrix:

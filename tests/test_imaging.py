@@ -91,7 +91,7 @@ class TestImaging:
             center=np.zeros(3), extent_x=12.0, extent_y=12.0, spacing=0.25
         )
         img = image(near_trace, grid)
-        (position, value), = peak_extract(img, k=1)
+        position, value = peak_extract(img)
         np.testing.assert_allclose(position[:2], [2.0, 4.0], atol=0.25)
         assert value == pytest.approx(img.peak_value())
 
@@ -231,33 +231,33 @@ class TestPeakExtract:
         env[2, 3] = 5.0
         env[8, 8] = 9.0
         img = self.synthetic_image(env)
-        peaks = peak_extract(img, k=2, min_separation=2.0)
-        assert len(peaks) == 2
-        assert peaks[0][1] == 9.0 and peaks[1][1] == 5.0
-        np.testing.assert_allclose(peaks[0][0], [3.0, 3.0, 0.0])
-        np.testing.assert_allclose(peaks[1][0], [-2.0, -3.0, 0.0])
-
-    def test_suppression_radius_hides_nearby_peaks(self):
-        env = np.zeros((11, 11))
-        env[5, 5] = 9.0
-        env[5, 7] = 5.0
-        img = self.synthetic_image(env)
-        assert len(peak_extract(img, k=2, min_separation=3.0)) == 1
-        assert len(peak_extract(img, k=2, min_separation=1.5)) == 2
+        position, value = peak_extract(img)
+        assert value == 9.0
+        np.testing.assert_allclose(position, [3.0, 3.0, 0.0])
 
     def test_subpixel_refinement_beats_the_grid(self):
         x = np.arange(11.0)
         bump = np.exp(-0.5 * ((x - 5.3) / 1.2) ** 2)
         env = np.outer(np.exp(-0.5 * ((x - 5.0) / 1.2) ** 2), bump)
         img = self.synthetic_image(env)
-        (position, _), = peak_extract(img, k=1)
+        position, _ = peak_extract(img)
         assert abs(position[0] - 0.3) < 0.05
         assert abs(position[1] - 0.0) < 0.05
 
-    def test_k_must_be_positive(self):
-        img = self.synthetic_image(np.ones((3, 3)))
-        with pytest.raises(ValueError, match="at least 1"):
-            peak_extract(img, k=0)
+    def test_border_peak_keeps_its_pixel_center_on_that_axis(self):
+        x = np.arange(11.0)
+        rising = np.exp(-0.5 * ((x - 12.0) / 3.0) ** 2)
+        env = np.outer(np.exp(-0.5 * ((x - 5.3) / 1.2) ** 2), rising)
+        img = self.synthetic_image(env)
+        position, value = peak_extract(img)
+        assert value == env.max()
+        assert position[0] == img.grid.x_axis[-1]
+        assert abs(position[1] - 0.3) < 0.05
+
+    def test_zero_image_is_rejected(self):
+        img = self.synthetic_image(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="zero everywhere"):
+            peak_extract(img)
 
 
 class TestProfiles:

@@ -15,7 +15,6 @@ from sarsep.motion import (
     VelocityEstimate,
     estimate_cross_speed,
     estimate_location,
-    estimate_range_speed,
     find_speed_peaks,
     g_curve,
     g_perp_curve,
@@ -109,8 +108,9 @@ class TestGCurve:
             g_curve(mover_trace.replace(tag="raw"))
 
     def test_estimate_range_speed_returns_the_peak(self, mover_trace):
-        peaks = estimate_range_speed(
-            mover_trace, u_grid=np.arange(-1.0, 6.25, 0.25), height_factor=1.05
+        peaks = find_speed_peaks(
+            *g_curve(mover_trace, u_grid=np.arange(-1.0, 6.25, 0.25)),
+            height_factor=1.05,
         )
         assert peaks
         assert peaks[0][0] == pytest.approx(2.0, abs=0.25)
@@ -170,7 +170,7 @@ class TestEstimateLocation:
         trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=8))
         flat = trace.replace(data=np.ones_like(trace.data))
         with pytest.warns(RuntimeWarning, match="unreliable"):
-            estimate_location(flat, np.zeros(3), extent=2.0, spacing=0.5)
+            estimate_location(flat, np.zeros(3), extent=2.0)
 
 
 class TestVelocityEstimate:

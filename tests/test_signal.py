@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import hilbert
 
 from sarsep.scene import Radar, simulate
 from sarsep.signal import (
     GATE_PAD_FACTOR,
+    AnalyticRows,
     FastTimeAxis,
     TraceMatrix,
     crop_gate,
@@ -173,6 +175,70 @@ class TestFastTimeShift:
         shifted = fast_time_shift(trimmed, np.full(trace.n + 1, trace.axis.dt))
         assert np.all(shifted.data[:2] == 0.0)
         assert np.all(shifted.data[trace.n - 1 :] == 0.0)
+
+
+class TestAnalyticRows:
+    @staticmethod
+    def band_limited_trace(flat_scene_builder):
+        """Random rows confined to nu0 +- B, with the outer rows invalid."""
+        trace = small_trace(flat_scene_builder)
+        count, dt = trace.m + 1, trace.axis.dt
+        freqs = np.fft.rfftfreq(count, dt)
+        radar = Radar()
+        inside = np.abs(freqs - radar.nu0) < radar.bandwidth
+        rng = np.random.default_rng(3)
+        spectra = np.zeros((trace.n + 1, freqs.size), dtype=complex)
+        spectra[:, inside] = rng.standard_normal((trace.n + 1, inside.sum()))
+        spectra[:, inside] += 1j * rng.standard_normal((trace.n + 1, inside.sum()))
+        data = np.fft.irfft(spectra, n=count)
+        return trace.replace(data=data, valid_rows=(2, trace.n - 1))
+
+    @staticmethod
+    def delays(trace):
+        start, stop = trace.valid_rows
+        return np.linspace(-3.3, 2.7, stop - start) * trace.axis.dt
+
+    def test_full_band_rows_are_the_hilbert_analytic_signal(self, flat_scene_builder):
+        trace = self.band_limited_trace(flat_scene_builder).replace(meta={})
+        rows = AnalyticRows(trace)
+        assert rows.k_lo == 0 and rows.bins == (trace.m + 1) // 2 + 1
+        expected = hilbert(trace.valid_data, axis=1)
+        tol = 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(rows.upsampled(1), expected, rtol=0.0, atol=tol)
+        delays = self.delays(trace)
+        shifted = fractional_shift(trace.valid_data, delays, trace.axis.dt)
+        np.testing.assert_allclose(
+            rows.shifted(delays), hilbert(shifted, axis=1), rtol=0.0, atol=tol
+        )
+
+    def test_band_rows_are_the_analytic_rows_at_coarse_times(
+        self, flat_scene_builder
+    ):
+        trace = self.band_limited_trace(flat_scene_builder)
+        rows = AnalyticRows(trace)
+        count, dt = trace.m + 1, trace.axis.dt
+        assert rows.k_lo >= 1 and rows.bins < count
+        # The kept band is centered on the carrier and spans 4B or more.
+        df = 1.0 / (count * dt)
+        radar = Radar()
+        assert abs((rows.k_lo + rows.bins // 2) * df - radar.nu0) <= 0.5 * df
+        assert rows.bins * df >= 4.0 * radar.bandwidth
+        delays = self.delays(trace)
+        samples = np.arange(rows.bins)
+        remodulate = np.exp(2j * np.pi * rows.k_lo * samples / rows.bins)
+        got = rows.shifted(delays) * remodulate * (rows.bins / count)
+        # The analytic row a(t) = (1/count) sum_k w_k X_k exp(2 pi i k t / T),
+        # w_0 = 1 and w_k = 2, over the whole one-sided spectrum X, at
+        # t = n T / bins + delay with T = count dt the gate period.
+        spectra = np.fft.rfft(trace.valid_data, axis=1)
+        k = np.arange(spectra.shape[1])
+        weights = np.where(k == 0, 1.0, 2.0)
+        t = samples[None, :] * count * dt / rows.bins + delays[:, None]
+        phases = np.exp(2j * np.pi * t[:, :, None] * k / (count * dt))
+        expected = np.einsum("jk,jnk->jn", spectra * weights, phases) / count
+        np.testing.assert_allclose(
+            got, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max()
+        )
 
 
 class TestGateConversions:
