@@ -57,8 +57,6 @@ from .motion import (
 )
 from .presets import list_presets, load_preset, preset_scene
 from .ranklab import (
-    RankReport,
-    analyze,
     build_structured,
     covariance,
     numeric_rank,
@@ -78,7 +76,6 @@ from .scene import Radar, SceneSpec, Target, simulate, simulate_split
 from .signal import (
     FastTimeAxis,
     TraceMatrix,
-    crop_gate,
     make_gate,
     pulse,
     range_compress,

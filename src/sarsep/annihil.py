@@ -31,7 +31,7 @@ from .geom import (
     delta_tau_moving,
     make_frame,
 )
-from .imaging import ImageGrid, _peak_positions, image_points
+from .imaging import _bandwidth, _location_grid, _peak_positions, image_points
 from .scene import Target
 from .signal import (
     TraceMatrix,
@@ -206,10 +206,9 @@ class AnnihilationPlan:
         return cls(stages=[AnnihilationStage.from_dict(s) for s in d["stages"]])
 
     @classmethod
-    def for_points(cls, points, order: int = 1) -> "AnnihilationPlan":
-        return cls(
-            stages=[AnnihilationStage(rho_e=p, order=order) for p in points]
-        )
+    def for_points(cls, points) -> "AnnihilationPlan":
+        """First-order stationary stages, one per point, in order."""
+        return cls(stages=[AnnihilationStage(rho_e=p) for p in points])
 
 
 def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
@@ -335,13 +334,6 @@ def energy_ratio_db(before: TraceMatrix, after: TraceMatrix) -> float:
     return 10.0 * np.log10(e_after / e_before)
 
 
-def _bandwidth(trace: TraceMatrix) -> float:
-    bandwidth = trace.meta.get("bandwidth")
-    if bandwidth is None:
-        raise ValueError("trace metadata lacks a bandwidth")
-    return float(bandwidth)
-
-
 def cross_range_cell(trace: TraceMatrix) -> float:
     """-3 dB cross-range width 0.886 lambda0 L / (2a) of a plain image.
 
@@ -381,12 +373,9 @@ def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
         raise ValueError("locating stationary points needs a range-compressed trace")
     if not {"nu0", "bandwidth"} <= trace.meta.keys():
         return np.zeros((0, 3))
-    spacing = C_LIGHT / (2.0 * _bandwidth(trace))
-    if cross_range_cell(trace) < 2.0 * spacing:
+    grid = _location_grid(trace, extent)
+    if cross_range_cell(trace) < 2.0 * grid.spacing:
         return np.zeros((0, 3))
-    grid = ImageGrid(
-        center=trace.rho_o, extent_x=extent, extent_y=extent, spacing=spacing
-    )
     values, _ = image_points(trace, grid.points())
     env = np.abs(values.reshape(grid.shape))
     # Local maxima only, so the shoulders of wide main lobes are not
@@ -459,12 +448,11 @@ class StationaryRemoval:
     points: np.ndarray
 
 
-def _refine_cross_range(trace, rest, origin, cross, half, span):
+def _refine_cross_range(trace, win: _PointWindow, origin, cross, span):
     """Point within +-span of ``origin`` along ``cross`` where the
-    per-sample median fits the straightened rows best (least absolute
-    deviation)."""
+    per-sample median fits the rows of ``win``, straightened at
+    ``origin``, best (least absolute deviation)."""
     start, stop = trace.valid_rows
-    win = _PointWindow(trace, rest, origin, half)
     base = _track_delays(trace, origin, None)[start:stop]
 
     def misfit(offset):
@@ -518,14 +506,14 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
             if k in removed:
                 index, echo = removed[k]
                 rest[index] += echo
+            probe = _PointWindow(trace, rest, given[k], half)
             if sweep == 0:
-                probe = _PointWindow(trace, rest, points[k], half)
                 level = float(np.abs(np.median(probe.window(), axis=0)).max())
                 if level == 0.0 or level <= floor * strongest:
                     continue
                 strongest = max(strongest, level)
                 kept.append(k)
-            points[k] = _refine_cross_range(trace, rest, given[k], cross, half, span)
+            points[k] = _refine_cross_range(trace, probe, given[k], cross, span)
             win = _PointWindow(trace, rest, points[k], half)
             echo = win.put(np.median(win.window(), axis=0))
             rest[win.index] -= echo

@@ -91,6 +91,22 @@ class ImageGrid:
         return out
 
 
+def _bandwidth(trace: TraceMatrix) -> float:
+    bandwidth = trace.meta.get("bandwidth")
+    if bandwidth is None:
+        raise ValueError("trace metadata lacks a bandwidth")
+    return float(bandwidth)
+
+
+def _location_grid(trace: TraceMatrix, extent: float) -> ImageGrid:
+    """Square box of side ``extent`` around the reference point at c/2B
+    spacing, with B the bandwidth recorded in the trace metadata."""
+    spacing = C_LIGHT / (2.0 * _bandwidth(trace))
+    return ImageGrid(
+        center=trace.rho_o, extent_x=extent, extent_y=extent, spacing=spacing
+    )
+
+
 @dataclass(frozen=True)
 class SarImage:
     """Backprojection image over an ImageGrid.

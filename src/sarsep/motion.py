@@ -19,23 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .annihil import (
-    _bandwidth,
-    locate_stationary,
-    remove_stationary,
-    tt_forward,
-    tt_inverse,
-)
+from .annihil import locate_stationary, remove_stationary, tt_forward, tt_inverse
 from .geom import (
-    C_LIGHT,
     ViewFrame,
     compose_velocity,
     decompose_velocity,
     delta_tau_moving,
     make_frame,
 )
-from .imaging import ImageGrid, _parabolic_offset, image_compensated, peak_extract
-from .rpca import WindowLayout, separate_windowed
+from .imaging import _location_grid, _parabolic_offset, image_compensated, peak_extract
+from .rpca import separate_windowed
 from .signal import AnalyticRows, TraceMatrix
 
 __all__ = [
@@ -96,17 +89,18 @@ def _vertex(grid: np.ndarray, values: np.ndarray, i: int, step: float):
 
 
 def g_curve(
-    trace: TraceMatrix, u_grid: np.ndarray | None = None, step: float = _U_STEP
+    trace: TraceMatrix, u_grid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-alignment score g(u) over a grid of trial range speeds.
 
     For each trial u the rows are straightened at the scene reference
     with velocity ``trial_velocity(u)`` and the magnitudes are summed
     across rows; g(u) is the maximum of that fast-time profile.  A
-    mover with range speed u0 aligns (and peaks) near u = u0.
+    mover with range speed u0 aligns (and peaks) near u = u0.  The
+    default grid spans +-the platform speed in steps of 0.25 m/s.
     """
     if u_grid is None:
-        u_grid = _default_speed_grid(trace, step)
+        u_grid = _default_speed_grid(trace, _U_STEP)
     u_grid = np.asarray(u_grid, dtype=float)
     frame = make_frame(trace.traj, trace.rho_o)
     velocities = (trial_velocity(frame, u) for u in u_grid)
@@ -137,17 +131,17 @@ def g_perp_curve(
     rho_e,
     u: float,
     u_perp_grid: np.ndarray | None = None,
-    step: float = _U_PERP_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Misalignment score over trial cross-range speeds at fixed u.
 
     The trace is straightened at rho_e with the composed trial
     velocity; the remaining slow-time curvature is scored by the total
     magnitude of the second slow-time difference, which is smallest
-    when the trial matches the mover's cross-range speed.
+    when the trial matches the mover's cross-range speed.  The default
+    grid spans +-the platform speed in steps of 0.5 m/s.
     """
     if u_perp_grid is None:
-        u_perp_grid = _default_speed_grid(trace, step)
+        u_perp_grid = _default_speed_grid(trace, _U_PERP_STEP)
     u_perp_grid = np.asarray(u_perp_grid, dtype=float)
     frame = make_frame(trace.traj, trace.rho_o)
     velocities = (compose_velocity(frame, u, u_perp) for u_perp in u_perp_grid)
@@ -162,10 +156,9 @@ def estimate_cross_speed(
     rho_e,
     u: float,
     u_perp_grid: np.ndarray | None = None,
-    step: float = _U_PERP_STEP,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Cross-range speed minimizing the g_perp misalignment score."""
-    grid, values = g_perp_curve(trace, rho_e, u, u_perp_grid, step)
+    grid, values = g_perp_curve(trace, rho_e, u, u_perp_grid)
     du = grid[1] - grid[0] if grid.size > 1 else 0.0
     # The vertex of the negated curve: its top is the minimum.
     u_perp = _vertex(grid, -values, int(np.argmin(values)), du)
@@ -182,11 +175,7 @@ def estimate_location(trace: TraceMatrix, u_vec, extent: float = 80.0) -> np.nda
     that the compensation velocity is wrong or the trace holds no
     localized scatterer.
     """
-    spacing = C_LIGHT / (2.0 * _bandwidth(trace))
-    grid = ImageGrid(
-        center=trace.rho_o, extent_x=extent, extent_y=extent, spacing=spacing
-    )
-    img = image_compensated(trace, grid, u_vec)
+    img = image_compensated(trace, _location_grid(trace, extent), u_vec)
     position, peak_value = peak_extract(img)
     floor = float(np.median(img.envelope))
     if floor > 0.0:
@@ -331,9 +320,7 @@ def _refine_speed(
 def separate_movers(
     trace: TraceMatrix,
     max_movers: int = 2,
-    layout: WindowLayout | None = None,
     extent: float = 80.0,
-    height_factor: float = 3.0,
 ) -> MoverSeparation:
     """Detect, characterize, and peel movers from a mixed trace.
 
@@ -347,8 +334,9 @@ def separate_movers(
     split runs between the removal and the peels: with the stationary
     echoes gone it would only move mover energy into its low-rank part.
     Where the preliminary image locates no stationary points (see
-    ``annihil.locate_stationary``), ``rpca.separate_windowed`` stands
-    in for the removal.  The speeds and location are then re-estimated
+    ``annihil.locate_stationary``), the split of
+    ``rpca.separate_windowed``, without its own search for points,
+    stands in for the removal.  The speeds and location are then re-estimated
     on the peeled single-mover trace, where the objective curves are no
     longer biased by other movers.
     """
@@ -359,7 +347,8 @@ def separate_movers(
         removal = remove_stationary(trace, points)
         low, residual = removal.stationary, removal.rest
     else:
-        initial = separate_windowed(trace, layout=layout)
+        # A filtered trace skips the split's own search for points.
+        initial = separate_windowed(trace.replace(tag="filtered"))
         low, residual = initial.low, initial.sparse
         splits.append(initial.diagnostics)
         feasibility = initial.feasibility
@@ -369,13 +358,13 @@ def separate_movers(
     for _ in range(max_movers):
         u_grid, values = g_curve(residual)
         g_curves.append((u_grid, values))
-        peaks = find_speed_peaks(u_grid, values, height_factor)
+        peaks = find_speed_peaks(u_grid, values)
         if not peaks:
             break
         u, score = peaks[0]
         scan = estimate_motion(residual, u, score, extent=extent)
         straightened = tt_forward(residual, scan.rho, scan.u_vec)
-        peel = separate_windowed(straightened, layout=layout)
+        peel = separate_windowed(straightened)
         splits.append(peel.diagnostics)
         feasibility = max(feasibility, peel.feasibility)
         mover = tt_inverse(peel.low, scan.rho, scan.u_vec)

@@ -13,7 +13,6 @@ routines compare against ranks computed from the covariance itself.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .scene import Radar, SceneSpec, Target, simulate
 from .signal import TraceMatrix
 
 __all__ = [
-    "RankReport",
     "default_rank_frame",
     "alpha_of",
     "beta_of",
@@ -43,7 +41,6 @@ __all__ = [
     "szego_fraction",
     "szego_saturation_speed",
     "bandwidth_beta_product",
-    "analyze",
     "rank_study",
 ]
 
@@ -111,8 +108,17 @@ def covariance(trace: TraceMatrix) -> np.ndarray:
     return rows @ rows.T
 
 
-def _kernel_coef(radar: Radar) -> float:
-    return np.sqrt(np.pi) / (2.0 * radar.bandwidth * radar.dt)
+def _pair_kernel(radar: Radar, amp: float, psi) -> np.ndarray:
+    """Echo-pair kernel amp coef cos(w0 psi) exp(-B^2 psi^2 / 4) at delay
+    differences ``psi``, with coef = sqrt(pi) / (2 B dt) and ``amp`` the
+    product of the two echoes' amplitudes."""
+    coef = np.sqrt(np.pi) / (2.0 * radar.bandwidth * radar.dt)
+    return (
+        amp
+        * coef
+        * np.cos(radar.omega0 * psi)
+        * np.exp(-0.25 * (radar.bandwidth * psi) ** 2)
+    )
 
 
 def theoretical_covariance(
@@ -125,27 +131,19 @@ def theoretical_covariance(
 ) -> np.ndarray:
     """Model covariance from affine delays and the pulse self-kernel.
 
-    Entry (a, b) sums over ordered target pairs (j, k) the kernel
-    a_j a_k coef cos(w0 psi) exp(-B^2 psi^2 / 4) with
-    psi = alpha_j s_a - alpha_k s_b + (beta_j - beta_k), the delay
-    difference between the two echoes.
+    Entry (a, b) sums over ordered target pairs (j, k) the pair kernel
+    of amplitude a_j a_k at psi = alpha_j s_a - alpha_k s_b + (beta_j -
+    beta_k), the delay difference between the two echoes.
     """
     s = aperture.times
     alphas = [alpha_of(traj, rho_o, t, linearize) for t in targets]
     betas = [beta_of(traj, rho_o, t) for t in targets]
     amps = [t.amplitude for t in targets]
-    coef = _kernel_coef(radar)
     out = np.zeros((s.size, s.size))
     for j, (alpha_j, beta_j, amp_j) in enumerate(zip(alphas, betas, amps)):
         for k, (alpha_k, beta_k, amp_k) in enumerate(zip(alphas, betas, amps)):
             psi = alpha_j * s[:, None] - alpha_k * s[None, :] + (beta_j - beta_k)
-            out += (
-                amp_j
-                * amp_k
-                * coef
-                * np.cos(radar.omega0 * psi)
-                * np.exp(-0.25 * (radar.bandwidth * psi) ** 2)
-            )
+            out += _pair_kernel(radar, amp_j * amp_k, psi)
     return out
 
 
@@ -155,15 +153,8 @@ def toeplitz_sequence(
     """First row y_0 .. y_{count-1} of the same-target Toeplitz part."""
     j = np.arange(count)
     out = np.zeros(count)
-    coef = _kernel_coef(radar)
     for alpha, amp in zip(alphas, amps):
-        psi = alpha * ds * j
-        out += (
-            amp**2
-            * coef
-            * np.cos(radar.omega0 * psi)
-            * np.exp(-0.25 * (radar.bandwidth * psi) ** 2)
-        )
+        out += _pair_kernel(radar, amp**2, alpha * ds * j)
     return out
 
 
@@ -196,14 +187,7 @@ def hankel_sequence(
     s0 = -(n // 2) * ds
     offset = (alpha_1 - alpha_2) * s0 + beta_12
     j = np.arange(n * (1 + g) + 1)
-    psi = alpha_1 * ds * j + offset
-    coef = _kernel_coef(radar)
-    h = (
-        amp_prod
-        * coef
-        * np.cos(radar.omega0 * psi)
-        * np.exp(-0.25 * (radar.bandwidth * psi) ** 2)
-    )
+    h = _pair_kernel(radar, amp_prod, alpha_1 * ds * j + offset)
     zeta = offset / (alpha_1 * ds)
     return h, g, zeta
 
@@ -263,19 +247,18 @@ def symbol(
     amps,
     ds: float,
     radar: Radar,
-    points: int = 4096,
-    tol: float = 1.0e-12,
     j_max: int = 65536,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Toeplitz symbol y(theta) = y_0 + 2 sum_j y_j cos(j theta).
 
-    The sequence is truncated once |y_j| falls below ``tol`` times
-    |y_0|; a warning is raised if that never happens before ``j_max``
-    terms (the symbol is then slightly truncated).
+    Sampled at 4096 angles theta on [-pi, pi).  The sequence is
+    truncated once |y_j| falls below 1e-12 times |y_0|; a warning is
+    raised if that never happens before ``j_max`` terms (the symbol is
+    then slightly truncated).
     """
     block = 1024
     seq = toeplitz_sequence(alphas, amps, block, ds, radar)
-    floor = tol * abs(seq[0])
+    floor = 1.0e-12 * abs(seq[0])
     while np.abs(seq[-block:]).max() > floor and seq.size < j_max:
         grown = toeplitz_sequence(alphas, amps, min(2 * seq.size, j_max), ds, radar)
         block, seq = seq.size, grown
@@ -288,7 +271,7 @@ def symbol(
         )
     else:
         seq = seq[: tail[-1] + 1] if tail.size else seq[:1]
-    theta = np.linspace(-np.pi, np.pi, points, endpoint=False)
+    theta = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
     j = np.arange(1, seq.size)
     values = seq[0] + 2.0 * (seq[1:][None, :] * np.cos(theta[:, None] * j)).sum(axis=1)
     return theta, values
@@ -335,46 +318,6 @@ def bandwidth_beta_product(
     return float(radar.bandwidth * abs(beta_12))
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Spectrum summary of one covariance matrix."""
-
-    eigenvalues: np.ndarray
-    numeric_rank: int
-    szego_fraction: float
-    szego_rank: int
-    symbol_theta: np.ndarray
-    symbol_values: np.ndarray
-    n: int
-    epsilon: float
-
-
-def analyze(
-    matrix: np.ndarray,
-    alphas,
-    radar: Radar,
-    ds: float,
-    epsilon: float = 0.01,
-) -> RankReport:
-    """Numeric rank of ``matrix`` with the matching Szego prediction."""
-    eigs = np.linalg.eigvalsh(matrix)[::-1].copy()
-    top = float(eigs[0])
-    rank = int(np.sum(eigs > epsilon * top)) if top > 0.0 else 0
-    fraction = szego_fraction(alphas, radar, ds, epsilon)
-    amps = np.ones(np.atleast_1d(np.asarray(alphas, dtype=float)).size)
-    theta, values = symbol(alphas, amps, ds, radar)
-    return RankReport(
-        eigenvalues=eigs,
-        numeric_rank=rank,
-        szego_fraction=fraction,
-        szego_rank=int(round(fraction * matrix.shape[0])),
-        symbol_theta=theta,
-        symbol_values=values,
-        n=matrix.shape[0] - 1,
-        epsilon=epsilon,
-    )
-
-
 def _study_targets(mode: str, value: float, frame, first_target, second_x):
     if mode == "single-stationary":
         rho = frame.rho_o + value * frame.cross_dir
@@ -392,10 +335,6 @@ def _study_targets(mode: str, value: float, frame, first_target, second_x):
 def rank_study(
     mode: str,
     sweep,
-    traj: Trajectory | None = None,
-    rho_o=None,
-    aperture: Aperture | None = None,
-    radar: Radar | None = None,
     epsilon: float = 0.01,
     empirical: bool = False,
     first_target=(5.0, 5.0, 0.0),
@@ -403,20 +342,15 @@ def rank_study(
 ) -> list[dict]:
     """Sweep a scene parameter and tabulate covariance ranks.
 
-    Modes: ``single-stationary`` sweeps a cross-range offset,
+    The scene sits in ``default_rank_frame`` and is seen by the default
+    ``Radar``.  Modes: ``single-stationary`` sweeps a cross-range offset,
     ``single-mover`` a range speed, ``two-target`` the second target's
     cross-range position.  Each row reports the rank computed from the
     covariance (model by default, simulated echoes with ``empirical``)
     next to the Szego estimate.
     """
-    if traj is None or rho_o is None:
-        default_traj, default_rho_o, default_aperture = default_rank_frame()
-        traj = default_traj if traj is None else traj
-        rho_o = default_rho_o if rho_o is None else np.asarray(rho_o, dtype=float)
-        aperture = default_aperture if aperture is None else aperture
-    elif aperture is None:
-        aperture = default_rank_frame()[2]
-    radar = Radar() if radar is None else radar
+    traj, rho_o, aperture = default_rank_frame()
+    radar = Radar()
     frame = make_frame(traj, rho_o)
     rows = []
     for value in np.atleast_1d(np.asarray(sweep, dtype=float)):

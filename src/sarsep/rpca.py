@@ -23,13 +23,12 @@ from .annihil import locate_stationary, remove_stationary
 from .signal import TraceMatrix
 
 #: Windows span this many 1/bandwidth units of fast time by default.
-WINDOW_SPAN_FACTOR = 16.0
+_WINDOW_SPAN_FACTOR = 16.0
 
 #: Growth factor of the augmented-Lagrangian penalty per iteration.
 _MU_GROWTH = 1.6
 
 __all__ = [
-    "WINDOW_SPAN_FACTOR",
     "PcpSolution",
     "pcp_solve",
     "WindowLayout",
@@ -193,15 +192,13 @@ class WindowLayout:
         return [(a, a + self.length) for a in starts]
 
 
-def choose_window(
-    n_cols: int, bandwidth: float, dt: float, span_factor: float = WINDOW_SPAN_FACTOR
-) -> WindowLayout:
-    """Default layout: windows spanning span_factor/bandwidth of fast time.
+def choose_window(n_cols: int, bandwidth: float, dt: float) -> WindowLayout:
+    """Default layout: windows spanning 16/bandwidth of fast time.
 
     Length is clamped to [64, n_cols]; overlap is one eighth of the
     length.
     """
-    length = int(round(span_factor / (bandwidth * dt)))
+    length = int(round(_WINDOW_SPAN_FACTOR / (bandwidth * dt)))
     length = min(max(length, 64), n_cols)
     if length >= n_cols:
         return WindowLayout(length=n_cols, overlap=0)

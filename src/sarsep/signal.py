@@ -47,7 +47,6 @@ __all__ = [
     "fast_time_shift",
     "range_compress",
     "range_expand",
-    "crop_gate",
 ]
 
 
@@ -330,18 +329,18 @@ def range_compress(trace: TraceMatrix, new_center: float | None = None) -> Trace
     return trace.replace(data=data, axis=axis, tag="range-compressed")
 
 
-def range_expand(trace: TraceMatrix, new_center: float | None = None) -> TraceMatrix:
+def range_expand(trace: TraceMatrix) -> TraceMatrix:
     """Undo range compression, restoring absolute-delay rows.
 
-    The gate is widened (odd 7-smooth sample count again) before
+    The new gate is centered on the old center plus the mean reference
+    delay.  It is widened (odd 7-smooth sample count again) before
     shifting so that content pushed outward by the per-row reference
     delays cannot wrap around the gate edges.
     """
     if not trace.compressed:
         raise ValueError("trace is not range-compressed")
     tau_ref = travel_time(trace.traj, trace.s_times, trace.rho_o)
-    if new_center is None:
-        new_center = trace.axis.t_center + float(np.mean(tau_ref))
+    new_center = trace.axis.t_center + float(np.mean(tau_ref))
     # Row content at differential t' sits at absolute t' + tau_ref, so the
     # residual shift after re-centering is small (geometry variation only).
     delays = new_center - (trace.axis.t_center + tau_ref)
@@ -356,23 +355,3 @@ def range_expand(trace: TraceMatrix, new_center: float | None = None) -> TraceMa
     axis = FastTimeAxis(m=new_count - 1, dt=dt, t_center=new_center)
     return trace.replace(data=data, axis=axis, tag="raw")
 
-
-def crop_gate(trace: TraceMatrix, m_new: int, t_center: float | None = None) -> TraceMatrix:
-    """Crop the fast-time gate to m_new + 1 samples about ``t_center``.
-
-    The crop happens on grid points: t_center snaps to the nearest input
-    sample.  Defaults to the current gate center.
-    """
-    if m_new % 2 != 0 or m_new > trace.axis.m:
-        raise ValueError("m_new must be even and no larger than the current m")
-    if t_center is None:
-        t_center = trace.axis.t_center
-    center_idx = int(round((t_center - trace.t_times[0]) / trace.axis.dt))
-    lo = center_idx - m_new // 2
-    hi = center_idx + m_new // 2
-    if lo < 0 or hi > trace.axis.m:
-        raise ValueError("crop window exceeds the current gate")
-    axis = FastTimeAxis(
-        m=m_new, dt=trace.axis.dt, t_center=float(trace.t_times[center_idx])
-    )
-    return trace.replace(data=trace.data[:, lo : hi + 1].copy(), axis=axis)

@@ -356,7 +356,7 @@ def test_criterion_7_end_to_end_scene():
         for t in scene.moving_targets
     ]
 
-    grid0, values0 = g_curve(mixture, step=0.25)
+    grid0, values0 = g_curve(mixture)
     unseparated_u = find_speed_peaks(grid0, values0)[0][0]
 
     result = separate_movers(mixture, max_movers=2)

@@ -121,11 +121,9 @@ class TestStageAndPlan:
         assert again.order == 2
 
     def test_plan_dict_round_trip_and_for_points(self):
-        plan = AnnihilationPlan.for_points(
-            [(0.0, 0.0, 0.0), (1.0, 2.0, 0.0)], order=2
-        )
+        plan = AnnihilationPlan.for_points([(0.0, 0.0, 0.0), (1.0, 2.0, 0.0)])
         assert len(plan.stages) == 2
-        assert all(s.order == 2 for s in plan.stages)
+        assert all(s.order == 1 for s in plan.stages)
         again = AnnihilationPlan.from_dict(plan.to_dict())
         assert len(again.stages) == 2
         np.testing.assert_array_equal(again.stages[1].rho_e, [1.0, 2.0, 0.0])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sarsep import motion, rpca
 from sarsep.geom import (
     Aperture,
     LinearTrajectory,
@@ -99,7 +100,7 @@ class TestGCurve:
         assert grid[np.argmax(values)] == pytest.approx(0.0, abs=0.25)
 
     def test_default_grid_spans_the_platform_speed(self, mover_trace):
-        grid, values = g_curve(mover_trace, step=35.0)
+        grid, values = g_curve(mover_trace)
         assert grid[0] == -70.0 and grid[-1] == 70.0
         assert values.shape == grid.shape
 
@@ -208,16 +209,42 @@ class TestVelocityEstimate:
         assert full["g_perp_values"] == [1.0, 2.0, 3.0]
 
 
-class TestSeparateMovers:
-    def test_single_mover_pipeline(self, near_frame):
-        rng = np.random.default_rng(4)
-        stationary = [
-            tuple(np.append(rng.uniform(-3.0, 3.0, 2), 0.0)) for _ in range(6)
-        ]
-        u_vec = compose_velocity(near_frame, 3.0, 0.0)
-        mover = Target(rho=np.zeros(3), velocity=tuple(u_vec), amplitude=2.0)
-        trace = simulate(near_scene(stationary + [mover]))
+@pytest.fixture(scope="module")
+def single_mover_run(near_frame):
+    """``separate_movers`` on six near-range points and one mover.
+
+    Returns the trace, the separation, and the ``extent`` keyword of
+    each ``locate_stationary`` call made through ``motion`` or ``rpca``
+    (None where the default was used).
+    """
+    rng = np.random.default_rng(4)
+    stationary = [
+        tuple(np.append(rng.uniform(-3.0, 3.0, 2), 0.0)) for _ in range(6)
+    ]
+    u_vec = compose_velocity(near_frame, 3.0, 0.0)
+    mover = Target(rho=np.zeros(3), velocity=tuple(u_vec), amplitude=2.0)
+    trace = simulate(near_scene(stationary + [mover]))
+    extents = []
+
+    def recorded(original):
+        def locate(*args, **kwargs):
+            extents.append(kwargs.get("extent"))
+            return original(*args, **kwargs)
+
+        return locate
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (motion, rpca):
+            patch.setattr(
+                module, "locate_stationary", recorded(module.locate_stationary)
+            )
         sep = separate_movers(trace, max_movers=1, extent=12.0)
+    return trace, sep, extents
+
+
+class TestSeparateMovers:
+    def test_single_mover_pipeline(self, single_mover_run):
+        trace, sep, _ = single_mover_run
         assert isinstance(sep, MoverSeparation)
         assert len(sep.movers) == len(sep.estimates) == 1
         est = sep.estimates[0]
@@ -228,3 +255,9 @@ class TestSeparateMovers:
         mix_energy = float(np.sum(trace.data**2))
         resid_energy = float(np.sum(sep.residual.data**2))
         assert resid_energy <= 0.05 * mix_energy
+
+    def test_the_preliminary_image_is_formed_once(self, single_mover_run):
+        # The near-range image locates no points, so the windowed split
+        # stands in for the removal; it must not image the scene again
+        # over its own default box.
+        assert single_mover_run[2] == [12.0]

@@ -1,11 +1,14 @@
-"""The benchmark's tracer still fits the entry points it wraps.
+"""The benchmark still fits the sarsep API it calls and wraps.
 
 ``perfbench/tracing.py`` replaces sarsep module attributes by name and
-its counters read the wrapped calls' arguments by parameter name, so a
-renamed function or parameter would break the benchmark silently.
-These tests read ``perfbench/`` and change nothing in it.
+its counters read the wrapped calls' arguments by parameter name, and
+``perfbench/workloads.py`` calls sarsep with positional and keyword
+arguments, so a renamed or removed function or parameter would break
+the benchmark.  These tests read ``perfbench/`` and change nothing in
+it.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -15,6 +18,7 @@ from pathlib import Path
 from sarsep import scene as sarscene
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def load_tracing():
@@ -71,3 +75,59 @@ def test_a_traced_call_feeds_its_counter(flat_scene_builder):
     totals = tracer.totals()
     assert totals["calls:scene.simulate"] == 1
     assert totals["kernels.echo_pairs"] == 5
+
+
+def _sarsep_imports(tree):
+    """Name -> sarsep module or object, for each top-level sarsep import."""
+    names = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.module.split(".")[0] != "sarsep":
+            continue
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            names[alias.asname or alias.name] = getattr(module, alias.name)
+    return names
+
+
+def _resolve(func, names):
+    """The sarsep object a call's function expression names, or None."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id)
+    if isinstance(func, ast.Attribute):
+        owner = _resolve(func.value, names)
+        return None if owner is None else getattr(owner, func.attr)
+    return None
+
+
+def test_workload_calls_bind_to_the_current_signatures():
+    tree = ast.parse(WORKLOADS.read_text())
+    names = _sarsep_imports(tree)
+    checked, failures = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = _resolve(node.func, names)
+        if target is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        name = ast.unparse(node.func)
+        try:
+            inspect.signature(target).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords}
+            )
+        except TypeError as exc:
+            failures.append(f"line {node.lineno}: {name}: {exc}")
+        checked.add(name)
+    assert not failures, failures
+    # Guards the resolution above against matching nothing.
+    assert {
+        "motion.separate_movers",
+        "motion.estimate_cross_speed",
+        "annihil.AnnihilationPlan.for_points",
+        "ranklab.rank_study",
+    } <= checked

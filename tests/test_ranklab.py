@@ -5,9 +5,7 @@ import pytest
 
 from sarsep.geom import Aperture, C_LIGHT, make_frame
 from sarsep.ranklab import (
-    RankReport,
     alpha_of,
-    analyze,
     bandwidth_beta_product,
     beta_of,
     build_structured,
@@ -218,20 +216,6 @@ class TestRankAndSzego:
         assert szego_fraction([alpha_sat], RADAR, APERTURE.ds) == pytest.approx(
             1.0, rel=1e-12
         )
-
-    def test_analyze_bundles_rank_and_prediction(self):
-        frame = make_frame(TRAJ, RHO_O)
-        target = Target(rho=RHO_O, velocity=1.0 * frame.range_dir)
-        mat = theoretical_covariance(TRAJ, RHO_O, APERTURE, RADAR, [target])
-        alpha = alpha_of(TRAJ, RHO_O, target)
-        report = analyze(mat, [alpha], RADAR, APERTURE.ds)
-        assert isinstance(report, RankReport)
-        assert report.numeric_rank == numeric_rank(mat)
-        assert report.n == APERTURE.n
-        assert report.szego_rank == round(
-            report.szego_fraction * (APERTURE.n + 1)
-        )
-        assert report.eigenvalues[0] >= report.eigenvalues[-1]
 
 
 class TestBandwidthBetaProduct:

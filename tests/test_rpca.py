@@ -172,7 +172,8 @@ class TestChooseWindow:
 
     def test_clamped_to_the_minimum_length(self):
         radar = Radar()
-        layout = choose_window(1000, radar.bandwidth, radar.dt, span_factor=0.1)
+        # Twenty times the bandwidth shortens the window to 62 samples.
+        layout = choose_window(1000, 20.0 * radar.bandwidth, radar.dt)
         assert layout == WindowLayout(length=64, overlap=8)
 
 

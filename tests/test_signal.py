@@ -12,7 +12,6 @@ from sarsep.signal import (
     AnalyticRows,
     FastTimeAxis,
     TraceMatrix,
-    crop_gate,
     fast_time_shift,
     fractional_shift,
     make_gate,
@@ -279,26 +278,6 @@ class TestGateConversions:
             peak_t = raw.t_times[np.argmax(np.abs(raw.data[j]))]
             tau = float(travel_time(scene.traj, raw.s_times[j], np.zeros(3)))
             assert abs(peak_t - tau) <= raw.axis.dt
-
-
-class TestCropGate:
-    def test_crop_keeps_the_requested_window(self, flat_scene_builder):
-        trace = small_trace(flat_scene_builder)
-        cropped = crop_gate(trace, trace.m - 10)
-        assert cropped.m == trace.m - 10
-        center_idx = int(
-            round((cropped.t_times[0] - trace.t_times[0]) / trace.axis.dt)
-        )
-        np.testing.assert_array_equal(
-            cropped.data, trace.data[:, center_idx : center_idx + cropped.m + 1]
-        )
-
-    def test_rejects_bad_sizes(self, flat_scene_builder):
-        trace = small_trace(flat_scene_builder)
-        with pytest.raises(ValueError):
-            crop_gate(trace, trace.m + 2)
-        with pytest.raises(ValueError):
-            crop_gate(trace, 7)
 
 
 @given(center_step=st.integers(-3, 3))
