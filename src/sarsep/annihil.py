@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 from scipy.optimize import minimize_scalar
 
 from .geom import (
@@ -31,7 +30,13 @@ from .geom import (
     delta_tau_moving,
     make_frame,
 )
-from .imaging import _bandwidth, _location_grid, _peak_positions, image_points
+from .imaging import (
+    _bandwidth,
+    _local_maxima,
+    _location_grid,
+    _peak_positions,
+    image_points,
+)
 from .scene import Target
 from .signal import (
     TraceMatrix,
@@ -381,11 +386,8 @@ def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
     # Local maxima only, so the shoulders of wide main lobes are not
     # listed as points of their own.
     floor = env.max() * 10.0 ** (REMOVAL_FLOOR_DB / 20.0)
-    is_peak = (env >= maximum_filter(env, size=3, mode="constant")) & (env >= floor)
-    is_peak[[0, -1], :] = is_peak[:, [0, -1]] = False
-    iy, ix = np.nonzero(is_peak & (env > 0.0))
-    order = np.argsort(env[iy, ix], kind="stable")[::-1][:_MAX_CANDIDATES]
-    return _peak_positions(env, grid, iy[order], ix[order])
+    iy, ix = _local_maxima(env, floor)
+    return _peak_positions(env, grid, iy[:_MAX_CANDIDATES], ix[:_MAX_CANDIDATES])
 
 
 class _PointWindow:
@@ -460,6 +462,9 @@ def _refine_cross_range(trace, win: _PointWindow, origin, cross, span):
         rows = win.window(delays - base)
         return float(np.abs(rows - np.median(rows, axis=0)).sum())
 
+    # Bounded Brent, not a sampled grid: a 9-point grid plus parabola or a
+    # golden-section search at this tolerance lowered the mover
+    # correlations of the scene1 pipeline (0.9964 -> 0.9944 / 0.9949).
     best = minimize_scalar(
         misfit, bounds=(-span, span), method="bounded", options={"xatol": 1e-2 * span}
     )

@@ -131,6 +131,43 @@ def _write_g_curve(path: Path, u_grid: np.ndarray, values: np.ndarray) -> Path:
     return path
 
 
+def _write_separation(result, base: str, low_label: str) -> list[Path]:
+    """Write a mover separation's traces, their sidecars and its
+    estimates, each to the path ``base`` followed by the file's name."""
+    parts = [(low_label, result.low)]
+    parts += [(f"mover{i}", m) for i, m in enumerate(result.movers, start=1)]
+    parts.append(("residual", result.residual))
+    outputs = [sario.write_trace(Path(f"{base}{n}.trc"), t) for n, t in parts]
+    outputs += [_sidecar(p) for p in list(outputs)]
+    estimates = Path(f"{base}estimates.json")
+    estimates.write_text(
+        json.dumps([est.to_dict() for est in result.estimates], indent=2) + "\n"
+    )
+    return outputs + [estimates]
+
+
+def _write_image(path, img, pgm=None, floor_db: float = -60.0) -> list[Path]:
+    """Write an image's envelope with its grid sidecar, and a PGM when
+    ``pgm`` is given."""
+    grid = img.grid
+    out = sario.write_image(
+        path,
+        img.envelope,
+        {
+            "center_meters": grid.center.tolist(),
+            "spacing_meters": grid.spacing,
+            "u_vec_meters_per_second": img.u_vec.tolist(),
+            "x_axis_meters": [float(grid.x_axis[0]), float(grid.x_axis[-1])],
+            "y_axis_meters": [float(grid.y_axis[0]), float(grid.y_axis[-1])],
+            "missed_samples": img.missed,
+        },
+    )
+    outputs = [out, Path(str(out) + ".json")]
+    if pgm:
+        outputs.append(sario.write_pgm(pgm, img.envelope, floor_db))
+    return outputs
+
+
 def _cmd_simulate(args):
     scene = _load_scene(args)
     out = Path(args.out) if args.out else Path(args.out_dir) / "scene.trc"
@@ -234,22 +271,7 @@ def _cmd_estimate_motion(args):
 def _cmd_separate_movers(args):
     trace = sario.read_trace(args.input)
     result = separate_movers(trace, max_movers=args.max_movers)
-    prefix = Path(args.prefix)
-    outputs = [sario.write_trace(prefix.with_name(prefix.name + ".low.trc"), result.low)]
-    for i, mover in enumerate(result.movers, start=1):
-        outputs.append(
-            sario.write_trace(prefix.with_name(f"{prefix.name}.mover{i}.trc"), mover)
-        )
-    outputs.append(
-        sario.write_trace(prefix.with_name(prefix.name + ".residual.trc"), result.residual)
-    )
-    outputs += [_sidecar(p) for p in list(outputs)]
-    report_path = prefix.with_name(prefix.name + ".estimates.json")
-    report_path.write_text(
-        json.dumps([est.to_dict() for est in result.estimates], indent=2) + "\n"
-    )
-    outputs.append(report_path)
-    return 0, [args.input], outputs
+    return 0, [args.input], _write_separation(result, f"{Path(args.prefix)}.", "low")
 
 
 def _cmd_image(args):
@@ -261,22 +283,7 @@ def _cmd_image(args):
     u_vec = _parse_vector(args.u) if args.u else np.zeros(3)
     grid = ImageGrid(center=center, extent_x=ex, extent_y=ey, spacing=spacing)
     img = image_compensated(trace, grid, u_vec)
-    out = sario.write_image(
-        args.output,
-        img.envelope,
-        {
-            "center_meters": center.tolist(),
-            "spacing_meters": spacing,
-            "u_vec_meters_per_second": u_vec.tolist(),
-            "x_axis_meters": [float(grid.x_axis[0]), float(grid.x_axis[-1])],
-            "y_axis_meters": [float(grid.y_axis[0]), float(grid.y_axis[-1])],
-            "missed_samples": img.missed,
-        },
-    )
-    outputs = [out, Path(str(out) + ".json")]
-    if args.pgm:
-        outputs.append(sario.write_pgm(args.pgm, img.envelope, args.floor_db))
-    return 0, [args.input], outputs
+    return 0, [args.input], _write_image(args.output, img, args.pgm, args.floor_db)
 
 
 def _cmd_rank(args):
@@ -319,23 +326,12 @@ def _cmd_run(args):
         scene = sario.scene_from_dict(scene_spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
 
     trace = simulate(scene, seed=config.get("seed"))
-    outputs.append(sario.write_trace(out_dir / "mixture.trc", trace))
+    mixture = sario.write_trace(out_dir / "mixture.trc", trace)
+    outputs = [mixture, _sidecar(mixture)]
     result = separate_movers(trace, max_movers=int(config.get("max_movers", 2)))
-    outputs.append(sario.write_trace(out_dir / "stationary.trc", result.low))
-    for i, mover in enumerate(result.movers, start=1):
-        outputs.append(sario.write_trace(out_dir / f"mover{i}.trc", mover))
-    outputs.append(sario.write_trace(out_dir / "residual.trc", result.residual))
-    outputs += [_sidecar(p) for p in list(outputs)]
-
-    estimates_path = out_dir / "estimates.json"
-    estimates_path.write_text(
-        json.dumps([est.to_dict() for est in result.estimates], indent=2) + "\n"
-    )
-    outputs.append(estimates_path)
-
+    outputs += _write_separation(result, f"{out_dir}/", "stationary")
     outputs.append(
         _write_g_curve(out_dir / "g_curve.csv", *result.diagnostics["g_curves"][0])
     )
@@ -353,21 +349,8 @@ def _cmd_run(args):
     ):
         for label, u_vec in (("focused", est.u_vec), ("unfocused", np.zeros(3))):
             img = image_compensated(mover, grid, u_vec)
-            stem = f"mover{i}_{label}"
-            outputs.append(
-                sario.write_image(
-                    out_dir / f"{stem}.bin",
-                    img.envelope,
-                    {
-                        "center_meters": grid.center.tolist(),
-                        "spacing_meters": spacing,
-                        "u_vec_meters_per_second": np.asarray(u_vec).tolist(),
-                        "missed_samples": img.missed,
-                    },
-                )
-            )
-            outputs.append(Path(str(outputs[-1]) + ".json"))
-            outputs.append(sario.write_pgm(out_dir / f"{stem}.pgm", img.envelope))
+            stem = out_dir / f"mover{i}_{label}"
+            outputs += _write_image(f"{stem}.bin", img, f"{stem}.pgm")
     return 0, [args.config], outputs
 
 

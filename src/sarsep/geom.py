@@ -125,9 +125,6 @@ class Aperture:
     def times(self) -> np.ndarray:
         return (np.arange(self.n + 1) - self.n // 2) * self.ds
 
-    def arc_length(self, speed: float) -> float:
-        return speed * self.n * self.ds
-
 
 def travel_time(traj: Trajectory, s, rho) -> np.ndarray:
     """Round-trip travel time 2|r(s) - rho|/c.

@@ -225,36 +225,59 @@ def _parabolic_offset(left, mid, right):
     return np.clip(offset, -0.5, 0.5)
 
 
-def _peak_positions(env: np.ndarray, grid: ImageGrid, iy, ix) -> np.ndarray:
-    """Positions of envelope pixels (iy, ix), refined below the pixel.
+def _refine_peaks(values: np.ndarray, index, axes, steps) -> np.ndarray:
+    """Coordinates of the samples ``values[index]``, refined below the sample.
 
-    Along each axis the parabola through a pixel and its two neighbors
-    moves the pixel center by up to half a spacing; a pixel on the
-    border of that axis keeps its center.  Returns shape (len(iy), 3).
+    ``index`` holds one index array per axis, ``axes`` the coordinates
+    and ``steps`` the spacing along each.  Along each axis the parabola
+    through a sample and its two neighbors moves the sample by
+    ``_parabolic_offset`` times the step; a sample on the border of that
+    axis keeps its coordinate.  Returns shape (len(index[0]), ndim).
     """
-    iy, ix = np.atleast_1d(iy), np.atleast_1d(ix)
-    ny, nx = env.shape
-    mid = env[iy, ix]
-    dx = _parabolic_offset(
-        env[iy, np.maximum(ix - 1, 0)], mid, env[iy, np.minimum(ix + 1, nx - 1)]
-    )
-    dy = _parabolic_offset(
-        env[np.maximum(iy - 1, 0), ix], mid, env[np.minimum(iy + 1, ny - 1), ix]
-    )
-    out = np.zeros((iy.size, 3))
-    out[:, 0] = grid.x_axis[ix] + grid.spacing * np.where(
-        (ix > 0) & (ix < nx - 1), dx, 0.0
-    )
-    out[:, 1] = grid.y_axis[iy] + grid.spacing * np.where(
-        (iy > 0) & (iy < ny - 1), dy, 0.0
-    )
+    index = tuple(np.atleast_1d(i) for i in index)
+    mid = values[index]
+    out = np.empty((mid.size, values.ndim))
+    for k, (i, axis, step) in enumerate(zip(index, axes, steps)):
+        n = values.shape[k]
+        left = values[index[:k] + (np.maximum(i - 1, 0),) + index[k + 1 :]]
+        right = values[index[:k] + (np.minimum(i + 1, n - 1),) + index[k + 1 :]]
+        offset = _parabolic_offset(left, mid, right)
+        out[:, k] = axis[i] + step * np.where((i > 0) & (i < n - 1), offset, 0.0)
     return out
+
+
+def _local_maxima(values: np.ndarray, floor: float) -> tuple[np.ndarray, ...]:
+    """Local maxima of an N-d array, strongest first.
+
+    A sample is a peak when it lies off every border, is no smaller than
+    any neighbor (diagonals included), is at least ``floor`` and is
+    above zero.  Returns one index array per axis, sorted by a stable
+    sort on value and reversed, so equal values come last index first.
+    Every sample of a flat top is a peak, where a rule of strictly
+    greater samples would keep one or none.
+    """
+    values = np.asarray(values, dtype=float)
+    mid = values[tuple(slice(1, n - 1) for n in values.shape)]
+    is_peak = (mid >= floor) & (mid > 0.0)
+    for shift in np.ndindex((3,) * values.ndim):
+        near = tuple(slice(k, n - 2 + k) for k, n in zip(shift, values.shape))
+        is_peak &= mid >= values[near]
+    index = tuple(i + 1 for i in np.nonzero(is_peak))
+    order = np.argsort(values[index], kind="stable")[::-1]
+    return tuple(i[order] for i in index)
+
+
+def _peak_positions(env: np.ndarray, grid: ImageGrid, iy, ix) -> np.ndarray:
+    """Positions of envelope pixels (iy, ix), refined below the pixel by
+    ``_refine_peaks``.  Returns shape (len(iy), 3)."""
+    yx = _refine_peaks(env, (iy, ix), (grid.y_axis, grid.x_axis), (grid.spacing,) * 2)
+    return np.column_stack((yx[:, ::-1], np.zeros(len(yx))))
 
 
 def peak_extract(img: SarImage) -> tuple[np.ndarray, float]:
     """The strongest envelope pixel, refined below the pixel.
 
-    Returns (position, value); see ``_peak_positions`` for the
+    Returns (position, value); see ``_refine_peaks`` for the
     refinement.  Raises when the envelope is zero everywhere.
     """
     env = img.envelope

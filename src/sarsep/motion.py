@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .annihil import locate_stationary, remove_stationary, tt_forward, tt_inverse
 from .geom import (
@@ -27,7 +26,13 @@ from .geom import (
     delta_tau_moving,
     make_frame,
 )
-from .imaging import _location_grid, _parabolic_offset, image_compensated, peak_extract
+from .imaging import (
+    _local_maxima,
+    _location_grid,
+    _refine_peaks,
+    image_compensated,
+    peak_extract,
+)
 from .rpca import separate_windowed
 from .signal import AnalyticRows, TraceMatrix
 
@@ -81,13 +86,6 @@ def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     return np.array([score(rows.shifted(d)) for d in delays])
 
 
-def _vertex(grid: np.ndarray, values: np.ndarray, i: int, step: float):
-    """grid[i], moved to the top of the parabola through its neighbors."""
-    if not 0 < i < grid.size - 1:
-        return grid[i]
-    return grid[i] + step * _parabolic_offset(values[i - 1], values[i], values[i + 1])
-
-
 def g_curve(
     trace: TraceMatrix, u_grid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,16 +112,17 @@ def find_speed_peaks(
 ) -> list[tuple[float, float]]:
     """Significant local maxima of a g(u) curve, strongest first.
 
-    A peak must exceed ``height_factor`` times the curve median, which
-    rejects the clutter plateau when no mover is present.  Peak
-    positions are refined by a parabolic fit through the neighbors.
+    The rule is ``imaging._local_maxima``, the one that finds points in
+    the preliminary image.  A peak must reach ``height_factor`` times the
+    curve median, which rejects the clutter plateau when no mover is
+    present.  Peak positions are refined by a parabolic fit through the
+    neighbors.
     """
     values = np.asarray(values, dtype=float)
-    floor = height_factor * float(np.median(values))
-    idx, _ = find_peaks(values, height=floor)
-    order = idx[np.argsort(values[idx])[::-1]]
+    (order,) = _local_maxima(values, height_factor * float(np.median(values)))
     step = u_grid[1] - u_grid[0] if u_grid.size > 1 else 0.0
-    return [(float(_vertex(u_grid, values, i, step)), float(values[i])) for i in order]
+    u = _refine_peaks(values, (order,), (u_grid,), (step,))[:, 0]
+    return list(zip(u.tolist(), values[order].tolist()))
 
 
 def g_perp_curve(
@@ -161,7 +160,7 @@ def estimate_cross_speed(
     grid, values = g_perp_curve(trace, rho_e, u, u_perp_grid)
     du = grid[1] - grid[0] if grid.size > 1 else 0.0
     # The vertex of the negated curve: its top is the minimum.
-    u_perp = _vertex(grid, -values, int(np.argmin(values)), du)
+    u_perp = _refine_peaks(-values, (np.argmin(values),), (grid,), (du,))[0, 0]
     return float(u_perp), (grid, values)
 
 
@@ -314,7 +313,8 @@ def _refine_speed(
     grid = np.arange(u - 2.0, u + 2.0 + 0.5 * _U_STEP, _U_STEP)
     grid, values = g_curve(trace, u_grid=grid)
     i = int(np.argmax(values))
-    return float(_vertex(grid, values, i, _U_STEP)), float(values[i]), (grid, values)
+    u = _refine_peaks(values, (i,), (grid,), (_U_STEP,))[0, 0]
+    return float(u), float(values[i]), (grid, values)
 
 
 def separate_movers(

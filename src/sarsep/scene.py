@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import C_LIGHT, Aperture, Trajectory, make_frame, travel_time
+from .geom import Aperture, Trajectory, delta_tau_moving, make_frame
 from .kernels import accumulate_echoes
 from .signal import GATE_PAD_FACTOR, FastTimeAxis, TraceMatrix, make_gate
 
@@ -68,14 +68,6 @@ class Radar:
     def omega0(self) -> float:
         return 2.0 * np.pi * self.nu0
 
-    @property
-    def wavelength(self) -> float:
-        return C_LIGHT / self.nu0
-
-    @property
-    def range_resolution(self) -> float:
-        return C_LIGHT / self.bandwidth
-
 
 @dataclass(frozen=True)
 class Target:
@@ -98,10 +90,6 @@ class Target:
     @property
     def moving(self) -> bool:
         return bool(np.any(self.velocity != 0.0))
-
-    def position(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.rho + s[..., None] * self.velocity
 
 
 @dataclass(frozen=True)
@@ -171,12 +159,9 @@ def target_delta_tau(scene: SceneSpec) -> np.ndarray:
     (n+1, len(targets)).
     """
     s = scene.aperture.times
-    platform = scene.traj.position(s)
-    tau_ref = travel_time(scene.traj, s, scene.rho_o)
     dtau = np.empty((s.size, len(scene.targets)), dtype=float)
-    for q, tgt in enumerate(scene.targets):
-        d = np.linalg.norm(platform - tgt.position(s), axis=-1)
-        dtau[:, q] = 2.0 * d / C_LIGHT - tau_ref
+    for q, t in enumerate(scene.targets):
+        dtau[:, q] = delta_tau_moving(scene.traj, s, t.rho, t.velocity, scene.rho_o)
     return dtau
 
 

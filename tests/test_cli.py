@@ -484,9 +484,12 @@ class TestRun:
         with open(out_dir / "g_curve.csv", newline="") as handle:
             header = next(csv.reader(handle))
         assert header == ["u_meters_per_second", "g"]
-        focused, _ = sario.read_image(out_dir / "mover1_focused.bin")
+        focused, meta = sario.read_image(out_dir / "mover1_focused.bin")
         unfocused, _ = sario.read_image(out_dir / "mover1_unfocused.bin")
         assert focused.max() > 1.5 * unfocused.max()
+        # The same sidecar as `sarsep image` writes.
+        assert meta["x_axis_meters"] == [-6.0, 6.0]
+        assert meta["y_axis_meters"] == [-4.0, 4.0]
 
 
 class TestExport:

@@ -97,9 +97,6 @@ class TestAperture:
         ap = Aperture(n=4, ds=0.5)
         np.testing.assert_allclose(ap.times, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
-    def test_arc_length(self):
-        assert Aperture(n=116, ds=0.015).arc_length(70.0) == pytest.approx(121.8)
-
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError, match="even"):
             Aperture(n=5, ds=0.1)

@@ -1,7 +1,17 @@
-"""Backprojection imaging, peak extraction, and lobe measurement."""
+"""Backprojection imaging, peak picking and extraction, and lobe measurement."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import maximum_filter
+from scipy.signal import find_peaks
 
 from sarsep.geom import (
     C_LIGHT,
@@ -13,6 +23,8 @@ from sarsep.geom import (
 from sarsep.imaging import (
     _BLOCK,
     ImageGrid,
+    _local_maxima,
+    _refine_peaks,
     SarImage,
     half_power_width,
     image,
@@ -258,6 +270,86 @@ class TestPeakExtract:
         img = self.synthetic_image(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="zero everywhere"):
             peak_extract(img)
+
+
+def tie_free(shape):
+    elements = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    return arrays(np.float64, shape, elements=elements, unique=True)
+
+
+class TestLocalMaxima:
+    """One peak rule for the g(u) scan and the preliminary image."""
+
+    @given(tie_free(st.integers(0, 40)), st.floats(-1.0, 1.0))
+    def test_1d_matches_find_peaks_above_zero(self, values, floor):
+        idx, _ = find_peaks(values, height=floor)
+        idx = idx[values[idx] > 0.0]
+        expected = idx[np.argsort(-values[idx])]
+        (got,) = _local_maxima(values, floor)
+        np.testing.assert_array_equal(got, expected)
+
+    @given(
+        tie_free(st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        st.floats(-1.0, 1.0),
+    )
+    def test_2d_matches_a_masked_3x3_maximum_filter(self, env, floor):
+        is_peak = (env >= maximum_filter(env, size=3, mode="constant")) & (env >= floor)
+        is_peak[[0, -1], :] = is_peak[:, [0, -1]] = False
+        iy, ix = np.nonzero(is_peak & (env > 0.0))
+        order = np.argsort(env[iy, ix], kind="stable")[::-1]
+        got = _local_maxima(env, floor)
+        np.testing.assert_array_equal(got[0], iy[order])
+        np.testing.assert_array_equal(got[1], ix[order])
+
+    def test_all_zeros_has_no_peak(self):
+        assert _local_maxima(np.zeros(9), 0.0)[0].size == 0
+        assert _local_maxima(np.zeros((5, 5)), 0.0)[0].size == 0
+
+    def test_a_curve_below_the_floor_has_no_peak(self):
+        bump = np.exp(-0.5 * (np.arange(11.0) - 5.0) ** 2)
+        assert _local_maxima(bump, 2.0)[0].size == 0
+        assert _local_maxima(bump, 0.5)[0].tolist() == [5]
+
+    def test_no_interior_sample_means_no_peak(self):
+        assert _local_maxima(np.array([1.0, 2.0]), 0.0)[0].size == 0
+        row = np.exp(-0.5 * (np.arange(9.0) - 4.0) ** 2)
+        iy, ix = _local_maxima(np.vstack([row, row]), 0.0)
+        assert iy.size == ix.size == 0
+
+    def test_a_two_sample_plateau_lists_both_samples(self):
+        values = np.array([0.0, 1.0, 3.0, 3.0, 1.0, 0.0])
+        # find_peaks keeps one sample of a flat top; this rule keeps all.
+        assert find_peaks(values)[0].tolist() == [2]
+        assert _local_maxima(values, 0.0)[0].tolist() == [3, 2]
+
+
+class TestRefinePeaks:
+    def test_interior_samples_move_to_the_vertex(self):
+        grid = np.arange(9.0) * 0.5
+        values = 4.0 - (grid - 1.8) ** 2
+        (u,) = _refine_peaks(values, (np.array([4]),), (grid,), (0.5,))[:, 0]
+        assert u == pytest.approx(1.8, abs=1e-12)
+
+    def test_border_samples_keep_their_coordinate(self):
+        grid = np.arange(5.0)
+        values = np.array([5.0, 4.0, 1.0, 4.0, 5.0])
+        got = _refine_peaks(values, (np.array([0, 4]),), (grid,), (1.0,))[:, 0]
+        np.testing.assert_array_equal(got, [0.0, 4.0])
+
+
+def test_importing_sarsep_loads_no_scipy_signal_or_ndimage():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sarsep, sys; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.signal', 'scipy.ndimage'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestProfiles:
