@@ -18,10 +18,9 @@ movers, which cross the point's delay in a few rows only, pass through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .geom import (
     C_LIGHT,
@@ -454,6 +453,9 @@ def _refine_cross_range(trace, win: _PointWindow, origin, cross, span):
     """Point within +-span of ``origin`` along ``cross`` where the
     per-sample median fits the rows of ``win``, straightened at
     ``origin``, best (least absolute deviation)."""
+    # Imported here so that ``import sarsep`` does not load scipy.
+    from scipy.optimize import minimize_scalar
+
     start, stop = trace.valid_rows
     base = _track_delays(trace, origin, None)[start:stop]
 
@@ -469,6 +471,21 @@ def _refine_cross_range(trace, win: _PointWindow, origin, cross, span):
         misfit, bounds=(-span, span), method="bounded", options={"xatol": 1e-2 * span}
     )
     return origin + best.x * cross
+
+
+def _split_off(trace: TraceMatrix, rest: np.ndarray, points) -> StationaryRemoval:
+    """``trace`` split into its removed echoes, ``trace - rest``, and ``rest``."""
+    return StationaryRemoval(
+        stationary=trace.replace(
+            data=trace.data - rest,
+            tag="filtered",
+            meta={**trace.meta, "part": "stationary"},
+        ),
+        rest=trace.replace(
+            data=rest, tag="filtered", meta={**trace.meta, "part": "rest"}
+        ),
+        points=points,
+    )
 
 
 def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
@@ -492,11 +509,14 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
     sidelobe or ghost of a point already removed.  Each point edits
     2 ``REMOVAL_HALF_WINDOW``/B of fast time per row.  The removed
     echoes are returned as ``stationary`` and the remainder as
-    ``rest``; the two sum to the input.
+    ``rest``; the two sum to the input.  With no points, ``stationary``
+    is zero and ``rest`` is the input.
     """
     if not trace.compressed:
         raise ValueError("stationary removal needs a range-compressed trace")
     given = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not len(given):
+        return _split_off(trace, trace.data, given)
     points = given.copy()
     half = int(np.ceil(REMOVAL_HALF_WINDOW / (_bandwidth(trace) * trace.axis.dt)))
     cross = make_frame(trace.traj, trace.rho_o).cross_dir
@@ -523,14 +543,4 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
             echo = win.put(np.median(win.window(), axis=0))
             rest[win.index] -= echo
             removed[k] = (win.index, echo)
-    return StationaryRemoval(
-        stationary=trace.replace(
-            data=trace.data - rest,
-            tag="filtered",
-            meta={**trace.meta, "part": "stationary"},
-        ),
-        rest=trace.replace(
-            data=rest, tag="filtered", meta={**trace.meta, "part": "rest"}
-        ),
-        points=points[kept],
-    )
+    return _split_off(trace, rest, points[kept])

@@ -23,10 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sario
-from .annihil import AnnihilationPlan, annihilate, energy_ratio_db
+from .annihil import (
+    AnnihilationPlan,
+    annihilate,
+    energy_ratio_db,
+    locate_stationary,
+    remove_stationary,
+)
 from .imaging import ImageGrid, image_compensated
 from .motion import estimate_motion, find_speed_peaks, g_curve, separate_movers
-from .presets import list_presets, load_preset, preset_scene
+from .presets import list_presets, preset_scene
 from .ranklab import rank_study
 from .rpca import WindowLayout, separate_windowed
 from .scene import simulate, simulate_split
@@ -191,7 +197,7 @@ def _cmd_simulate(args):
     else:
         outputs.append(sario.write_trace(out, simulate(scene, seed=args.seed)))
     outputs += [_sidecar(p) for p in list(outputs)]
-    return 0, [], outputs
+    return [], outputs
 
 
 def _cmd_compress(args):
@@ -201,7 +207,7 @@ def _cmd_compress(args):
     else:
         result = range_compress(trace)
     out = sario.write_trace(args.output, result)
-    return 0, [args.input], [out, _sidecar(out)]
+    return [args.input], [out, _sidecar(out)]
 
 
 def _cmd_annihilate(args):
@@ -217,7 +223,7 @@ def _cmd_annihilate(args):
         }
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
         outputs.append(Path(args.report))
-    return 0, [args.input, args.plan], outputs
+    return [args.input, args.plan], outputs
 
 
 def _cmd_rpca(args):
@@ -229,10 +235,17 @@ def _cmd_rpca(args):
         )
         layout = WindowLayout(length=args.window_len, overlap=overlap)
     eta = None if args.eta in (None, "auto") else float(args.eta)
+    # Stationary points are located only in scene coordinates: straightened
+    # or filtered echoes no longer follow their delay loci.
+    points = locate_stationary(trace) if trace.tag == "range-compressed" else []
+    removal = remove_stationary(trace, points)
     result = separate_windowed(
-        trace, layout=layout, eta=eta, tol=args.tol, max_iter=args.max_iter
+        removal.rest, layout=layout, eta=eta, tol=args.tol, max_iter=args.max_iter
     )
-    low = sario.write_trace(args.out_low, result.low)
+    low = sario.write_trace(
+        args.out_low,
+        result.low.replace(data=removal.stationary.data + result.low.data),
+    )
     sparse = sario.write_trace(args.out_sparse, result.sparse)
     outputs = [low, _sidecar(low), sparse, _sidecar(sparse)]
     if args.report:
@@ -241,11 +254,11 @@ def _cmd_rpca(args):
             "window_overlap": result.layout.overlap,
             "feasibility": result.feasibility,
             "windows": result.diagnostics,
-            "stationary_points_meters": result.stationary_points.tolist(),
+            "stationary_points_meters": removal.points.tolist(),
         }
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
         outputs.append(Path(args.report))
-    return 0, [args.input], outputs
+    return [args.input], outputs
 
 
 def _cmd_estimate_motion(args):
@@ -265,13 +278,13 @@ def _cmd_estimate_motion(args):
         "g_median": float(np.median(values)),
     }
     Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
-    return 0, [args.input], [Path(args.report)]
+    return [args.input], [Path(args.report)]
 
 
 def _cmd_separate_movers(args):
     trace = sario.read_trace(args.input)
     result = separate_movers(trace, max_movers=args.max_movers)
-    return 0, [args.input], _write_separation(result, f"{Path(args.prefix)}.", "low")
+    return [args.input], _write_separation(result, f"{Path(args.prefix)}.", "low")
 
 
 def _cmd_image(args):
@@ -283,7 +296,7 @@ def _cmd_image(args):
     u_vec = _parse_vector(args.u) if args.u else np.zeros(3)
     grid = ImageGrid(center=center, extent_x=ex, extent_y=ey, spacing=spacing)
     img = image_compensated(trace, grid, u_vec)
-    return 0, [args.input], _write_image(args.output, img, args.pgm, args.floor_db)
+    return [args.input], _write_image(args.output, img, args.pgm, args.floor_db)
 
 
 def _cmd_rank(args):
@@ -314,7 +327,7 @@ def _cmd_rank(args):
         )
         writer.writeheader()
         writer.writerows(rows)
-    return 0, [], [out]
+    return [], [out]
 
 
 def _cmd_run(args):
@@ -351,7 +364,7 @@ def _cmd_run(args):
             img = image_compensated(mover, grid, u_vec)
             stem = out_dir / f"mover{i}_{label}"
             outputs += _write_image(f"{stem}.bin", img, f"{stem}.pgm")
-    return 0, [args.config], outputs
+    return [args.config], outputs
 
 
 def _cmd_export(args):
@@ -369,7 +382,7 @@ def _cmd_export(args):
         sario.write_pgm(out, envelope, args.floor_db)
     else:
         raise ValueError(f"unknown export kind: {args.kind!r}")
-    return 0, [args.input], [out]
+    return [args.input], [out]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -508,7 +521,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code, inputs, outputs = args.handler(args)
+        inputs, outputs = args.handler(args)
     except (OSError, json.JSONDecodeError) as exc:
         # Checked before ValueError: JSONDecodeError is a ValueError too.
         print(f"i/o failure: {exc}", file=sys.stderr)
@@ -520,7 +533,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     _record_manifest(args, inputs, outputs, time.perf_counter() - started)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

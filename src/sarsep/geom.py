@@ -6,7 +6,7 @@ The scene lies in the z = 0 plane; the platform flies above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

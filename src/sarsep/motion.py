@@ -335,10 +335,9 @@ def separate_movers(
     echoes gone it would only move mover energy into its low-rank part.
     Where the preliminary image locates no stationary points (see
     ``annihil.locate_stationary``), the split of
-    ``rpca.separate_windowed``, without its own search for points,
-    stands in for the removal.  The speeds and location are then re-estimated
-    on the peeled single-mover trace, where the objective curves are no
-    longer biased by other movers.
+    ``rpca.separate_windowed`` stands in for the removal.  The speeds
+    and location are then re-estimated on the peeled single-mover trace,
+    where the objective curves are no longer biased by other movers.
     """
     points = locate_stationary(trace, extent=extent)
     splits: list[list] = []
@@ -347,8 +346,7 @@ def separate_movers(
         removal = remove_stationary(trace, points)
         low, residual = removal.stationary, removal.rest
     else:
-        # A filtered trace skips the split's own search for points.
-        initial = separate_windowed(trace.replace(tag="filtered"))
+        initial = separate_windowed(trace)
         low, residual = initial.low, initial.sparse
         splits.append(initial.diagnostics)
         feasibility = initial.feasibility

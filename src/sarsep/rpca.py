@@ -3,23 +3,20 @@
 ``pcp_solve`` splits a matrix into low-rank plus sparse parts with an
 inexact augmented-Lagrangian iteration, whose singular-value
 thresholding runs through the eigendecomposition of the short side's
-Gram matrix.  ``separate_windowed`` first removes the echoes of
-stationary points located in a preliminary image
-(``annihil.remove_stationary``), then applies ``pcp_solve`` to
-successive fast-time windows of what remains and stitches the parts
-back together; windowing is what makes the separation work when the
-full matrix is itself sparse.
+Gram matrix.  ``separate_windowed`` applies ``pcp_solve`` to successive
+fast-time windows of a trace and stitches the parts back together;
+windowing is what makes the separation work when the full matrix is
+itself sparse.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .annihil import locate_stationary, remove_stationary
 from .signal import TraceMatrix
 
 #: Windows span this many 1/bandwidth units of fast time by default.
@@ -49,13 +46,6 @@ class PcpSolution:
     feasibility: float
     rank: int
     sparse_fraction: float
-
-    def objective(self, eta: float) -> float:
-        """Nuclear norm of the low part plus eta times the l1 of the sparse."""
-        return float(
-            np.linalg.svd(self.low, compute_uv=False).sum()
-            + eta * np.abs(self.sparse).sum()
-        )
 
 
 def _shrink(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -216,18 +206,13 @@ def _crossfade_weights(length: int, overlap: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """Windowed low-rank/sparse split of a trace matrix.
-
-    ``stationary_points`` lists the stationary points whose echoes were
-    removed before the split (empty when no removal ran).
-    """
+    """Windowed low-rank/sparse split of a trace matrix."""
 
     low: TraceMatrix
     sparse: TraceMatrix
     layout: WindowLayout
     diagnostics: list
     feasibility: float
-    stationary_points: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
 
 def separate_windowed(
@@ -237,21 +222,9 @@ def separate_windowed(
     tol: float = 1e-7,
     max_iter: int = 1000,
 ) -> SeparationResult:
-    """Stationary-echo removal, then low-rank/sparse separation per window.
+    """Low-rank/sparse separation per fast-time window.
 
-    On traces in scene coordinates (tag ``range-compressed``),
-    stationary points are first located in a preliminary image over an
-    80 m box around the reference point and their echoes removed
-    (``annihil.locate_stationary`` and ``annihil.remove_stationary``);
-    the removed echoes join the low-rank part.  This is the paper's
-    first route, and it matters on dense scenes: there a window's
-    clutter spans a row space that holds much of a mover's energy, which
-    principal component pursuit alone would then move into the low-rank
-    part.  The removal does not apply to straightened or filtered
-    traces, where stationary echoes no longer follow their delay loci.
-    Nothing is removed where ``locate_stationary`` finds no points.
-
-    Each window of columns of the remaining rows is then split by
+    Each window of columns of the valid rows is split by
     ``pcp_solve``; overlapping windows are blended with linear
     cross-fades applied to L and S with the same weights, so the
     stitched parts still sum to the input up to the solver feasibility.
@@ -280,18 +253,8 @@ def separate_windowed(
                 "trace metadata lacks a bandwidth; pass an explicit layout"
             )
         layout = choose_window(n_cols, bandwidth, trace.axis.dt)
-    if trace.tag == "range-compressed":
-        points = locate_stationary(trace)
-    else:
-        points = np.zeros((0, 3))
-    removed = np.zeros_like(trace.data)
-    rest = trace.data
-    if len(points):
-        removal = remove_stationary(trace, points)
-        points = removal.points
-        removed, rest = removal.stationary.data, removal.rest.data
     start, stop = trace.valid_rows
-    rows = rest[start:stop]
+    rows = trace.data[start:stop]
     acc_low = np.zeros_like(rows)
     acc_sparse = np.zeros_like(rows)
     acc_weight = np.zeros(n_cols)
@@ -320,12 +283,12 @@ def separate_windowed(
         )
     acc_low /= acc_weight
     acc_sparse /= acc_weight
-    low_full = removed.copy()
+    low_full = np.zeros_like(trace.data)
     sparse_full = np.zeros_like(trace.data)
-    low_full[start:stop] += acc_low
+    low_full[start:stop] = acc_low
     sparse_full[start:stop] = acc_sparse
     gap = float(np.linalg.norm(rows - acc_low - acc_sparse))
-    denom = float(np.linalg.norm(trace.data[start:stop]))
+    denom = float(np.linalg.norm(rows))
     feasibility = gap / denom if denom > 0.0 else 0.0
     low = trace.replace(
         data=low_full, tag="filtered", meta={**trace.meta, "part": "low-rank"}
@@ -339,5 +302,4 @@ def separate_windowed(
         layout=layout,
         diagnostics=diagnostics,
         feasibility=feasibility,
-        stationary_points=points,
     )

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 from sarsep.geom import Aperture, LinearTrajectory
 from sarsep.presets import preset_scene
 from sarsep.scene import Radar, SceneSpec, Target, simulate
+from sarsep.signal import FastTimeAxis, TraceMatrix
 
 settings.register_profile(
     "suite",
@@ -50,22 +51,61 @@ def single_trace(gotcha_scene):
     return simulate(gotcha_scene)
 
 
-def flat_scene(targets, n=16, ds=0.015, radar=None):
-    """Small broadside scene on a straight track, for fast unit tests."""
-    traj = LinearTrajectory(
-        center=np.array([1.0e4, 0.0, 0.0]),
+def _targets(targets):
+    return tuple(
+        t if isinstance(t, Target) else Target(rho=np.asarray(t, dtype=float))
+        for t in targets
+    )
+
+
+def _track(center):
+    return LinearTrajectory(
+        center=np.asarray(center, dtype=float),
         tangent=np.array([0.0, 1.0, 0.0]),
         speed=70.0,
     )
+
+
+def flat_scene(targets, n=16, ds=0.015, radar=None):
+    """Small broadside scene on a straight track, for fast unit tests."""
     return SceneSpec(
-        traj=traj,
+        traj=_track([1.0e4, 0.0, 0.0]),
         rho_o=np.zeros(3),
         aperture=Aperture(n=n, ds=ds),
         radar=radar if radar is not None else Radar(),
-        targets=tuple(
-            t if isinstance(t, Target) else Target(rho=np.asarray(t, dtype=float))
-            for t in targets
-        ),
+        targets=_targets(targets),
+    )
+
+
+def near_traj(rho_o=np.zeros(3)):
+    """Flight line 100 m from ``rho_o``, where delay curvature is strong."""
+    return _track(rho_o + np.array([100.0, 0.0, 0.0]))
+
+
+def near_scene(targets, n=64, rho_o=np.zeros(3)):
+    """Broadside scene on the near flight line around ``rho_o``."""
+    return SceneSpec(
+        traj=near_traj(rho_o),
+        rho_o=rho_o,
+        targets=_targets(targets),
+        aperture=Aperture(n=n, ds=0.015),
+        radar=Radar(),
+    )
+
+
+def compressed_trace(data, meta=None, valid_rows=None):
+    """Compressed trace holding ``data`` on the far flight line."""
+    data = np.asarray(data, dtype=float)
+    n, m = data.shape[0] - 1, data.shape[1] - 1
+    return TraceMatrix(
+        data=data,
+        aperture=Aperture(n=n, ds=0.015),
+        axis=FastTimeAxis(m=m, dt=Radar().dt, t_center=0.0),
+        traj=_track([1.0e4, 0.0, 0.0]),
+        rho_o=np.zeros(3),
+        tag="range-compressed",
+        valid_rows=valid_rows,
+        meta=meta or {},
     )
 
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_acceptance
+from conftest import compressed_trace, flat_scene, record_acceptance
 from scipy.signal import hilbert
 
 from sarsep.annihil import (
@@ -17,14 +17,15 @@ from sarsep.annihil import (
     AnnihilationStage,
     annihilate,
     energy_ratio_db,
+    locate_stationary,
     predict_annihilation_factor,
+    remove_stationary,
     tt_forward,
     tt_inverse,
 )
 from sarsep.geom import (
     Aperture,
     C_LIGHT,
-    LinearTrajectory,
     compose_velocity,
     decompose_velocity,
     make_frame,
@@ -51,7 +52,7 @@ from sarsep.ranklab import (
 )
 from sarsep.rpca import WindowLayout, pcp_solve, separate_windowed
 from sarsep.scene import Radar, SceneSpec, Target, simulate, simulate_split
-from sarsep.signal import FastTimeAxis, TraceMatrix, range_expand
+from sarsep.signal import range_expand
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*far-field expansions degrade.*:RuntimeWarning",
@@ -74,25 +75,6 @@ def leakage_db(sparse_data, moving_data, stationary_data):
     """Energy in the sparse part that is not mover signal, vs. clutter."""
     err = np.linalg.norm(sparse_data - moving_data) ** 2
     return 10.0 * np.log10(err / np.linalg.norm(stationary_data) ** 2)
-
-
-def flat_scene(targets, n=16):
-    """Small broadside scene on a straight track for the property battery."""
-    traj = LinearTrajectory(
-        center=np.array([1.0e4, 0.0, 0.0]),
-        tangent=np.array([0.0, 1.0, 0.0]),
-        speed=70.0,
-    )
-    return SceneSpec(
-        traj=traj,
-        rho_o=np.zeros(3),
-        aperture=Aperture(n=n, ds=0.015),
-        radar=Radar(),
-        targets=tuple(
-            t if isinstance(t, Target) else Target(rho=np.asarray(t, dtype=float))
-            for t in targets
-        ),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +298,8 @@ def test_criterion_6_windowed_separation(example_splits):
     results = {}
     for name in ("example1", "example2"):
         stationary, moving, mixture = example_splits[name]
-        sep = separate_windowed(mixture)
+        removal = remove_stationary(mixture, locate_stationary(mixture))
+        sep = separate_windowed(removal.rest)
         results[name] = (
             correlation(sep.sparse.data, moving.data),
             leakage_db(sep.sparse.data, moving.data, stationary.data),
@@ -545,24 +528,6 @@ def test_criterion_9_property_battery():
         )
 
     # Windowed low-rank/sparse feasibility after overlap concatenation.
-    def compressed_trace(data):
-        data = np.asarray(data, dtype=float)
-        n, m = data.shape[0] - 1, data.shape[1] - 1
-        traj = LinearTrajectory(
-            center=np.array([1.0e4, 0.0, 0.0]),
-            tangent=np.array([0.0, 1.0, 0.0]),
-            speed=70.0,
-        )
-        return TraceMatrix(
-            data=data,
-            traj=traj,
-            aperture=Aperture(n=n, ds=0.015),
-            axis=FastTimeAxis(m=m, dt=Radar().dt, t_center=0.0),
-            rho_o=np.zeros(3),
-            tag="range-compressed",
-            meta={"bandwidth": Radar().bandwidth},
-        )
-
     worst_feas = 0.0
     for seed in range(3):
         rng = np.random.default_rng(400 + seed)
@@ -576,7 +541,8 @@ def test_criterion_9_property_battery():
             spikes[row, rng.integers(0, cols)] = rng.choice([-3.0, 3.0])
         total = background + spikes
         sep = separate_windowed(
-            compressed_trace(total), layout=WindowLayout(length=48, overlap=8)
+            compressed_trace(total, meta={"bandwidth": Radar().bandwidth}),
+            layout=WindowLayout(length=48, overlap=8),
         )
         feas = np.linalg.norm(sep.low.data + sep.sparse.data - total) / np.linalg.norm(
             total

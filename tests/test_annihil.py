@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import compressed_trace, near_traj
 
 from sarsep.annihil import (
     AnnihilationPlan,
@@ -19,30 +20,10 @@ from sarsep.annihil import (
     tt_forward,
     tt_inverse,
 )
-from sarsep.geom import C_LIGHT, Aperture, CircularTrajectory, LinearTrajectory
-from sarsep.scene import Radar, Target, simulate
-from sarsep.signal import FastTimeAxis, TraceMatrix
+from sarsep.geom import C_LIGHT, Aperture, CircularTrajectory
+from sarsep.scene import Target, simulate
 
 DS = 0.015
-
-
-def synthetic_trace(data, valid_rows=None, tag="range-compressed"):
-    """Wrap a raw array in a TraceMatrix on a throwaway flat geometry."""
-    data = np.asarray(data, dtype=float)
-    n, m = data.shape[0] - 1, data.shape[1] - 1
-    return TraceMatrix(
-        data=data,
-        aperture=Aperture(n=n, ds=DS),
-        axis=FastTimeAxis(m=m, dt=Radar().dt, t_center=0.0),
-        traj=LinearTrajectory(
-            center=np.array([1.0e4, 0.0, 0.0]),
-            tangent=np.array([0.0, 1.0, 0.0]),
-            speed=70.0,
-        ),
-        rho_o=np.zeros(3),
-        tag=tag,
-        valid_rows=valid_rows,
-    )
 
 
 class TestTravelTimeTransform:
@@ -66,7 +47,7 @@ class TestTravelTimeTransform:
             )
 
     def test_requires_a_compressed_trace(self):
-        raw = synthetic_trace(np.ones((5, 9)), tag="raw")
+        raw = compressed_trace(np.ones((5, 9))).replace(tag="raw")
         with pytest.raises(ValueError, match="range-compressed"):
             tt_forward(raw, np.zeros(3))
 
@@ -75,7 +56,7 @@ class TestSlowDiff:
     def test_first_order_is_a_scaled_forward_difference(self):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(5, 9))
-        out = slow_diff(synthetic_trace(data))
+        out = slow_diff(compressed_trace(data))
         np.testing.assert_allclose(out.data[:4], np.diff(data, axis=0) / DS)
         assert np.all(out.data[4] == 0.0)
         assert out.valid_rows == (0, 4)
@@ -84,7 +65,7 @@ class TestSlowDiff:
     def test_second_order_is_a_scaled_central_difference(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(5, 9))
-        out = slow_diff(synthetic_trace(data), order=2)
+        out = slow_diff(compressed_trace(data), order=2)
         expected = (data[2:] - 2.0 * data[1:-1] + data[:-2]) / DS**2
         np.testing.assert_allclose(out.data[1:4], expected)
         assert np.all(out.data[0] == 0.0) and np.all(out.data[4] == 0.0)
@@ -92,10 +73,10 @@ class TestSlowDiff:
 
     def test_rejects_unsupported_order(self):
         with pytest.raises(ValueError, match="order must be 1 or 2"):
-            slow_diff(synthetic_trace(np.ones((5, 9))), order=3)
+            slow_diff(compressed_trace(np.ones((5, 9))), order=3)
 
     def test_rejects_exhausted_rows(self):
-        trace = synthetic_trace(np.ones((5, 9)), valid_rows=(1, 3))
+        trace = compressed_trace(np.ones((5, 9)), valid_rows=(1, 3))
         with pytest.raises(ValueError, match="need more than 2 valid rows"):
             slow_diff(trace, order=2)
 
@@ -333,12 +314,7 @@ class TestStationaryRemoval:
         # 100 m from the scene, the cross-range cell is about 2 cm, far
         # below the c/2B pixel of the preliminary image.
         scene = flat_scene_builder([tuple(self.POINT)], n=64)
-        near = LinearTrajectory(
-            center=np.array([100.0, 0.0, 0.0]),
-            tangent=np.array([0.0, 1.0, 0.0]),
-            speed=70.0,
-        )
-        trace = simulate(dataclasses.replace(scene, traj=near))
+        trace = simulate(dataclasses.replace(scene, traj=near_traj()))
         assert cross_range_cell(trace) < 0.05
         assert locate_stationary(trace, extent=8.0).shape == (0, 3)
 
@@ -349,28 +325,38 @@ class TestStationaryRemoval:
         with pytest.raises(ValueError, match="bandwidth"):
             remove_stationary(trace.replace(meta={}), [self.POINT])
 
+    def test_removing_no_points_is_the_identity(self, flat_scene_builder):
+        trace = simulate(flat_scene_builder([tuple(self.POINT)])).replace(meta={})
+        out = remove_stationary(trace, [])
+        assert np.all(out.stationary.data == 0.0)
+        np.testing.assert_array_equal(out.rest.data, trace.data)
+        assert out.points.shape == (0, 3)
+        assert out.stationary.tag == out.rest.tag == "filtered"
+        assert out.stationary.meta["part"] == "stationary"
+        assert out.rest.meta["part"] == "rest"
+
 
 class TestEnergyRatio:
     def test_identical_traces_sit_at_zero_db(self):
-        trace = synthetic_trace(np.ones((5, 9)))
+        trace = compressed_trace(np.ones((5, 9)))
         assert energy_ratio_db(trace, trace) == 0.0
 
     def test_silent_output_reports_minus_infinity(self):
-        trace = synthetic_trace(np.ones((5, 9)))
+        trace = compressed_trace(np.ones((5, 9)))
         silent = trace.replace(data=np.zeros_like(trace.data))
         assert energy_ratio_db(trace, silent) == -np.inf
 
     def test_silent_reference_is_rejected(self):
-        silent = synthetic_trace(np.zeros((5, 9)))
+        silent = compressed_trace(np.zeros((5, 9)))
         loud = silent.replace(data=np.ones_like(silent.data))
         with pytest.raises(ValueError, match="zero energy"):
             energy_ratio_db(silent, loud)
 
     def test_ratio_ignores_rows_outside_the_valid_band(self):
-        before = synthetic_trace(np.ones((5, 9)))
+        before = compressed_trace(np.ones((5, 9)))
         data = np.zeros((5, 9))
         data[1:3] = 2.0
-        after = synthetic_trace(data, valid_rows=(1, 3))
+        after = compressed_trace(data, valid_rows=(1, 3))
         assert energy_ratio_db(before, after) == pytest.approx(
             10.0 * np.log10(4.0)
         )

@@ -6,27 +6,20 @@ import json
 
 import numpy as np
 import pytest
+from conftest import flat_scene, near_scene, near_traj
 
 from sarsep import io as sario
 from sarsep.cli import main
-from sarsep.geom import Aperture, LinearTrajectory, compose_velocity, make_frame
+from sarsep.geom import compose_velocity, make_frame
 from sarsep.motion import VelocityEstimate
+from sarsep.ranklab import rank_study
 from sarsep.rpca import WindowLayout
-from sarsep.scene import Radar, SceneSpec, Target
+from sarsep.scene import Target, simulate
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*far-field expansions degrade.*:RuntimeWarning",
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
 )
-
-
-def near_traj():
-    """Flight line close to the scene, where delay curvature is strong."""
-    return LinearTrajectory(
-        center=np.array([100.0, 0.0, 0.0]),
-        tangent=np.array([0.0, 1.0, 0.0]),
-        speed=70.0,
-    )
 
 
 def mixed_scene():
@@ -38,19 +31,14 @@ def mixed_scene():
     """
     frame = make_frame(near_traj(), np.zeros(3))
     mover_vel = compose_velocity(frame, 3.0, 0.0)
-    targets = (
-        Target(rho=(-3.0, 0.0, 0.0), amplitude=1.0),
-        Target(rho=(-1.0, 0.0, 0.0), amplitude=0.8),
-        Target(rho=(2.0, 0.0, 0.0), amplitude=1.5),
-        Target(rho=(3.5, 0.0, 0.0), amplitude=0.9),
-        Target(rho=(0.0, 0.0, 0.0), velocity=tuple(mover_vel), amplitude=2.0),
-    )
-    return SceneSpec(
-        traj=near_traj(),
-        rho_o=np.zeros(3),
-        targets=targets,
-        aperture=Aperture(n=64, ds=0.015),
-        radar=Radar(),
+    return near_scene(
+        [
+            Target(rho=(-3.0, 0.0, 0.0), amplitude=1.0),
+            Target(rho=(-1.0, 0.0, 0.0), amplitude=0.8),
+            Target(rho=(2.0, 0.0, 0.0), amplitude=1.5),
+            Target(rho=(3.5, 0.0, 0.0), amplitude=0.9),
+            Target(rho=(0.0, 0.0, 0.0), velocity=tuple(mover_vel), amplitude=2.0),
+        ]
     )
 
 
@@ -66,18 +54,7 @@ def single_scene_config(path):
     every straightened row holds the same pulse, wrapped the same way,
     and the slow-time difference cancels it.
     """
-    far = LinearTrajectory(
-        center=np.array([1.0e4, 0.0, 0.0]),
-        tangent=np.array([0.0, 1.0, 0.0]),
-        speed=70.0,
-    )
-    scene = SceneSpec(
-        traj=far,
-        rho_o=np.zeros(3),
-        targets=(Target(rho=(2.0, 0.0, 0.0)),),
-        aperture=Aperture(n=32, ds=0.015),
-        radar=Radar(),
-    )
+    scene = flat_scene([(2.0, 0.0, 0.0)], n=32)
     path.write_text(json.dumps({"scene": sario.scene_to_dict(scene)}, indent=2))
     return path
 
@@ -283,6 +260,37 @@ class TestRpca:
         spans = WindowLayout(length=32, overlap=4).spans(total.data.shape[1])
         assert len(summary["windows"]) == len(spans)
 
+    def test_far_range_points_are_removed_before_the_split(self, tmp_path):
+        points = np.array([[1.0, 0.0, 0.0], [-2.0, 3.0, 0.0]])
+        u_vec = compose_velocity(make_frame(flat_scene([]).traj, np.zeros(3)), 3.0, 0.0)
+        mover = Target(rho=np.zeros(3), velocity=tuple(u_vec), amplitude=2.0)
+        trace = sario.write_trace(
+            tmp_path / "far.trc", simulate(flat_scene([*points, mover], n=64))
+        )
+        low, sparse, report = (tmp_path / n for n in ("low.trc", "sparse.trc", "r.json"))
+        rc = main(
+            [
+                "rpca",
+                str(trace),
+                "--out-low",
+                str(low),
+                "--out-sparse",
+                str(sparse),
+                "--report",
+                str(report),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        found = np.array(json.loads(report.read_text())["stationary_points_meters"])
+        assert found.shape == (2, 3)
+        miss = np.linalg.norm(found[:, None, :] - points[None], axis=-1).min(axis=0)
+        assert np.all(miss <= 0.05), miss
+        total = sario.read_trace(trace).data
+        parts = sario.read_trace(low).data + sario.read_trace(sparse).data
+        np.testing.assert_allclose(parts, total, atol=1.0e-6 * np.abs(total).max())
+
 
 class TestEstimateMotion:
     def test_report_recovers_the_mover(self, mixture, tmp_path):
@@ -447,6 +455,31 @@ class TestRank:
             "n",
             "epsilon",
         }
+
+    def test_two_target_sweep_matches_the_library(self, tmp_path):
+        out = tmp_path / "pair.csv"
+        rc = main(
+            [
+                "rank",
+                "--mode",
+                "two-target",
+                "--sweep=-4:4:4",
+                "--first-target",
+                "3,2",
+                "--second-x=-3",
+                "--out",
+                str(out),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        expected = rank_study(
+            "two-target", [-4.0, 0.0, 4.0], first_target=(3.0, 2.0, 0.0), second_x=-3.0
+        )
+        assert rows == [{k: str(v) for k, v in row.items()} for row in expected]
 
 
 class TestRun:

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import near_scene, near_traj
 
-from sarsep import motion, rpca
+from sarsep import motion
 from sarsep.geom import (
-    Aperture,
     LinearTrajectory,
     compose_velocity,
     decompose_velocity,
@@ -22,36 +22,12 @@ from sarsep.motion import (
     separate_movers,
     trial_velocity,
 )
-from sarsep.scene import Radar, SceneSpec, Target, simulate
-from sarsep.signal import FastTimeAxis, TraceMatrix
+from sarsep.scene import Target, simulate
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*far-field expansions degrade.*:RuntimeWarning",
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
 )
-
-
-def near_traj(center_dist=100.0):
-    """Flight line close to the scene, where delay curvature is strong."""
-    return LinearTrajectory(
-        center=np.array([center_dist, 0.0, 0.0]),
-        tangent=np.array([0.0, 1.0, 0.0]),
-        speed=70.0,
-    )
-
-
-def near_scene(targets, n=64):
-    coerced = tuple(
-        t if isinstance(t, Target) else Target(rho=np.asarray(t, dtype=float))
-        for t in targets
-    )
-    return SceneSpec(
-        traj=near_traj(),
-        rho_o=np.zeros(3),
-        targets=coerced,
-        aperture=Aperture(n=n, ds=0.015),
-        radar=Radar(),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +190,7 @@ def single_mover_run(near_frame):
     """``separate_movers`` on six near-range points and one mover.
 
     Returns the trace, the separation, and the ``extent`` keyword of
-    each ``locate_stationary`` call made through ``motion`` or ``rpca``
-    (None where the default was used).
+    each ``locate_stationary`` call (None where the default was used).
     """
     rng = np.random.default_rng(4)
     stationary = [
@@ -234,10 +209,9 @@ def single_mover_run(near_frame):
         return locate
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (motion, rpca):
-            patch.setattr(
-                module, "locate_stationary", recorded(module.locate_stationary)
-            )
+        patch.setattr(
+            motion, "locate_stationary", recorded(motion.locate_stationary)
+        )
         sep = separate_movers(trace, max_movers=1, extent=12.0)
     return trace, sep, extents
 
@@ -256,8 +230,15 @@ class TestSeparateMovers:
         resid_energy = float(np.sum(sep.residual.data**2))
         assert resid_energy <= 0.05 * mix_energy
 
+    def test_a_trace_without_speed_peaks_yields_no_movers(self):
+        scene_trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=16))
+        trace = scene_trace.replace(data=np.zeros_like(scene_trace.data))
+        sep = separate_movers(trace, max_movers=2)
+        assert sep.movers == sep.estimates == ()
+        assert len(sep.diagnostics["g_curves"]) == 1
+        np.testing.assert_array_equal(sep.low.data + sep.residual.data, trace.data)
+
     def test_the_preliminary_image_is_formed_once(self, single_mover_run):
         # The near-range image locates no points, so the windowed split
-        # stands in for the removal; it must not image the scene again
-        # over its own default box.
+        # stands in for the removal, over the caller's box only.
         assert single_mover_run[2] == [12.0]
