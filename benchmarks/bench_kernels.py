@@ -5,9 +5,12 @@ wall time per call: echo accumulation (``kernels.accumulate_echoes``),
 backprojection sampling (``kernels.backproject_block``) on one block of
 the size ``imaging`` passes it, one motion-compensated image
 (``imaging.image_points`` on a 167 x 167 grid around scene1's first
-mover), and one singular-value-thresholding step of principal
-component pursuit (``rpca._svd_threshold``) on a window of the shape
-the reduced scene1 benchmark splits (87 pulses by 617 samples).
+mover, on every worker of the pool), one range-speed scan
+(``motion.g_curve`` on scene1 reduced as perfbench reduces it, 87
+pulses by 2025 samples, on every worker of the pool and on one), and
+one singular-value-thresholding step of principal component pursuit
+(``rpca._svd_threshold``) on a window of the shape the reduced scene1
+benchmark splits (87 pulses by 617 samples).
 
 Usage::
 
@@ -15,11 +18,13 @@ Usage::
 """
 
 import argparse
+import dataclasses
 import time
 
 import numpy as np
 
-from sarsep import imaging, kernels, rpca, scene
+from sarsep import imaging, kernels, motion, rpca, scene
+from sarsep.geom import Aperture
 from sarsep.presets import preset_scene
 
 
@@ -110,6 +115,40 @@ def bench_image_points(repeats, extent=40.0, spacing=0.24):
     print(f"image_points {ny}x{nx} numpy   {t_numpy * 1e3:8.2f} ms")
 
 
+def scan_trace():
+    """scene1 reduced about ninefold, as perfbench's scene1 workloads
+    reduce it: positions scaled by 1/8, velocities by 1/2, the middle
+    87 pulses and 2.5 fast-time samples per carrier cycle."""
+    spec = preset_scene("scene1")
+    reduced = dataclasses.replace(
+        spec,
+        aperture=Aperture(n=86, ds=spec.aperture.ds),
+        radar=dataclasses.replace(spec.radar, dt=1.0 / (2.5 * spec.radar.nu0)),
+        targets=tuple(
+            dataclasses.replace(t, rho=t.rho / 8.0, velocity=t.velocity / 2.0)
+            for t in spec.targets
+        ),
+    )
+    return scene.simulate(reduced)
+
+
+def bench_scan(repeats):
+    trace = scan_trace()
+    trials = motion.g_curve(trace)[0].size
+    shape = f"{trace.n + 1}x{trace.m + 1}"
+    pooled = kernels._WORKERS
+    for workers in (pooled, 1):
+        kernels._WORKERS = workers
+        try:
+            t_numpy = median_time(lambda: motion.g_curve(trace), repeats)
+        finally:
+            kernels._WORKERS = pooled
+        print(
+            f"g_curve {shape} {trials} trials, {workers} worker(s)"
+            f"   numpy   {t_numpy * 1e3:8.2f} ms"
+        )
+
+
 def bench_svt(repeats, shape=(87, 617)):
     window = np.random.default_rng(2).standard_normal(shape)
     # Keeps about a tenth of the singular values.
@@ -127,6 +166,7 @@ def main():
     bench_echoes(args.repeats)
     bench_backproject(args.repeats)
     bench_image_points(args.repeats)
+    bench_scan(args.repeats)
     bench_svt(args.repeats)
 
 

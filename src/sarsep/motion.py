@@ -33,6 +33,7 @@ from .imaging import (
     image_compensated,
     peak_extract,
 )
+from .kernels import _in_chunks
 from .rpca import separate_windowed
 from .signal import AnalyticRows, TraceMatrix
 
@@ -74,16 +75,36 @@ def _default_speed_grid(trace: TraceMatrix, step: float) -> np.ndarray:
     return np.arange(-top, top + 0.5 * step, step)
 
 
+#: Trials whose rows one FFT call shifts together in a scan.
+_SCAN_BATCH = 2
+
+
 def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     """``score`` of the analytic valid rows straightened along each
-    track rho + s u_vec, for u_vec in ``velocities``."""
+    track rho + s u_vec, for u_vec in ``velocities``.
+
+    The trials are independent: ``kernels._in_chunks`` gives each CPU a
+    contiguous run of them, which it takes ``_SCAN_BATCH`` trials at a
+    time, with one ``delta_tau_moving`` call and one FFT call per
+    batch.  Each score sees one trial's rows, so the curve does not
+    depend on the chunks or the batches.
+    """
     if not trace.compressed:
         raise ValueError("speed scans expect range-compressed traces")
     start, stop = trace.valid_rows
     s = trace.s_times[start:stop]
     rows = AnalyticRows(trace)
-    delays = (delta_tau_moving(trace.traj, s, rho, v, trace.rho_o) for v in velocities)
-    return np.array([score(rows.shifted(d)) for d in delays])
+    velocities = np.reshape(velocities, (-1, 1, 3))
+
+    def part(a, b):
+        curve = []
+        for i in range(a, b, _SCAN_BATCH):
+            batch = velocities[i : min(i + _SCAN_BATCH, b)]
+            delays = delta_tau_moving(trace.traj, s, rho, batch, trace.rho_o)
+            curve.extend(score(z) for z in rows.shifted(delays))
+        return curve
+
+    return np.array([g for chunk in _in_chunks(part, len(velocities)) for g in chunk])
 
 
 def g_curve(
@@ -101,7 +122,7 @@ def g_curve(
         u_grid = _default_speed_grid(trace, _U_STEP)
     u_grid = np.asarray(u_grid, dtype=float)
     frame = make_frame(trace.traj, trace.rho_o)
-    velocities = (trial_velocity(frame, u) for u in u_grid)
+    velocities = [trial_velocity(frame, u) for u in u_grid]
     return u_grid, _scan(
         trace, trace.rho_o, velocities, lambda z: np.abs(z).sum(axis=0).max()
     )
@@ -143,7 +164,7 @@ def g_perp_curve(
         u_perp_grid = _default_speed_grid(trace, _U_PERP_STEP)
     u_perp_grid = np.asarray(u_perp_grid, dtype=float)
     frame = make_frame(trace.traj, trace.rho_o)
-    velocities = (compose_velocity(frame, u, u_perp) for u_perp in u_perp_grid)
+    velocities = [compose_velocity(frame, u, u_perp) for u_perp in u_perp_grid]
     rho_e = np.asarray(rho_e, dtype=float)
     return u_perp_grid, _scan(
         trace, rho_e, velocities, lambda z: np.abs(z[2:] - 2.0 * z[1:-1] + z[:-2]).sum()

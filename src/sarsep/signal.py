@@ -280,17 +280,26 @@ class AnalyticRows:
                 self.k_lo, self.bins = k_lo, keep
 
     def shifted(self, delays) -> np.ndarray:
-        """Rows advanced by per-row ``delays``: out_j(t) = in_j(t + delays_j)."""
+        """Rows advanced by per-row ``delays``: out_j(t) = in_j(t + delays_j).
+
+        ``delays`` of shape (..., rows) shift the rows once per leading
+        index, in one FFT call; the output has shape (..., rows, samples).
+        """
+        delays = np.asarray(delays, dtype=float)
         band = self.spectra[:, self.k_lo : self.k_lo + self.bins]
-        band = band * phase_ramp(delays, self.count, self.dt, self.k_lo, self.bins)
-        return np.fft.ifft(band, n=self.bins if self.k_lo else self.count, axis=1)
+        ramp = phase_ramp(delays.ravel(), self.count, self.dt, self.k_lo, self.bins)
+        band = band * ramp.reshape(delays.shape + (self.bins,))
+        return np.fft.ifft(band, n=self.bins if self.k_lo else self.count, axis=-1)
 
     def upsampled(self, factor: int) -> np.ndarray:
         """Analytic rows at step dt/``factor`` from the gate's first sample."""
         rows, bins = self.spectra.shape
         padded = np.zeros((rows, factor * self.count), dtype=complex)
         padded[:, :bins] = self.spectra
-        return np.fft.ifft(padded, axis=1) * factor
+        # In place: the rows are the largest array of an image.
+        np.fft.ifft(padded, axis=1, out=padded)
+        padded *= factor
+        return padded
 
 
 def fast_time_shift(trace: TraceMatrix, shifts) -> TraceMatrix:

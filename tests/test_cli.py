@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -633,7 +634,7 @@ class TestManifestAndErrors:
         assert entry["parameters_hash"] == recomputed
         output = entry["outputs"][0]
         assert (
-            hashlib.sha256(open(output["path"], "rb").read()).hexdigest()
+            hashlib.sha256(Path(output["path"]).read_bytes()).hexdigest()
             == output["sha256"]
         )
 

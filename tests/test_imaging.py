@@ -14,6 +14,7 @@ from scipy.ndimage import maximum_filter
 from scipy.signal import find_peaks
 from conftest import near_scene, near_traj
 
+from sarsep import kernels
 from sarsep.geom import C_LIGHT, compose_velocity, make_frame
 from sarsep.imaging import (
     _BLOCK,
@@ -313,17 +314,43 @@ class TestRefinePeaks:
 
 
 def test_importing_sarsep_loads_no_scipy():
+    """Nor the thread pool: ``import sarsep`` loads no scipy module and
+    no ``concurrent.futures``, and starts no thread."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sarsep, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sarsep, sys, threading; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'concurrent.futures' in sys.modules, threading.active_count())"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] False 1"
+
+
+def test_image_points_do_not_depend_on_the_worker_count(near_trace, monkeypatch):
+    """More workers than blocks and than CPUs, switching threads every
+    microsecond, write the same values as one worker."""
+    # Five full blocks and a partial one: chunks of zero to two blocks.
+    points = ImageGrid(np.array([2.0, 4.0, 0.0]), 8.0, 8.0, 0.1).points()
+    points = points[: 5 * _BLOCK + 17]
+    u_vec = np.array([1.0, 2.0, 0.0])
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    alone = image_points(near_trace, points, u_vec)
+    monkeypatch.setattr(kernels, "_WORKERS", 8)
+    monkeypatch.setattr(kernels, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = image_points(near_trace, points, u_vec)
+    finally:
+        sys.setswitchinterval(interval)
+        kernels._pool.shutdown()
+    assert kernels._pool._max_workers == 7
+    assert pooled[1] == alone[1]
+    assert np.array_equal(pooled[0], alone[0])
 
 
 class TestProfiles:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import near_scene, near_traj
 
-from sarsep import motion
+from sarsep import kernels, motion
 from sarsep.geom import (
     LinearTrajectory,
     compose_velocity,
@@ -109,6 +109,22 @@ class TestFindSpeedPeaks:
         rng = np.random.default_rng(0)
         values = 1.0 + 0.01 * rng.random(grid.size)
         assert find_speed_peaks(grid, values) == []
+
+
+def test_scans_do_not_depend_on_the_worker_count(
+    mover_trace, near_frame, monkeypatch
+):
+    # 41 trials: three uneven chunks, each ending on a partial batch.
+    grid = np.linspace(-10.0, 10.0, 41)
+    curves = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        curves[workers] = (
+            g_curve(mover_trace, grid)[1],
+            g_perp_curve(mover_trace, np.zeros(3), 2.0, grid)[1],
+        )
+    for alone, pooled in zip(curves[1], curves[3]):
+        assert np.array_equal(alone, pooled)
 
 
 class TestCrossSpeed:

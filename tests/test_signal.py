@@ -239,6 +239,25 @@ class TestAnalyticRows:
             got, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max()
         )
 
+    def test_upsampled_is_the_scaled_inverse_transform(self, flat_scene_builder):
+        trace = self.band_limited_trace(flat_scene_builder)
+        rows = AnalyticRows(trace)
+        padded = np.zeros((rows.spectra.shape[0], 3 * rows.count), dtype=complex)
+        padded[:, : rows.spectra.shape[1]] = rows.spectra
+        assert np.array_equal(rows.upsampled(3), np.fft.ifft(padded, axis=1) * 3)
+
+    @pytest.mark.parametrize("band", [True, False])
+    def test_stacked_delays_shift_like_one_call_each(self, flat_scene_builder, band):
+        trace = self.band_limited_trace(flat_scene_builder)
+        rows = AnalyticRows(trace if band else trace.replace(meta={}))
+        assert (rows.k_lo > 0) == band
+        delays = self.delays(trace)
+        stacked = np.stack([delays, -0.5 * delays, delays[::-1]])
+        got = rows.shifted(stacked)
+        assert got.shape == (3,) + rows.shifted(delays).shape
+        for k, row_delays in enumerate(stacked):
+            assert np.array_equal(got[k], rows.shifted(row_delays))
+
 
 class TestGateConversions:
     def test_compress_requires_raw_and_expand_requires_compressed(
