@@ -37,13 +37,7 @@ from .imaging import (
     image_points,
 )
 from .scene import Target
-from .signal import (
-    TraceMatrix,
-    fast_time_shift,
-    next_fast_odd,
-    phase_ramp,
-    warn_wrap,
-)
+from .signal import TraceMatrix, fast_time_shift, next_fast_odd, phase_ramp
 
 __all__ = [
     "AnnihilationStage",
@@ -224,8 +218,8 @@ def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
     ramp of the last stage's delays and one inverse FFT undo the last
     straightening.  This equals ``tt_inverse(slow_diff(tt_forward(.)))``
     stage by stage, since the slow-time difference commutes with the
-    per-row FFT and consecutive shifts add.  A stage whose track delays
-    exceed a quarter of the gate warns of circular wrap-around, once.
+    per-row FFT and consecutive shifts add.  The shifts are circular on
+    the gate, and exact at any size (see ``sarsep.signal``).
     """
     if not plan.stages:
         raise ValueError("annihilation plan has no stages")
@@ -238,7 +232,6 @@ def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
     applied = np.zeros(trace.n + 1)
     for k, stage in enumerate(plan.stages):
         delays = _track_delays(trace, stage.rho_e, stage.u_vec)
-        warn_wrap(delays, count, dt)
         start, stop = valid
         spectra[start:stop] *= phase_ramp(
             delays[start:stop] - applied[start:stop], count, dt

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annihil import locate_stationary, remove_stationary, tt_forward, tt_inverse
+from .annihil import (
+    _track_delays,
+    locate_stationary,
+    remove_stationary,
+    tt_forward,
+    tt_inverse,
+)
 from .geom import (
     ViewFrame,
     compose_velocity,
@@ -316,8 +322,10 @@ class MoverSeparation:
     removal; ``movers[i]`` is the trace attributed to ``estimates[i]``;
     ``residual`` is what remains after peeling every mover.
     ``diagnostics["windows"]`` holds the per-window solver records of
-    each windowed split, in order, and ``diagnostics["feasibility"]``
-    the worst split's feasibility.
+    each windowed split, in order, ``diagnostics["feasibility"]`` the
+    worst split's feasibility, and ``diagnostics["max_shift_frac"]`` the
+    largest straightening shift of a peel as a fraction of the gate.
+    ``low``, the movers and ``residual`` sum to the input.
     """
 
     low: TraceMatrix
@@ -362,13 +370,16 @@ def separate_movers(
     """
     points = locate_stationary(trace, extent=extent)
     splits: list[list] = []
-    feasibility = 0.0
+    feasibility = max_shift_frac = 0.0
+    gate = trace.m * trace.axis.dt
     if len(points):
         removal = remove_stationary(trace, points)
         low, residual = removal.stationary, removal.rest
     else:
         initial = separate_windowed(trace)
-        low, residual = initial.low, initial.sparse
+        low = initial.low
+        # The solver's feasibility gap stays in the residual.
+        residual = initial.sparse.replace(data=trace.data - low.data)
         splits.append(initial.diagnostics)
         feasibility = initial.feasibility
     movers: list[TraceMatrix] = []
@@ -382,12 +393,14 @@ def separate_movers(
             break
         u, score = peaks[0]
         scan = estimate_motion(residual, u, score, extent=extent)
+        delays = _track_delays(residual, scan.rho, scan.u_vec)
+        max_shift_frac = max(max_shift_frac, float(np.max(np.abs(delays))) / gate)
         straightened = tt_forward(residual, scan.rho, scan.u_vec)
         peel = separate_windowed(straightened)
         splits.append(peel.diagnostics)
         feasibility = max(feasibility, peel.feasibility)
         mover = tt_inverse(peel.low, scan.rho, scan.u_vec)
-        residual = tt_inverse(peel.sparse, scan.rho, scan.u_vec)
+        residual = residual.replace(data=residual.data - mover.data)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.
         u, score, g_samples = _refine_speed(mover, u)
@@ -411,5 +424,6 @@ def separate_movers(
             "windows": splits,
             "g_curves": g_curves,
             "feasibility": feasibility,
+            "max_shift_frac": max_shift_frac,
         },
     )

@@ -9,13 +9,24 @@ A trace matrix is tagged with its processing state.  Tag ``raw`` means
 the fast-time axis measures absolute round-trip delay; all other tags
 (``range-compressed``, ``transformed``, ``filtered``) mean the axis
 measures differential delay relative to the reference point rho_o.
+
+Spectral shifts are circular on the gate: content advanced past one
+edge re-enters at the other.  A shift and its negation are exact
+inverses, and slow-time differences commute with them, so
+``annihil.annihilate`` and the round trip ``tt_forward`` -> ... ->
+``tt_inverse`` are exact at any shift.  The readers that do not come
+back are safe on their own terms: ``range_expand`` widens its gate,
+since its output is read by absolute delay; ``annihil._PointWindow``
+reads rows by integer offset; and the speed scans' scores do not
+change under a circular shift.  The peel's windowed split is the one
+reader that sees wrapped columns, and padding its gate measured no
+better.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +39,6 @@ GATE_PAD_FACTOR = 6.0
 #: Allowed TraceMatrix provenance tags.
 TRACE_TAGS = ("raw", "range-compressed", "transformed", "filtered")
 
-#: Spectral shifts beyond this fraction of the gate width warn of
-#: circular wrap-around.
-_WRAP_FRACTION = 0.25
-
 __all__ = [
     "GATE_PAD_FACTOR",
     "TRACE_TAGS",
@@ -42,7 +49,6 @@ __all__ = [
     "TraceMatrix",
     "phase_ramp",
     "AnalyticRows",
-    "warn_wrap",
     "fractional_shift",
     "fast_time_shift",
     "range_compress",
@@ -218,36 +224,15 @@ def phase_ramp(
     return ramp.reshape(delays.size, -1)[:, :bins]
 
 
-def warn_wrap(delays, count: int, dt: float):
-    """Warn when a delay exceeds a quarter of a ``count``-sample gate.
-
-    Spectral shifts are circular, so content moved that far may wrap
-    around and corrupt the opposite edge of the gate.  The warning
-    points at the caller of the function that calls this one.
-    """
-    width = (count - 1) * dt
-    worst = float(np.max(np.abs(delays)))
-    if worst > _WRAP_FRACTION * width:
-        warnings.warn(
-            f"fast-time shift of {worst:.3e} s exceeds {_WRAP_FRACTION:.0%} of "
-            f"the {width:.3e} s gate; circular wrap-around may corrupt rows",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def fractional_shift(rows: np.ndarray, delays, dt: float) -> np.ndarray:
     """Advance each row by its delay: out_j(t) = rows_j(t + delay_j).
 
     Implemented as a phase ramp on the real FFT, which is exact for
-    band-limited rows and circular at the gate edges.  Warns when any
-    delay exceeds a quarter of the gate width, since wrapped energy
-    would then corrupt the opposite edge.
+    band-limited rows and circular at the gate edges.
     """
     rows = np.asarray(rows, dtype=float)
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     count = rows.shape[-1]
-    warn_wrap(delays, count, dt)
     spectra = np.fft.rfft(rows, axis=-1)
     spectra *= phase_ramp(delays.ravel(), count, dt).reshape(delays.shape + (-1,))
     return np.fft.irfft(spectra, n=count, axis=-1)

@@ -57,7 +57,6 @@ from sarsep.signal import range_expand
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*far-field expansions degrade.*:RuntimeWarning",
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
-    "ignore:.*circular wrap-around may corrupt rows.*:RuntimeWarning",
 )
 
 CROSS = np.array([0.0, 1.0, 0.0])

@@ -1,7 +1,6 @@
 """Travel-time straightening, annihilation filtering and echo removal."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -26,15 +25,19 @@ from sarsep.scene import Target, simulate
 DS = 0.015
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTravelTimeTransform:
     def test_round_trip_is_identity(self, flat_scene_builder):
         trace = simulate(flat_scene_builder([(0.5, 3.0, 0.0)]))
-        rho_e = np.array([0.4, -2.0, 0.0])
+        gate = trace.axis.m * trace.axis.dt
         u_vec = np.array([0.8, -0.3, 0.0])
-        back = tt_inverse(tt_forward(trace, rho_e, u_vec), rho_e, u_vec)
         scale = np.max(np.abs(trace.data))
-        np.testing.assert_allclose(back.data, trace.data, atol=1e-10 * scale)
-        assert back.tag == "range-compressed"
+        # The second track lies 0.3 c gate downrange: a range offset of
+        # x moves the delay by about 2 x / c, so rows shift 60% of the gate.
+        for rho_e in ([0.4, -2.0, 0.0], [-0.3 * C_LIGHT * gate, -2.0, 0.0]):
+            back = tt_inverse(tt_forward(trace, rho_e, u_vec), rho_e, u_vec)
+            np.testing.assert_allclose(back.data, trace.data, atol=1e-10 * scale)
+            assert back.tag == "range-compressed"
 
     def test_exact_straightening_flattens_the_locus(self, flat_scene_builder):
         rho_t = np.array([0.5, 3.0, 0.0])
@@ -121,6 +124,7 @@ class TestStageAndPlan:
             annihilate(trace, plan)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAnnihilate:
     def test_exact_reference_removes_a_stationary_target(self, flat_scene_builder):
         rho_t = (0.5, 3.0, 0.0)
@@ -201,18 +205,26 @@ class TestAnnihilate:
             atol=1e-10 * np.max(np.abs(expected.data)),
         )
 
-    def test_wrap_warning_once_per_far_stage(self, flat_scene_builder):
+    def test_matches_a_gate_too_wide_to_wrap(self, flat_scene_builder):
         trace = simulate(flat_scene_builder([(0.0, 1.0, 0.0)]))
-        gate = trace.axis.m * trace.axis.dt
-        # A range offset of x moves the delay by about 2 x / c.
-        far = np.array([-0.2 * C_LIGHT * gate, 0.0, 0.0])
-        near = np.array([-0.1 * C_LIGHT * gate, 0.0, 0.0])
-        with pytest.warns(RuntimeWarning, match="circular wrap-around") as caught:
-            annihilate(trace, AnnihilationPlan.for_points([far, near]))
-        assert len(caught) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            annihilate(trace, AnnihilationPlan.for_points([near, near]))
+        count, gate = trace.m + 1, trace.axis.m * trace.axis.dt
+        wide = trace.replace(
+            data=np.pad(trace.data, ((0, 0), (count, count))),
+            axis=dataclasses.replace(trace.axis, m=3 * count - 1),
+        )
+        peak = np.max(np.abs(trace.data))
+        # A range offset of x moves the delay by about 2 x / c, so the far
+        # stage shifts rows by 70% of the gate and the near one by 40%.
+        far = np.array([-0.35 * C_LIGHT * gate, 0.0, 0.0])
+        near = np.array([0.2 * C_LIGHT * gate, 0.0, 0.0])
+        for points in ([far], [near, far]):
+            plan = AnnihilationPlan.for_points(points)
+            out = annihilate(trace, plan).data
+            padded = annihilate(wide, plan).data[:, count : 2 * count]
+            # A margin over the echo's tail at the gate edge,
+            # exp(-GATE_PAD_FACTOR^2 / 2) = 1.5e-8 of its peak: the only
+            # content that wrapping and padding treat differently.
+            np.testing.assert_allclose(out, padded, rtol=0.0, atol=1e-6 * peak)
 
 
 class TestFactorReport:

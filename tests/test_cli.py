@@ -50,10 +50,11 @@ def single_scene_config(path):
     covers only its delays (about -23.1 to -3.5 ns), not the
     differential delay 0 where straightening puts the echo.  So
     annihilation straightening shifts rows by 1.334e-08 s on a
-    1.967e-08 s gate (68%), wraps the echo around the gate and warns.
-    The exact-reference test still passes: with the exact reference
-    every straightened row holds the same pulse, wrapped the same way,
-    and the slow-time difference cancels it.
+    1.967e-08 s gate (68%) and wraps the echo around the gate.  That is
+    exact: the circular shift and its negation are inverses and the
+    slow-time difference commutes with them, so annihilation at any
+    reference, exact or offset, equals its result on a gate too wide
+    to wrap.
     """
     scene = flat_scene([(2.0, 0.0, 0.0)], n=32)
     path.write_text(json.dumps({"scene": sario.scene_to_dict(scene)}, indent=2))
@@ -164,6 +165,7 @@ class TestCompress:
         assert np.allclose(window, original.data, atol=1.0e-8 * scale)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAnnihilate:
     def test_exact_reference_point_cancels_the_trace(self, tmp_path):
         config = single_scene_config(tmp_path / "one.json")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import near_scene, near_traj
+from conftest import flat_scene, near_scene, near_traj
 
 from sarsep import kernels, motion
 from sarsep.geom import (
@@ -241,10 +241,29 @@ class TestSeparateMovers:
         assert est.u == pytest.approx(3.0, abs=0.5)
         assert abs(est.u_perp) <= 1.0
         np.testing.assert_allclose(est.rho[:2], [0.0, 0.0], atol=0.5)
-        assert set(sep.diagnostics) == {"windows", "g_curves", "feasibility"}
+        assert set(sep.diagnostics) == {
+            "windows",
+            "g_curves",
+            "feasibility",
+            "max_shift_frac",
+        }
+        assert 0.0 < sep.diagnostics["max_shift_frac"] < 1.0
         mix_energy = float(np.sum(trace.data**2))
         resid_energy = float(np.sum(sep.residual.data**2))
         assert resid_energy <= 0.05 * mix_energy
+
+    def test_parts_sum_to_the_input(self, single_mover_run):
+        # Both routes: the windowed split standing in for the removal
+        # (this fixture), and the removal of a located point.
+        removal_trace = simulate(flat_scene([(1.0, 0.0, 0.0)], n=64))
+        removal = separate_movers(removal_trace, extent=12.0)
+        fallback_trace, fallback, _ = single_mover_run
+        for trace, sep in ((fallback_trace, fallback), (removal_trace, removal)):
+            assert sep.movers
+            parts = sep.low.data + sep.residual.data + sum(m.data for m in sep.movers)
+            np.testing.assert_allclose(
+                parts, trace.data, rtol=0.0, atol=1e-12 * np.abs(trace.data).max()
+            )
 
     def test_a_trace_without_speed_peaks_yields_no_movers(self):
         scene_trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=16))
