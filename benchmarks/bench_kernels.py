@@ -5,9 +5,9 @@ wall time per call: echo accumulation (``kernels.accumulate_echoes``),
 backprojection sampling (``kernels.backproject_block``) on one block of
 the size ``imaging`` passes it, one motion-compensated image
 (``imaging.image_points`` on a 167 x 167 grid around scene1's first
-mover, on every worker of the pool), one range-speed scan
+mover, on ``kernels._WORKERS`` threads), one range-speed scan
 (``motion.g_curve`` on scene1 reduced as perfbench reduces it, 87
-pulses by 2025 samples, on every worker of the pool and on one), and
+pulses by 2025 samples, on ``kernels._WORKERS`` threads and on one), and
 one singular-value-thresholding step of principal component pursuit
 (``rpca._svd_threshold``) on a window of the shape the reduced scene1
 benchmark splits (87 pulses by 617 samples).

@@ -71,6 +71,13 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         ) from None
 
 
+def _mover_count(value) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"max_movers must be non-negative, got {count}")
+    return count
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -227,6 +234,8 @@ def _cmd_annihilate(args):
 
 
 def _cmd_rpca(args):
+    if args.overlap is not None and args.window_len is None:
+        raise ValueError("--overlap needs --window-len")
     trace = sario.read_trace(args.input)
     layout = None
     if args.window_len is not None:
@@ -262,6 +271,7 @@ def _cmd_rpca(args):
 
 
 def _cmd_estimate_motion(args):
+    max_movers = _mover_count(args.max_movers)
     trace = sario.read_trace(args.input)
     u_grid = _parse_range(args.u_grid) if args.u_grid else None
     grid, values = g_curve(trace, u_grid)
@@ -270,7 +280,7 @@ def _cmd_estimate_motion(args):
     perp_grid = _parse_range(args.u_perp_grid) if args.u_perp_grid else None
     estimates = [
         estimate_motion(trace, u, score, rho=rho, u_perp_grid=perp_grid).to_dict()
-        for u, score in peaks[: args.max_movers]
+        for u, score in peaks[:max_movers]
     ]
     report = {
         "peaks": [{"u_meters_per_second": u, "g_score": s} for u, s in peaks],
@@ -332,6 +342,7 @@ def _cmd_rank(args):
 
 def _cmd_run(args):
     config = json.loads(Path(args.config).read_text())
+    max_movers = _mover_count(config.get("max_movers", 2))
     scene_spec = config["scene"]
     if isinstance(scene_spec, str):
         scene = preset_scene(scene_spec)
@@ -343,7 +354,7 @@ def _cmd_run(args):
     trace = simulate(scene, seed=config.get("seed"))
     mixture = sario.write_trace(out_dir / "mixture.trc", trace)
     outputs = [mixture, _sidecar(mixture)]
-    result = separate_movers(trace, max_movers=int(config.get("max_movers", 2)))
+    result = separate_movers(trace, max_movers=max_movers)
     outputs += _write_separation(result, f"{out_dir}/", "stationary")
     outputs.append(
         _write_g_curve(out_dir / "g_curve.csv", *result.diagnostics["g_curves"][0])

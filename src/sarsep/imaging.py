@@ -8,9 +8,10 @@ envelope is the magnitude of the matching analytic sum.
 
 Pixels are imaged in blocks of ``_BLOCK`` points.  The blocks are
 independent, and ``kernels._in_chunks`` runs one contiguous run of them
-per CPU, each writing its own slice of the output, so every worker
-holds one block's per-sample arrays (a few 10^4 entries each) at a
-time.  A block's distances come from one rank-3 product: with
+per CPU, on threads that each ``image_points`` call starts and joins
+before it returns.  Each run writes its own slice of the output, so
+every thread holds one block's per-sample arrays (a few 10^4 entries
+each) at a time.  A block's distances come from one rank-3 product: with
 q_j = r(s_j) - s_j u - rho_o per pulse and p = rho - rho_o per point,
 |q_j - p|^2 = |q_j|^2 + |p|^2 - 2 q_j . p.  Measuring both from
 ``rho_o`` keeps the rounding of the cancellation at the scale of the
@@ -48,7 +49,7 @@ _UPSAMPLE = 4
 
 #: Points per backprojection block.  Every worker holds one block's
 #: per-sample arrays (about 150 bytes per sample) at a time, so the size
-#: is set by per-worker memory: the pool's at most four workers hold no
+#: is set by per-worker memory: a call's at most four threads hold no
 #: more samples than one thread with 1024-point blocks, while larger
 #: blocks image a 167 x 167 grid up to 15% faster.
 _BLOCK = 256

@@ -1,21 +1,21 @@
 """Hot loops: echo accumulation and backprojection sampling, and the
-one thread pool.
+chunked parallel runs of the scans and images.
 
 Both kernels are vectorized numpy.  ``benchmarks/bench_kernels.py``
 times them on desk-scale inputs.
 
-``_in_chunks`` is the one home of sarsep's thread pool: the speed
-scans and the backprojection images hand it their independent trial
-velocities or pixel blocks, and it runs one contiguous chunk per CPU
-of the process's affinity mask, on at most ``_MAX_WORKERS`` threads.  numpy releases the GIL inside its FFTs
-and array loops, so the chunks run in parallel.  Each chunk writes only
-its own outputs, so results do not depend on the number of CPUs.
+``_in_chunks`` runs the speed scans' trial velocities and the
+backprojection images' pixel blocks in contiguous chunks, one per CPU
+of the process's affinity mask, on at most ``_MAX_WORKERS`` threads.
+Each call starts its own threads and joins them before it returns.
+numpy releases the GIL inside its FFTs and array loops, so the chunks
+run in parallel.  Each chunk writes only its own outputs, so results
+do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -25,69 +25,40 @@ HAS_NUMBA = False
 
 __all__ = ["accumulate_echoes", "backproject_block"]
 
-#: Most threads a pooled call uses.  Each thread holds one image block
+#: Most threads a chunked call uses.  Each thread holds one image block
 #: or one scan batch at a time, so the cap bounds the working set
 #: however many CPUs there are: four 256-point blocks hold as many
 #: samples as one thread's 1024-point block.
 _MAX_WORKERS = 4
 
-#: Threads that run a pooled call, the caller included: one per CPU the
+#: Threads that run a chunked call, the caller included: one per CPU the
 #: process may run on, up to ``_MAX_WORKERS``.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 else:
     _WORKERS = min(os.cpu_count() or 1, _MAX_WORKERS)
 
-_pool = None
-_pool_lock = threading.Lock()
-_worker = threading.local()
-
-
-def _mark_worker():
-    _worker.active = True
-
-
-def _forget_pool():
-    # A forked child inherits the pool object but none of its threads,
-    # and the lock in whatever state another thread left it.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _in_chunks(part, count: int) -> list:
     """``[part(a, b), ...]`` over one contiguous chunk [a, b) of
     range(count) per worker, in chunk order.
 
-    The calling thread runs the first chunk and the pool's threads,
-    created on first use, run the others.  With one worker, or when
-    called from a pool thread, one ``part(0, count)`` runs in the
-    calling thread alone, so a nested call cannot wait on itself.
-    Every chunk finishes before the call returns; then the first failed
+    The calling thread runs the first chunk and a pool opened for this
+    call runs the others; with one worker, ``part(0, count)`` runs in
+    the calling thread alone.  The pool joins every chunk before the
+    call returns, so no thread outlives it; then the first failed
     chunk's exception is raised.
     """
     chunks = max(1, min(_WORKERS, count))
-    if chunks == 1 or getattr(_worker, "active", False):
+    if chunks == 1:
         return [part(0, count)]
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(
-                _WORKERS - 1, thread_name_prefix="sarsep", initializer=_mark_worker
-            )
     bounds = [count * k // chunks for k in range(chunks + 1)]
     spans = list(zip(bounds[:-1], bounds[1:]))
-    futures = [_pool.submit(part, a, b) for a, b in spans[1:]]
-    try:
+    with ThreadPoolExecutor(chunks - 1, thread_name_prefix="sarsep") as pool:
+        futures = [pool.submit(part, a, b) for a, b in spans[1:]]
         first = part(*spans[0])
-    finally:
-        for future in futures:
-            future.exception()
     return [first] + [future.result() for future in futures]
 
 

@@ -90,7 +90,8 @@ def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     track rho + s u_vec, for u_vec in ``velocities``.
 
     The trials are independent: ``kernels._in_chunks`` gives each CPU a
-    contiguous run of them, which it takes ``_SCAN_BATCH`` trials at a
+    contiguous run of them, on threads that this call starts and joins
+    before it returns.  Each thread takes ``_SCAN_BATCH`` trials at a
     time, with one ``delta_tau_moving`` call and one FFT call per
     batch.  Each score sees one trial's rows, so the curve does not
     depend on the chunks or the batches.
@@ -367,7 +368,10 @@ def separate_movers(
     ``rpca.separate_windowed`` stands in for the removal.  The speeds
     and location are then re-estimated on the peeled single-mover trace,
     where the objective curves are no longer biased by other movers.
+    A negative ``max_movers`` raises ``ValueError``.
     """
+    if max_movers < 0:
+        raise ValueError(f"max_movers must be non-negative, got {max_movers}")
     points = locate_stationary(trace, extent=extent)
     splits: list[list] = []
     feasibility = max_shift_frac = 0.0

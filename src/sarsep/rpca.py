@@ -104,13 +104,18 @@ def pcp_solve(
     Raises
     ------
     ValueError
-        If the input contains non-finite entries or is not 2-D.
+        If the input contains non-finite entries or is not 2-D, if
+        ``eta`` is not positive, or if ``max_iter`` is below 1.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("pcp_solve expects a 2-D matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("pcp_solve input contains non-finite entries")
+    if eta is not None and not eta > 0.0:
+        raise ValueError(f"pcp_solve needs a positive eta, got {eta}")
+    if max_iter < 1:
+        raise ValueError(f"pcp_solve needs max_iter >= 1, got {max_iter}")
     if eta is None:
         eta = 1.0 / np.sqrt(max(m.shape))
     norm_fro = float(np.linalg.norm(m))

@@ -295,6 +295,30 @@ class TestRpca:
         np.testing.assert_allclose(parts, total, atol=1.0e-6 * np.abs(total).max())
 
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--overlap", "4"], ["--max-iter", "0"], ["--eta", "-1"]],
+        ids=["overlap-without-window-len", "max-iter-0", "negative-eta"],
+    )
+    def test_invalid_settings_are_usage_errors(self, mixture, tmp_path, options):
+        low, sparse = tmp_path / "low.trc", tmp_path / "sparse.trc"
+        rc = main(
+            [
+                "rpca",
+                str(mixture),
+                *options,
+                "--out-low",
+                str(low),
+                "--out-sparse",
+                str(sparse),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEstimateMotion:
     def test_report_recovers_the_mover(self, mixture, tmp_path):
         report = tmp_path / "motion.json"
@@ -353,6 +377,24 @@ class TestEstimateMotion:
         assert estimates[0]["u_meters_per_second"] == pytest.approx(3.0, abs=0.25)
 
 
+    def test_a_negative_mover_count_is_a_usage_error(self, mixture, tmp_path):
+        report = tmp_path / "motion.json"
+        rc = main(
+            [
+                "estimate-motion",
+                str(mixture),
+                "--max-movers",
+                "-1",
+                "--report",
+                str(report),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSeparateMovers:
     def test_pipeline_outputs_and_reconstruction(self, mixture, tmp_path):
         prefix = tmp_path / "sep"
@@ -379,6 +421,23 @@ class TestSeparateMovers:
         estimates = json.loads((tmp_path / "sep.estimates.json").read_text())
         assert len(estimates) == 1
         assert estimates[0]["u_meters_per_second"] == pytest.approx(3.0, abs=0.5)
+
+
+    def test_a_negative_mover_count_is_a_usage_error(self, mixture, tmp_path):
+        rc = main(
+            [
+                "separate-movers",
+                str(mixture),
+                "--max-movers",
+                "-1",
+                "--prefix",
+                str(tmp_path / "sep"),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestImage:
@@ -526,6 +585,17 @@ class TestRun:
         # The same sidecar as `sarsep image` writes.
         assert meta["x_axis_meters"] == [-6.0, 6.0]
         assert meta["y_axis_meters"] == [-4.0, 4.0]
+
+
+    def test_a_negative_mover_count_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "pipeline.json"
+        config.write_text(
+            json.dumps({"scene": sario.scene_to_dict(mixed_scene()), "max_movers": -1})
+        )
+        out_dir = tmp_path / "run"
+        rc = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not out_dir.exists()
 
 
 class TestExport:

@@ -1,5 +1,5 @@
 """Checks of the backprojection sampler against cubic reference rows, and
-of the chunked thread pool."""
+of the chunked thread runs."""
 
 import os
 import subprocess
@@ -9,9 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import near_scene
 
 from sarsep import kernels
+from sarsep.imaging import _BLOCK, ImageGrid, image_points
 from sarsep.kernels import _in_chunks, backproject_block
+from sarsep.motion import g_curve
+from sarsep.scene import simulate
 
 
 class TestBackprojectBlock:
@@ -117,9 +121,18 @@ class TestInChunks:
         assert not caller.is_alive(), "nested _in_chunks call hung"
         (first, first_inner), (worker, worker_inner) = result[0]
         assert first is caller and worker is not caller
+        # Each nested call opens its own pool, on either thread.
         assert [c[:2] for c in first_inner] == [(0, 2), (2, 4)]
-        # From a pool thread, the nested call is one chunk on that thread.
-        assert worker_inner == [(0, 4, worker)]
+        assert [c[:2] for c in worker_inner] == [(0, 2), (2, 4)]
+
+    def test_no_thread_outlives_a_scan_or_an_image(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 3)
+        trace = simulate(near_scene([(1.0, 2.0, 0.0)], n=32))
+        g_curve(trace, np.linspace(-4.0, 4.0, 9))
+        points = ImageGrid(np.array([1.0, 2.0, 0.0]), 4.0, 3.0, 0.1).points()
+        image_points(trace, points[: 2 * _BLOCK + 5])
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("sarsep")]
+        assert alive == []
 
 
 @pytest.mark.skipif(
@@ -127,7 +140,7 @@ class TestInChunks:
 )
 def test_one_cpu_affinity_starts_no_thread_and_keeps_the_results():
     """On a one-CPU mask the scans and images run in the calling thread
-    and give the same curves and values as the pool."""
+    and give the same curves and values as three threads."""
     tests = Path(__file__).resolve().parent
     code = """
 import os, sys, threading
@@ -160,7 +173,8 @@ print(values.tobytes().hex())
 
     alone, pooled = run(), run("3")
     assert alone[0].split()[:2] == ["1", "1"]
-    assert pooled[0].split()[:2] == ["3", "3"]
+    # Each pooled call joins its threads before it returns.
+    assert pooled[0].split()[:2] == ["3", "1"]
     assert alone[0].split()[2] == pooled[0].split()[2]
     assert alone[1:] == pooled[1:]
 

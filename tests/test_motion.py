@@ -273,6 +273,11 @@ class TestSeparateMovers:
         assert len(sep.diagnostics["g_curves"]) == 1
         np.testing.assert_array_equal(sep.low.data + sep.residual.data, trace.data)
 
+    def test_a_negative_mover_count_is_rejected(self):
+        trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=16))
+        with pytest.raises(ValueError, match="max_movers"):
+            separate_movers(trace, max_movers=-1)
+
     def test_the_preliminary_image_is_formed_once(self, single_mover_run):
         # The near-range image locates no points, so the windowed split
         # stands in for the removal, over the caller's box only.

@@ -96,6 +96,12 @@ class TestPcpSolve:
         bad[1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             pcp_solve(bad)
+        for eta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive eta"):
+                pcp_solve(np.ones((4, 6)), eta=eta)
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter"):
+                pcp_solve(np.ones((4, 6)), max_iter=max_iter)
 
     def test_iteration_cap_warns_and_flags(self):
         rng = np.random.default_rng(3)
