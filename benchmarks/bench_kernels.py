@@ -2,8 +2,11 @@
 
 Runs each hot loop on a desk-scale workload and reports the median
 wall time per call: echo accumulation (``kernels.accumulate_echoes``),
-backprojection sampling (``kernels.backproject_block``) on one block of
-the size ``imaging`` passes it, one motion-compensated image
+one model covariance of acceptance 8(b)'s single mover
+(``ranklab.theoretical_covariance``, 1025 x 1025, a 2 m/s range mover
+in the rank studies' frame), backprojection sampling
+(``kernels.backproject_block``) on one block of the size ``imaging``
+passes it, one motion-compensated image
 (``imaging.image_points`` on a 167 x 167 grid around scene1's first
 mover, on ``kernels._WORKERS`` threads), one range-speed scan
 (``motion.g_curve`` on scene1 reduced as perfbench reduces it, 87
@@ -23,7 +26,7 @@ import time
 
 import numpy as np
 
-from sarsep import imaging, kernels, motion, rpca, scene
+from sarsep import imaging, kernels, motion, ranklab, rpca, scene
 from sarsep.geom import Aperture
 from sarsep.presets import preset_scene
 
@@ -55,6 +58,18 @@ def echo_workload(rng, n_rows=117, n_t=8192, n_targets=30):
         "half_support": half_support,
         "shape": (n_rows, n_t),
     }
+
+
+def bench_covariance(repeats, n=1024, speed=2.0):
+    traj, rho_o, aperture = ranklab.default_rank_frame()
+    wide = Aperture(n=n, ds=aperture.ds)
+    mover = [scene.Target(rho=rho_o, velocity=np.array([speed, 0.0, 0.0]))]
+    radar = scene.Radar()
+    t_numpy = median_time(
+        lambda: ranklab.theoretical_covariance(traj, rho_o, wide, radar, mover),
+        repeats,
+    )
+    print(f"theoretical_covariance {n + 1}x{n + 1}  numpy   {t_numpy * 1e3:8.2f} ms")
 
 
 def backproject_workload(rng, n_rows=87, n_t=2025, upsample=4):
@@ -164,6 +179,7 @@ def main():
     )
     args = parser.parse_args()
     bench_echoes(args.repeats)
+    bench_covariance(args.repeats)
     bench_backproject(args.repeats)
     bench_image_points(args.repeats)
     bench_scan(args.repeats)

@@ -356,9 +356,9 @@ def _cmd_run(args):
     outputs = [mixture, _sidecar(mixture)]
     result = separate_movers(trace, max_movers=max_movers)
     outputs += _write_separation(result, f"{out_dir}/", "stationary")
-    outputs.append(
-        _write_g_curve(out_dir / "g_curve.csv", *result.diagnostics["g_curves"][0])
-    )
+    g_curves = result.diagnostics["g_curves"]
+    if g_curves:  # empty when no mover round ran
+        outputs.append(_write_g_curve(out_dir / "g_curve.csv", *g_curves[0]))
 
     imaging_cfg = config.get("imaging", {})
     ex, ey, spacing = _parse_grid(imaging_cfg.get("grid", "60x60:0.24"))

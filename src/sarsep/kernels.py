@@ -1,8 +1,14 @@
 """Hot loops: echo accumulation and backprojection sampling, and the
 chunked parallel runs of the scans and images.
 
-Both kernels are vectorized numpy.  ``benchmarks/bench_kernels.py``
-times them on desk-scale inputs.
+Both kernels are vectorized numpy.  ``accumulate_echoes`` sums every
+(row, target) echo in chunks of rows and takes its carrier by angle
+addition from one cos/sin table that all echoes of a call share and
+one cos/sin per echo, so its only per-sample transcendental is the
+envelope's ``exp``; on the preset scenes it matches a direct
+per-sample evaluation to about 2e-12 of the trace's peak.
+``benchmarks/bench_kernels.py`` times both kernels on desk-scale
+inputs.
 
 ``_in_chunks`` runs the speed scans' trial velocities and the
 backprojection images' pixel blocks in contiguous chunks, one per CPU
@@ -30,6 +36,10 @@ __all__ = ["accumulate_echoes", "backproject_block"]
 #: however many CPUs there are: four 256-point blocks hold as many
 #: samples as one thread's 1024-point block.
 _MAX_WORKERS = 4
+
+#: Most values in each temporary array of ``accumulate_echoes``'s row
+#: chunks (1 MB of float64).
+_ECHO_CHUNK = 1 << 17
 
 #: Threads that run a chunked call, the caller included: one per CPU the
 #: process may run on, up to ``_MAX_WORKERS``.
@@ -68,21 +78,77 @@ def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
     out[j, i] += amps[k] * cos(2 pi nu0 (t_i - tau[j, k]))
                  * exp(-(bandwidth (t_i - tau[j, k]))^2 / 2)
     restricted to |t_i - tau[j, k]| <= half_support, with t_i = t0 + i dt.
+
+    Echo (j, k) covers the samples i_lo .. i_hi with i_lo = ceil((tau -
+    half_support - t0) / dt) and i_hi = floor((tau + half_support - t0)
+    / dt), clipped to the gate.  Its carrier comes by angle addition,
+    cos(w0 (d + l dt)) = cos(w0 d) cos(w0 l dt) - sin(w0 d) sin(w0 l dt),
+    about a reference sample i_c, the sample nearest tau within the
+    echo's window of samples, with d = t_c - tau its offset and l = i -
+    i_c the lag.  One cos/sin table of w0 l dt serves every echo of the
+    call, and each echo takes one cos/sin of w0 d, so the only
+    per-sample transcendental is the envelope's ``exp``.  Near the echo's peak both phases are small, so
+    the rounding of the table's phases, like that of a direct per-sample
+    evaluation, grows only where the envelope falls.  On the preset
+    scenes the samples differ from the direct evaluation by at most
+    about 2e-12 of the trace's peak, and lie closer than it to the sum
+    evaluated in long double.
+
+    Rows run in chunks whose temporaries hold at most ``_ECHO_CHUNK``
+    values each.  In a chunk every echo spans the longest echo's
+    samples, those past its own last sample weighted zero, and
+    ``np.bincount`` sums the echoes per sample in (row, target) order,
+    so targets that overlap within a row add in the order of a loop
+    over the pairs.
     """
-    omega0 = 2.0 * np.pi * nu0
+    tau = np.asarray(tau, dtype=float)
+    amps = np.asarray(amps, dtype=float)
     n_rows, n_t = out.shape
+    first = np.clip(np.ceil((tau - half_support - t0) / dt), 0.0, n_t)
+    last = np.minimum(np.floor((tau + half_support - t0) / dt), n_t - 1.0)
+    counts = last - first + 1.0
+    width = int(counts.max(initial=0.0))
+    if width <= 0:
+        return out
+    omega0 = 2.0 * np.pi * nu0
+    # Reference sample of each echo, as an offset from its first sample.
+    center = np.clip(np.rint((tau - t0) / dt) - first, 0.0, width - 1.0)
+    offset = t0 + (first + center) * dt - tau
+    amp_cos = (amps * np.cos(omega0 * offset)).reshape(-1, 1)
+    amp_sin = (amps * np.sin(omega0 * offset)).reshape(-1, 1)
+    offset = offset.reshape(-1, 1)
+    # Row c of each table holds lags -c .. width - 1 - c: an echo's
+    # samples with reference sample c.
+    lags = np.arange(1 - width, width) * dt
+    lag_rows, cos_rows, sin_rows = (
+        np.lib.stride_tricks.sliding_window_view(table, width)[::-1]
+        for table in (lags, np.cos(omega0 * lags), np.sin(omega0 * lags))
+    )
+    center = center.astype(np.intp).ravel()
+    counts = counts.reshape(-1, 1)
+    m = np.arange(width)
     n_targets = tau.shape[1]
-    for j in range(n_rows):
-        for k in range(n_targets):
-            tjk = tau[j, k]
-            i_lo = max(int(np.ceil((tjk - half_support - t0) / dt)), 0)
-            i_hi = min(int(np.floor((tjk + half_support - t0) / dt)), n_t - 1)
-            if i_hi < i_lo:
-                continue
-            td = t0 + np.arange(i_lo, i_hi + 1) * dt - tjk
-            out[j, i_lo : i_hi + 1] += (
-                amps[k] * np.cos(omega0 * td) * np.exp(-0.5 * (bandwidth * td) ** 2)
-            )
+    starts = (np.arange(n_rows)[:, None] * n_t + first.astype(np.int64)).reshape(-1, 1)
+    step = max(1, _ECHO_CHUNK // max(n_targets * width, n_t))
+    scale = -0.5 * bandwidth**2
+    for r0 in range(0, n_rows, step):
+        r1 = min(r0 + step, n_rows)
+        pairs = slice(r0 * n_targets, r1 * n_targets)
+        ref = center[pairs]
+        td = lag_rows[ref]
+        td += offset[pairs]
+        vals = np.exp(scale * td * td)
+        carrier = cos_rows[ref]
+        carrier *= amp_cos[pairs]
+        quadrature = sin_rows[ref]
+        quadrature *= amp_sin[pairs]
+        carrier -= quadrature
+        vals *= carrier
+        vals *= m < counts[pairs]
+        index = (starts[pairs] - r0 * n_t) + m
+        size = (r1 - r0) * n_t
+        summed = np.bincount(index.ravel(), vals.ravel(), minlength=size)
+        out[r0:r1] += summed[:size].reshape(r1 - r0, n_t)
     return out
 
 

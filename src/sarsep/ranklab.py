@@ -133,18 +133,36 @@ def theoretical_covariance(
 
     Entry (a, b) sums over ordered target pairs (j, k) the pair kernel
     of amplitude a_j a_k at psi = alpha_j s_a - alpha_k s_b + (beta_j -
-    beta_k), the delay difference between the two echoes.
+    beta_k), the delay difference between the two echoes.  The
+    same-target pairs have psi = alpha_j (a - b) ds, which depends on
+    a - b alone: their sum is the Toeplitz matrix of
+    ``toeplitz_sequence``, built from one kernel value per lag.  The
+    cross-target pairs take one kernel value per entry.
     """
     s = aperture.times
     alphas = [alpha_of(traj, rho_o, t, linearize) for t in targets]
     betas = [beta_of(traj, rho_o, t) for t in targets]
     amps = [t.amplitude for t in targets]
-    out = np.zeros((s.size, s.size))
+    y = toeplitz_sequence(alphas, amps, s.size, aperture.ds, radar)
+    out = _toeplitz(y)
     for j, (alpha_j, beta_j, amp_j) in enumerate(zip(alphas, betas, amps)):
         for k, (alpha_k, beta_k, amp_k) in enumerate(zip(alphas, betas, amps)):
-            psi = alpha_j * s[:, None] - alpha_k * s[None, :] + (beta_j - beta_k)
-            out += _pair_kernel(radar, amp_j * amp_k, psi)
+            if j != k:
+                psi = alpha_j * s[:, None] - alpha_k * s[None, :] + (beta_j - beta_k)
+                out += _pair_kernel(radar, amp_j * amp_k, psi)
     return out
+
+
+def _toeplitz(y: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix T[a, b] = y[|a - b|], as a new array.
+
+    Row a of T is the mirrored sequence y_{n-1} .. y_1 y_0 y_1 .. y_{n-1}
+    read backwards from its entry n - 1 + a, so every row is one
+    reversed window of it.
+    """
+    mirrored = np.concatenate((y[:0:-1], y))
+    windows = np.lib.stride_tricks.sliding_window_view(mirrored, y.size)
+    return windows[:, ::-1].copy()
 
 
 def toeplitz_sequence(
@@ -217,8 +235,7 @@ def build_structured(
         aperture.ds,
         radar,
     )
-    idx = np.abs(np.arange(count)[:, None] - np.arange(count)[None, :])
-    toeplitz = y[idx]
+    toeplitz = _toeplitz(y)
     h, g, zeta = hankel_sequence(
         alpha_1,
         alpha_2,

@@ -9,6 +9,7 @@ from conftest import compressed_trace, near_traj
 from sarsep.annihil import (
     AnnihilationPlan,
     AnnihilationStage,
+    _median_rows,
     annihilate,
     cross_range_cell,
     energy_ratio_db,
@@ -260,6 +261,13 @@ class TestFactorReport:
 @pytest.mark.filterwarnings("error")
 class TestStationaryRemoval:
     POINT = np.array([0.5, 1.0, 0.0])
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 87, 88])
+    def test_row_median_equals_numpy_median_bit_for_bit(self, n_rows):
+        rows = np.random.default_rng(n_rows).standard_normal((n_rows, 233))
+        rows[:, :5] = 0.5  # ties
+        expected = np.median(rows, axis=0)
+        assert _median_rows(rows).tobytes() == expected.tobytes()
 
     @staticmethod
     def crossing_scene(flat_scene_builder):

@@ -587,6 +587,24 @@ class TestRun:
         assert meta["y_axis_meters"] == [-4.0, 4.0]
 
 
+    def test_zero_movers_writes_no_g_curve_and_a_manifest_of_existing_files(
+        self, tmp_path
+    ):
+        out_dir = tmp_path / "run"
+        config = tmp_path / "pipeline.json"
+        config.write_text(
+            json.dumps({"scene": sario.scene_to_dict(mixed_scene()), "max_movers": 0})
+        )
+        rc = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+        assert rc == 0
+        assert not (out_dir / "g_curve.csv").exists()
+        assert json.loads((out_dir / "estimates.json").read_text()) == []
+        (entry,) = json.loads((out_dir / "manifest.json").read_text())
+        listed = {Path(item["path"]).name for item in entry["outputs"]}
+        assert {"mixture.trc", "stationary.trc", "residual.trc"} <= listed
+        assert "g_curve.csv" not in listed
+        assert all(Path(item["path"]).exists() for item in entry["outputs"])
+
     def test_a_negative_mover_count_is_a_usage_error(self, tmp_path):
         config = tmp_path / "pipeline.json"
         config.write_text(

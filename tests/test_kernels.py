@@ -1,5 +1,6 @@
-"""Checks of the backprojection sampler against cubic reference rows, and
-of the chunked thread runs."""
+"""Checks of the echo accumulator against a direct per-sample sum, of the
+backprojection sampler against cubic reference rows, and of the chunked
+thread runs."""
 
 import os
 import subprocess
@@ -13,9 +14,76 @@ from conftest import near_scene
 
 from sarsep import kernels
 from sarsep.imaging import _BLOCK, ImageGrid, image_points
-from sarsep.kernels import _in_chunks, backproject_block
+from sarsep.kernels import _in_chunks, accumulate_echoes, backproject_block
 from sarsep.motion import g_curve
 from sarsep.scene import simulate
+from sarsep.signal import pulse
+
+
+class TestAccumulateEchoes:
+    NU0 = 9.6e9
+    BANDWIDTH = 622.0e6
+    DT = 1.0 / (5.0 * NU0)
+    HALF = 8.0 / BANDWIDTH
+    N_T = 3000
+    T0 = -1.0e-8
+
+    def case(self):
+        """Five overlapping echoes per row on six rows, with one echo
+        clipped by each gate edge and two wholly outside the gate."""
+        rng = np.random.default_rng(3)
+        t_end = self.T0 + (self.N_T - 1) * self.DT
+        tau = self.T0 + rng.uniform(0.3, 0.7, (6, 5)) * (t_end - self.T0)
+        tau[1, 0] = self.T0 + 0.2 * self.HALF
+        tau[2, 1] = t_end - 0.3 * self.HALF
+        tau[3, 2] = self.T0 - 1.5 * self.HALF
+        tau[4, 3] = t_end + 1.2 * self.HALF
+        return tau, rng.uniform(0.5, 2.0, 5)
+
+    def accumulate(self, out, tau, amps):
+        args = (self.T0, self.DT, self.NU0, self.BANDWIDTH, amps, self.HALF)
+        return accumulate_echoes(out, tau, *args)
+
+    def direct(self, tau, amps):
+        """Per-sample sum of amps[k] pulse(t_i - tau[j, k]) over each
+        echo's samples, and the mask of the samples some echo covers."""
+        i = np.arange(self.N_T)
+        t = self.T0 + i * self.DT
+        out = np.zeros((tau.shape[0], self.N_T))
+        touched = np.zeros(out.shape, dtype=bool)
+        for j, k in np.ndindex(tau.shape):
+            lo = np.ceil((tau[j, k] - self.HALF - self.T0) / self.DT)
+            hi = np.floor((tau[j, k] + self.HALF - self.T0) / self.DT)
+            echo = (i >= lo) & (i <= hi)
+            out[j, echo] += amps[k] * pulse(
+                t[echo] - tau[j, k], self.NU0, self.BANDWIDTH
+            )
+            touched[j] |= echo
+        return out, touched
+
+    def test_matches_the_direct_sum_on_the_same_samples(self):
+        tau, amps = self.case()
+        expected, touched = self.direct(tau, amps)
+        assert touched[1, 0] and touched[2, -1]
+        out = self.accumulate(np.zeros_like(expected), tau, amps)
+        np.testing.assert_array_equal(out != 0.0, touched)
+        peak = np.abs(expected).max()
+        assert np.abs(out - expected).max() <= 1e-11 * peak
+
+    def test_echoes_outside_the_gate_add_nothing(self):
+        tau, amps = self.case()
+        outside = np.array([[tau[3, 2], tau[4, 3]]])
+        out = self.accumulate(np.zeros((1, self.N_T)), outside, amps[:2])
+        assert np.all(out == 0.0)
+
+    def test_adds_into_a_nonzero_out(self):
+        tau, amps = self.case()
+        expected, touched = self.direct(tau, amps)
+        base = np.random.default_rng(4).standard_normal(expected.shape)
+        out = self.accumulate(base.copy(), tau, amps)
+        np.testing.assert_array_equal(out[~touched], base[~touched])
+        peak = np.abs(expected).max()
+        assert np.abs(out - base - expected).max() <= 1e-11 * peak
 
 
 class TestBackprojectBlock:

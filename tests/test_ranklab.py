@@ -99,6 +99,53 @@ class TestCovariance:
         eigs = np.linalg.eigvalsh(mat)
         assert eigs[0] >= -1e-10 * eigs[-1]
 
+    @staticmethod
+    def direct(aperture, targets, linearize=False):
+        """The model covariance by a double loop over ordered target
+        pairs, each evaluating the echo-pair kernel at every entry."""
+        s = aperture.times
+        coef = np.sqrt(np.pi) / (2.0 * RADAR.bandwidth * RADAR.dt)
+        out = np.zeros((s.size, s.size))
+        for tj in targets:
+            for tk in targets:
+                alpha_j = alpha_of(TRAJ, RHO_O, tj, linearize)
+                alpha_k = alpha_of(TRAJ, RHO_O, tk, linearize)
+                beta = beta_of(TRAJ, RHO_O, tj) - beta_of(TRAJ, RHO_O, tk)
+                psi = alpha_j * s[:, None] - alpha_k * s[None, :] + beta
+                out += (
+                    tj.amplitude
+                    * tk.amplitude
+                    * coef
+                    * np.cos(RADAR.omega0 * psi)
+                    * np.exp(-0.25 * (RADAR.bandwidth * psi) ** 2)
+                )
+        return out
+
+    def test_single_mover_at_n_1024_matches_the_direct_sum(self):
+        frame = make_frame(TRAJ, RHO_O)
+        wide = Aperture(n=1024, ds=APERTURE.ds)
+        targets = [Target(rho=RHO_O, velocity=3.0 * frame.range_dir, amplitude=0.8)]
+        mat = theoretical_covariance(TRAJ, RHO_O, wide, RADAR, targets)
+        expected = self.direct(wide, targets)
+        assert np.abs(mat - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("linearize", [False, True])
+    def test_two_target_scene_matches_the_direct_sum(self, linearize):
+        # B |beta_1 - beta_2| is about 1.25, so the cross pairs matter.
+        targets = [
+            Target(rho=np.array([0.15, -2.0, 0.0])),
+            Target(
+                rho=np.array([-0.15, 4.0, 0.0]), velocity=(0.5, 0.0, 0.0), amplitude=0.7
+            ),
+        ]
+        mat = theoretical_covariance(
+            TRAJ, RHO_O, APERTURE, RADAR, targets, linearize=linearize
+        )
+        expected = self.direct(APERTURE, targets, linearize)
+        cross = expected - sum(self.direct(APERTURE, [t], linearize) for t in targets)
+        assert np.abs(cross).max() >= 0.1 * np.abs(expected).max()
+        assert np.abs(mat - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_single_target_model_is_exactly_toeplitz(self):
         frame = make_frame(TRAJ, RHO_O)
         target = Target(rho=RHO_O, velocity=1.5 * frame.range_dir, amplitude=0.8)
