@@ -287,10 +287,6 @@ class AnnihilationFactorReport:
     predicted: np.ndarray
     remainder_bound: float
 
-    @property
-    def max_abs_error(self) -> float:
-        return float(np.max(np.abs(self.fd - self.predicted)))
-
 
 def predict_annihilation_factor(
     traj: Trajectory, aperture: Aperture, target: Target, rho_e

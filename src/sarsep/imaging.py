@@ -3,8 +3,8 @@
 Each pixel sums the traces at that pixel's differential travel times.
 Off-grid fast-time samples come from band-limited 4x Fourier
 upsampling of the analytic traces followed by 4-tap cubic
-interpolation, so the raw image is the sum of the real traces and the
-envelope is the magnitude of the matching analytic sum.
+interpolation, and the image envelope is the magnitude of the sum of
+the analytic traces.
 
 Pixels are imaged in blocks of ``_BLOCK`` points.  The blocks are
 independent, and ``kernels._in_chunks`` runs one contiguous run of them
@@ -119,26 +119,15 @@ def _location_grid(trace: TraceMatrix, extent: float) -> ImageGrid:
 class SarImage:
     """Backprojection image over an ImageGrid.
 
-    ``raw`` sums the real traces; ``envelope`` is the magnitude of the
-    analytic-signal sum.  ``missed`` counts (pixel, row) samples that
-    fell outside the fast-time gate and contributed zero.
+    ``envelope`` is the magnitude of the analytic-signal sum.
+    ``missed`` counts (pixel, row) samples that fell outside the
+    fast-time gate and contributed zero.
     """
 
     grid: ImageGrid
-    raw: np.ndarray
     envelope: np.ndarray
     u_vec: np.ndarray
     missed: int
-
-    @property
-    def compensated(self) -> bool:
-        return bool(np.any(self.u_vec != 0.0))
-
-    @property
-    def provenance(self) -> str:
-        if not self.compensated:
-            return "uncompensated"
-        return "compensated u_vec=({:.3f}, {:.3f}, {:.3f}) m/s".format(*self.u_vec)
 
     def peak_value(self) -> float:
         return float(self.envelope.max())
@@ -204,7 +193,6 @@ def image_compensated(trace: TraceMatrix, grid: ImageGrid, u_vec) -> SarImage:
     if u_vec.shape != (3,) or u_vec[2] != 0.0:
         raise ValueError("u_vec must be an in-plane 3-vector")
     values, missed = image_points(trace, grid.points(), u_vec)
-    shaped = values.reshape(grid.shape)
     if missed > 0:
         warnings.warn(
             f"{missed} (pixel, pulse) samples fell outside the fast-time "
@@ -214,8 +202,7 @@ def image_compensated(trace: TraceMatrix, grid: ImageGrid, u_vec) -> SarImage:
         )
     return SarImage(
         grid=grid,
-        raw=np.real(shaped).copy(),
-        envelope=np.abs(shaped),
+        envelope=np.abs(values).reshape(grid.shape),
         u_vec=u_vec,
         missed=missed,
     )

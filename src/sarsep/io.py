@@ -206,10 +206,14 @@ def write_image(path, envelope: np.ndarray, header: dict) -> Path:
 
 
 def read_image(path) -> tuple[np.ndarray, dict]:
+    """Read an image written by ``write_image``."""
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
-    data = np.fromfile(path, dtype="<f8").reshape(sidecar["shape"])
-    return data, sidecar
+    data = np.fromfile(path, dtype="<f8")
+    expected = int(np.prod(sidecar["shape"]))
+    if data.size != expected:
+        raise ValueError(f"{path} holds {data.size} samples, expected {expected}")
+    return data.reshape(sidecar["shape"]), sidecar
 
 
 def write_pgm(path, magnitudes: np.ndarray, floor_db: float = -60.0) -> Path:

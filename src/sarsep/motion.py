@@ -28,7 +28,6 @@ from .annihil import (
 from .geom import (
     ViewFrame,
     compose_velocity,
-    decompose_velocity,
     delta_tau_moving,
     make_frame,
 )
@@ -219,60 +218,37 @@ def estimate_location(trace: TraceMatrix, u_vec, extent: float = 80.0) -> np.nda
 
 @dataclass(frozen=True)
 class VelocityEstimate:
-    """Estimated mover state: speeds, composed velocity, location.
+    """Estimated mover state: speeds, location, and the frame they refer to.
 
-    ``g_samples`` and ``g_perp_samples`` hold the sampled objective
-    curves (grid, values) that produced the speed estimates, when the
-    estimate came from a scan.  When a ``frame`` is attached,
-    construction verifies that the velocity vector reproduces the
-    stated range and cross-range speeds under the frame's projections
-    to within 1e-10.
+    ``u`` and ``u_perp`` are the range and cross-range speeds in
+    ``frame``; ``u_vec`` is composed from them at construction, so the
+    velocity vector always agrees with the stated speeds.
     """
 
     u: float
     u_perp: float
-    u_vec: np.ndarray
     rho: np.ndarray
     g_score: float
-    frame: ViewFrame | None = None
-    g_samples: tuple[np.ndarray, np.ndarray] | None = None
-    g_perp_samples: tuple[np.ndarray, np.ndarray] | None = None
+    frame: ViewFrame
+    u_vec: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        u_vec = np.asarray(self.u_vec, dtype=float)
         rho = np.asarray(self.rho, dtype=float)
-        object.__setattr__(self, "u_vec", u_vec)
+        if rho.shape != (3,):
+            raise ValueError("rho must be a 3-vector")
         object.__setattr__(self, "rho", rho)
-        if u_vec.shape != (3,) or rho.shape != (3,):
-            raise ValueError("u_vec and rho must be 3-vectors")
-        if self.frame is not None:
-            u_chk, u_perp_chk = decompose_velocity(self.frame, u_vec)
-            scale = max(1.0, float(np.linalg.norm(u_vec)))
-            if abs(u_chk - self.u) > 1e-10 * scale or abs(
-                u_perp_chk - self.u_perp
-            ) > 1e-10 * scale:
-                raise ValueError(
-                    "u_vec is inconsistent with the stated range and "
-                    "cross-range speeds"
-                )
+        object.__setattr__(
+            self, "u_vec", compose_velocity(self.frame, self.u, self.u_perp)
+        )
 
-    def to_dict(self, include_curves: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "u_meters_per_second": self.u,
             "u_perp_meters_per_second": self.u_perp,
             "u_vec_meters_per_second": self.u_vec.tolist(),
             "rho_meters": self.rho.tolist(),
             "g_score": self.g_score,
         }
-        if include_curves:
-            for key, samples in (
-                ("g", self.g_samples),
-                ("g_perp", self.g_perp_samples),
-            ):
-                if samples is not None:
-                    out[f"{key}_grid"] = samples[0].tolist()
-                    out[f"{key}_values"] = samples[1].tolist()
-        return out
 
 
 def estimate_motion(
@@ -283,7 +259,6 @@ def estimate_motion(
     rho=None,
     u_perp_grid: np.ndarray | None = None,
     extent: float = 80.0,
-    g_samples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VelocityEstimate:
     """One mover's state at range speed u: locate, cross speed, relocate.
 
@@ -291,27 +266,18 @@ def estimate_motion(
     (default ``trial_velocity(frame, u)``), its cross-range speed is
     scanned at that location, and it is located again at the composed
     velocity.  A given ``rho`` is kept and skips both images.
-    ``g_samples``, the range-speed curve that gave u, is only stored.
     """
     frame = make_frame(trace.traj, trace.rho_o)
     located = rho is None
     if located:
         first = trial_velocity(frame, u) if u_vec is None else u_vec
         rho = estimate_location(trace, first, extent=extent)
-    u_perp, g_perp_samples = estimate_cross_speed(trace, rho, u, u_perp_grid)
-    u_vec = compose_velocity(frame, u, u_perp)
+    u_perp, _ = estimate_cross_speed(trace, rho, u, u_perp_grid)
     if located:
-        rho = estimate_location(trace, u_vec, extent=extent)
-    return VelocityEstimate(
-        u=u,
-        u_perp=u_perp,
-        u_vec=u_vec,
-        rho=rho,
-        g_score=g_score,
-        frame=frame,
-        g_samples=g_samples,
-        g_perp_samples=g_perp_samples,
-    )
+        rho = estimate_location(
+            trace, compose_velocity(frame, u, u_perp), extent=extent
+        )
+    return VelocityEstimate(u=u, u_perp=u_perp, rho=rho, g_score=g_score, frame=frame)
 
 
 @dataclass(frozen=True)
@@ -336,15 +302,13 @@ class MoverSeparation:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _refine_speed(
-    trace: TraceMatrix, u: float
-) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+def _refine_speed(trace: TraceMatrix, u: float) -> tuple[float, float]:
     """Re-peak g(u) on a grid of +-2 m/s around a prior estimate."""
     grid = np.arange(u - 2.0, u + 2.0 + 0.5 * _U_STEP, _U_STEP)
     grid, values = g_curve(trace, u_grid=grid)
     i = int(np.argmax(values))
     u = _refine_peaks(values, (i,), (grid,), (_U_STEP,))[0, 0]
-    return float(u), float(values[i]), (grid, values)
+    return float(u), float(values[i])
 
 
 def separate_movers(
@@ -407,17 +371,10 @@ def separate_movers(
         residual = residual.replace(data=residual.data - mover.data)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.
-        u, score, g_samples = _refine_speed(mover, u)
+        u, score = _refine_speed(mover, u)
         movers.append(mover)
         estimates.append(
-            estimate_motion(
-                mover,
-                u,
-                score,
-                u_vec=scan.u_vec,
-                extent=extent,
-                g_samples=g_samples,
-            )
+            estimate_motion(mover, u, score, u_vec=scan.u_vec, extent=extent)
         )
     return MoverSeparation(
         low=low,

@@ -364,8 +364,11 @@ def rank_study(
     ``single-mover`` a range speed, ``two-target`` the second target's
     cross-range position.  Each row reports the rank computed from the
     covariance (model by default, simulated echoes with ``empirical``)
-    next to the Szego estimate.
+    next to the Szego estimate.  Raises ``ValueError`` unless
+    0 < epsilon < 1.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     traj, rho_o, aperture = default_rank_frame()
     radar = Radar()
     frame = make_frame(traj, rho_o)

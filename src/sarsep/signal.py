@@ -190,10 +190,6 @@ class TraceMatrix:
         start, stop = self.valid_rows
         return self.data[start:stop]
 
-    def energy(self) -> float:
-        """Sum of squared entries over the valid rows."""
-        return float(np.sum(self.valid_data**2))
-
     def replace(self, **changes) -> "TraceMatrix":
         return dataclasses.replace(self, **changes)
 

@@ -245,7 +245,7 @@ class TestFactorReport:
         assert rep.fd.shape == rep.predicted.shape == rep.s.shape
         scale = np.max(np.abs(rep.predicted))
         assert scale > 0.0
-        assert rep.max_abs_error <= 0.05 * scale
+        assert np.max(np.abs(rep.fd - rep.predicted)) <= 0.05 * scale
         assert rep.remainder_bound > 0.0
 
     def test_stationary_target_at_the_reference_is_silent(self):

@@ -368,8 +368,9 @@ class TestEstimateMotion:
         assert rc == 0
         estimates = json.loads(report.read_text())["estimates"]
         assert estimates
+        frame = make_frame(near_traj(), np.zeros(3))
         keys = VelocityEstimate(
-            u=0.0, u_perp=0.0, u_vec=np.zeros(3), rho=np.zeros(3), g_score=0.0
+            u=0.0, u_perp=0.0, rho=np.zeros(3), g_score=0.0, frame=frame
         ).to_dict().keys()
         for estimate in estimates:
             assert estimate.keys() == keys
@@ -542,6 +543,28 @@ class TestRank:
             "two-target", [-4.0, 0.0, 4.0], first_target=(3.0, 2.0, 0.0), second_x=-3.0
         )
         assert rows == [{k: str(v) for k, v in row.items()} for row in expected]
+
+    @pytest.mark.parametrize("epsilon", ["0", "1", "1.5"])
+    def test_epsilon_outside_the_unit_interval_is_a_usage_error(
+        self, tmp_path, epsilon
+    ):
+        out = tmp_path / "ranks.csv"
+        rc = main(
+            [
+                "rank",
+                "--mode",
+                "single-mover",
+                "--values",
+                "1",
+                f"--epsilon={epsilon}",
+                "--out",
+                str(out),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRun:

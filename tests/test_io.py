@@ -139,6 +139,12 @@ class TestImageFiles:
         assert sidecar["provenance"] == "uncompensated"
         assert sidecar["spacing_meters"] == 0.24
 
+    def test_truncated_payload_is_detected(self, tmp_path):
+        path = write_image(tmp_path / "img.bin", np.ones((3, 5)), {})
+        path.write_bytes(path.read_bytes()[:80])
+        with pytest.raises(ValueError, match=r"img\.bin holds 10 samples, expected 15"):
+            read_image(path)
+
 
 class TestPgm:
     def test_header_and_pixel_values(self, tmp_path):

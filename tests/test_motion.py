@@ -1,5 +1,7 @@
 """Velocity scans, mover location, and the peeling pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import flat_scene, near_scene, near_traj
@@ -22,7 +24,8 @@ from sarsep.motion import (
     separate_movers,
     trial_velocity,
 )
-from sarsep.scene import Target, simulate
+from sarsep.scene import Radar, Target, simulate
+from sarsep.signal import AnalyticRows
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*far-field expansions degrade.*:RuntimeWarning",
@@ -66,6 +69,22 @@ class TestGCurve:
     def test_peaks_at_the_mover_range_speed(self, mover_trace):
         grid, values = g_curve(mover_trace, u_grid=np.arange(-1.0, 6.25, 0.25))
         assert grid[np.argmax(values)] == pytest.approx(2.0, abs=0.25)
+
+    def test_a_band_above_nyquist_scans_the_whole_spectrum(self, near_frame):
+        # At 2.1 samples per carrier cycle nu0 + 2B lies above the
+        # Nyquist frequency, so the rows keep every one-sided bin.
+        mover = Target(
+            rho=np.zeros(3), velocity=tuple(compose_velocity(near_frame, 2.0, 5.0))
+        )
+        radar = Radar(dt=1.0 / (2.1 * Radar().nu0))
+        trace = simulate(dataclasses.replace(near_scene([mover]), radar=radar))
+        assert {"nu0", "bandwidth"} <= trace.meta.keys()
+        rows = AnalyticRows(trace)
+        assert rows.k_lo == 0 and rows.bins == rows.count // 2 + 1
+        peaks = find_speed_peaks(
+            *g_curve(trace, u_grid=np.arange(-1.0, 6.25, 0.25)), height_factor=1.05
+        )
+        assert peaks[0][0] == pytest.approx(2.0, abs=0.25)
 
     def test_stationary_scene_peaks_at_zero(self):
         # Keep the targets on the line of sight: a cross-range offset d
@@ -167,38 +186,42 @@ class TestEstimateLocation:
 
 
 class TestVelocityEstimate:
-    def test_frame_consistency_is_enforced(self, near_frame):
-        u_vec = compose_velocity(near_frame, 2.0, 5.0)
-        est = VelocityEstimate(
-            u=2.0, u_perp=5.0, u_vec=u_vec, rho=np.zeros(3),
-            g_score=1.0, frame=near_frame,
+    def test_frame_consistency_is_enforced(self, near_frame, single_mover_run):
+        made = VelocityEstimate(
+            u=2.0, u_perp=-5.3, rho=np.zeros(3), g_score=1.0, frame=near_frame
         )
-        assert est.u == 2.0
-        with pytest.raises(ValueError, match="inconsistent"):
+        for est in (made, *single_mover_run[1].estimates):
+            np.testing.assert_array_equal(
+                est.u_vec, compose_velocity(est.frame, est.u, est.u_perp)
+            )
+            u, u_perp = decompose_velocity(est.frame, est.u_vec)
+            assert u == pytest.approx(est.u, abs=1e-12)
+            assert u_perp == pytest.approx(est.u_perp, abs=1e-12)
+        names = {f.name for f in dataclasses.fields(VelocityEstimate)}
+        assert names == {"u", "u_perp", "rho", "g_score", "frame", "u_vec"}
+        with pytest.raises(TypeError, match="u_vec"):
             VelocityEstimate(
-                u=3.0, u_perp=5.0, u_vec=u_vec, rho=np.zeros(3),
+                u=2.0, u_perp=0.0, u_vec=np.zeros(3), rho=np.zeros(3),
                 g_score=1.0, frame=near_frame,
             )
 
-    def test_vector_shapes_are_checked(self):
-        with pytest.raises(ValueError, match="3-vectors"):
+    def test_vector_shapes_are_checked(self, near_frame):
+        with pytest.raises(ValueError, match="3-vector"):
             VelocityEstimate(
-                u=0.0, u_perp=0.0, u_vec=np.zeros(2), rho=np.zeros(3), g_score=0.0
+                u=0.0, u_perp=0.0, rho=np.zeros(2), g_score=0.0, frame=near_frame
             )
 
-    def test_to_dict_optionally_carries_the_curves(self):
-        grid = np.arange(3.0)
+    def test_to_dict_holds_the_state(self, near_frame):
         est = VelocityEstimate(
-            u=1.0, u_perp=2.0, u_vec=np.array([1.0, 2.0, 0.0]),
-            rho=np.zeros(3), g_score=4.0,
-            g_samples=(grid, grid**2), g_perp_samples=(grid, grid + 1.0),
+            u=1.0, u_perp=2.0, rho=np.ones(3), g_score=4.0, frame=near_frame
         )
-        base = est.to_dict()
-        assert base["u_meters_per_second"] == 1.0
-        assert "g_grid" not in base
-        full = est.to_dict(include_curves=True)
-        assert full["g_grid"] == [0.0, 1.0, 2.0]
-        assert full["g_perp_values"] == [1.0, 2.0, 3.0]
+        assert est.to_dict() == {
+            "u_meters_per_second": 1.0,
+            "u_perp_meters_per_second": 2.0,
+            "u_vec_meters_per_second": est.u_vec.tolist(),
+            "rho_meters": [1.0, 1.0, 1.0],
+            "g_score": 4.0,
+        }
 
 
 @pytest.fixture(scope="module")
