@@ -4,7 +4,9 @@ Runs each hot loop on a desk-scale workload and reports the median
 wall time per call: echo accumulation (``kernels.accumulate_echoes``),
 one model covariance of acceptance 8(b)'s single mover
 (``ranklab.theoretical_covariance``, 1025 x 1025, a 2 m/s range mover
-in the rank studies' frame), backprojection sampling
+in the rank studies' frame) and the numeric rank of that covariance
+(``ranklab.numeric_rank``, solved as two half-order blocks because the
+matrix is symmetric Toeplitz), backprojection sampling
 (``kernels.backproject_block``) on one block of the size ``imaging``
 passes it, one motion-compensated image
 (``imaging.image_points`` on a 167 x 167 grid around scene1's first
@@ -70,6 +72,9 @@ def bench_covariance(repeats, n=1024, speed=2.0):
         repeats,
     )
     print(f"theoretical_covariance {n + 1}x{n + 1}  numpy   {t_numpy * 1e3:8.2f} ms")
+    matrix = ranklab.theoretical_covariance(traj, rho_o, wide, radar, mover)
+    t_numpy = median_time(lambda: ranklab.numeric_rank(matrix), repeats)
+    print(f"numeric_rank {n + 1}x{n + 1}  numpy   {t_numpy * 1e3:8.2f} ms")
 
 
 def backproject_workload(rng, n_rows=87, n_t=2025, upsample=4):

@@ -8,6 +8,12 @@ a pair with alpha_2 / alpha_1 = -g for a positive integer g adds a
 g-slanted Hankel part and its transpose.  The Szego distribution of
 the Toeplitz symbol predicts the numeric rank fraction, which these
 routines compare against ranks computed from the covariance itself.
+
+A symmetric Toeplitz covariance is also persymmetric, so its eigenvalues
+are those of two blocks of half its order (Cantoni and Butler,
+"Eigenvalues and eigenvectors of symmetric centrosymmetric matrices",
+Linear Algebra Appl. 13, 1976); ``numeric_rank`` solves those blocks
+whenever its matrix is exactly symmetric and persymmetric.
 """
 
 from __future__ import annotations
@@ -294,9 +300,64 @@ def symbol(
     return theta, values
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless 0 < epsilon < 1, the only range in
+    which a floor relative to the largest eigenvalue means anything."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
+def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix.
+
+    When the matrix is also exactly persymmetric (J T J = T, with J the
+    exchange matrix), as every symmetric Toeplitz matrix is, it is
+    orthogonally similar to two blocks of half its order (Cantoni and
+    Butler 1976).  With h = n // 2, A = T[:h, :h] and F = T[:h, n-h:] J,
+    the odd block is A - F; the even block is A + F, bordered for odd n
+    by sqrt(2) T[:h, h] and T[h, h].  Any other matrix takes one full
+    ``eigvalsh``.
+    """
+    if not (
+        np.array_equal(matrix, matrix.T)
+        and np.array_equal(matrix, matrix[::-1, ::-1])
+    ):
+        return np.linalg.eigvalsh(matrix)
+    n = matrix.shape[0]
+    h = n // 2
+    a = matrix[:h, :h]
+    f = matrix[:h, n - h :][:, ::-1]
+    even = a + f
+    if n % 2:
+        border = np.sqrt(2.0) * matrix[:h, h : h + 1]
+        even = np.block([[even, border], [border.T, matrix[h : h + 1, h : h + 1]]])
+    halves = (np.linalg.eigvalsh(even), np.linalg.eigvalsh(a - f))
+    return np.sort(np.concatenate(halves))
+
+
 def numeric_rank(matrix: np.ndarray, epsilon: float = 0.01) -> int:
-    """Count of eigenvalues above epsilon times the largest."""
-    eigs = np.linalg.eigvalsh(matrix)
+    """Count of eigenvalues above epsilon times the largest.
+
+    ``matrix`` must be a finite, non-empty, square 2-D array and is
+    read as symmetric.  A matrix that is also exactly persymmetric,
+    such as the Toeplitz covariance of one target, is solved as two
+    half-order blocks (Cantoni and Butler 1976), a quarter of the
+    flops of one full solve, with the same eigenvalues to roundoff.
+    Raises ``ValueError`` unless 0 < epsilon < 1.
+    """
+    _check_epsilon(epsilon)
+    matrix = np.asarray(matrix)
+    if (
+        matrix.ndim != 2
+        or matrix.shape[0] != matrix.shape[1]
+        or matrix.size == 0
+        or not np.all(np.isfinite(matrix))
+    ):
+        raise ValueError(
+            "matrix must be a finite, non-empty, square 2-D array, "
+            f"got shape {matrix.shape}"
+        )
+    eigs = _eigenvalues(matrix)
     top = float(eigs[-1])
     if top <= 0.0:
         return 0
@@ -308,7 +369,9 @@ def szego_fraction(alphas, radar: Radar, ds: float, epsilon: float = 0.01) -> fl
 
     Each slope contributes min(2 |alpha| B ds sqrt(ln 1/eps) / pi, 1);
     contributions add until the spectrum saturates at full rank.
+    Raises ``ValueError`` unless 0 < epsilon < 1.
     """
+    _check_epsilon(epsilon)
     root = np.sqrt(np.log(1.0 / epsilon))
     total = 0.0
     for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
@@ -317,7 +380,11 @@ def szego_fraction(alphas, radar: Radar, ds: float, epsilon: float = 0.01) -> fl
 
 
 def szego_saturation_speed(radar: Radar, ds: float, epsilon: float = 0.01) -> float:
-    """Range speed at which a single mover saturates the rank fraction."""
+    """Range speed at which a single mover saturates the rank fraction.
+
+    Raises ``ValueError`` unless 0 < epsilon < 1.
+    """
+    _check_epsilon(epsilon)
     root = np.sqrt(np.log(1.0 / epsilon))
     return np.pi * C_LIGHT / (4.0 * radar.bandwidth * ds * root)
 
@@ -367,8 +434,7 @@ def rank_study(
     next to the Szego estimate.  Raises ``ValueError`` unless
     0 < epsilon < 1.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     traj, rho_o, aperture = default_rank_frame()
     radar = Radar()
     frame = make_frame(traj, rho_o)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sarsep import ranklab
 from sarsep.geom import Aperture, C_LIGHT, make_frame
 from sarsep.ranklab import (
     alpha_of,
@@ -263,6 +264,101 @@ class TestRankAndSzego:
         assert szego_fraction([alpha_sat], RADAR, APERTURE.ds) == pytest.approx(
             1.0, rel=1e-12
         )
+
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_epsilon_outside_the_unit_interval_is_rejected(self, epsilon):
+        # Left through, epsilon 1.5 makes the fraction nan and epsilon 1
+        # makes the saturation speed infinite by a division by zero.
+        with pytest.raises(ValueError, match="epsilon"):
+            numeric_rank(np.diag([1.0, 0.5]), epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            szego_fraction([1.0], Radar(), 0.015, epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            szego_saturation_speed(Radar(), 0.015, epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            rank_study("single-mover", [1.0], epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.ones(4),
+            np.ones((2, 2, 2)),
+            np.ones((3, 4)),
+            np.zeros((0, 0)),
+            np.array([[1.0, 0.0], [0.0, np.nan]]),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        ],
+        ids=["1-d", "3-d", "non-square", "empty", "nan", "inf"],
+    )
+    def test_numeric_rank_rejects_a_matrix_it_cannot_rank(self, matrix):
+        with pytest.raises(ValueError, match="finite, non-empty, square 2-D"):
+            numeric_rank(matrix)
+
+
+def symmetric_persymmetric(rng, n):
+    """Random matrix that is exactly symmetric and exactly persymmetric."""
+    base = rng.standard_normal((n, n))
+    sym = base + base.T
+    return sym + sym[::-1, ::-1]
+
+
+def full_rank_count(matrix, epsilon=0.01):
+    eigs = np.linalg.eigvalsh(matrix)
+    return int(np.sum(eigs > epsilon * eigs[-1]))
+
+
+class TestPersymmetricSplit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65])
+    def test_half_blocks_give_the_full_spectrum(self, n):
+        rng = np.random.default_rng(n)
+        mat = symmetric_persymmetric(rng, n)
+        expected = np.linalg.eigvalsh(mat)
+        eigs = ranklab._eigenvalues(mat)
+        assert eigs.shape == (n,)
+        assert np.abs(eigs - expected).max() <= 1e-12 * np.abs(expected).max()
+        for epsilon in (0.01, 0.3):
+            assert numeric_rank(mat, epsilon) == full_rank_count(mat, epsilon)
+
+    def test_symmetric_non_persymmetric_matrix_takes_the_full_solve(self):
+        parts = build_structured(
+            TRAJ,
+            RHO_O,
+            APERTURE,
+            RADAR,
+            Target(rho=np.array([0.15, -2.0, 0.0])),
+            Target(rho=np.array([-0.15, 4.0, 0.0])),
+        )
+        # The slanted-Hankel part with beta_12 != 0 breaks persymmetry;
+        # averaging with the transpose makes the sum exactly symmetric.
+        mat = 0.5 * (parts["total"] + parts["total"].T)
+        assert np.array_equal(mat, mat.T)
+        assert not np.array_equal(mat, mat[::-1, ::-1])
+        np.testing.assert_array_equal(
+            ranklab._eigenvalues(mat), np.linalg.eigvalsh(mat)
+        )
+        assert numeric_rank(mat) == full_rank_count(mat)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_persymmetric_non_symmetric_matrix_takes_the_full_solve(self, n):
+        base = np.random.default_rng(3).standard_normal((n, n))
+        mat = base + base[::-1, ::-1]
+        assert np.array_equal(mat, mat[::-1, ::-1])
+        assert not np.array_equal(mat, mat.T)
+        np.testing.assert_array_equal(
+            ranklab._eigenvalues(mat), np.linalg.eigvalsh(mat)
+        )
+
+    def test_rank_slope_ranks_at_n_1024_match_the_full_solve(self):
+        wide = Aperture(n=1024, ds=APERTURE.ds)
+        ranks, full = [], []
+        for u in range(1, 9):
+            target = Target(rho=RHO_O, velocity=np.array([u, 0.0, 0.0]))
+            mat = theoretical_covariance(TRAJ, RHO_O, wide, RADAR, [target])
+            ranks.append(numeric_rank(mat))
+            full.append(full_rank_count(mat))
+        assert ranks == full
+        assert ranks == [89, 176, 264, 350, 438, 524, 611, 708]
 
 
 class TestBandwidthBetaProduct:
