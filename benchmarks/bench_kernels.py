@@ -12,10 +12,13 @@ passes it, one motion-compensated image
 (``imaging.image_points`` on a 167 x 167 grid around scene1's first
 mover, on ``kernels._WORKERS`` threads), one range-speed scan
 (``motion.g_curve`` on scene1 reduced as perfbench reduces it, 87
-pulses by 2025 samples, on ``kernels._WORKERS`` threads and on one), and
-one singular-value-thresholding step of principal component pursuit
-(``rpca._svd_threshold``) on a window of the shape the reduced scene1
-benchmark splits (87 pulses by 617 samples).
+pulses by 2025 samples, on ``kernels._WORKERS`` threads and on one),
+one stationary-echo removal (``annihil.remove_stationary`` on the same
+reduced scene1, at the points ``annihil.locate_stationary`` finds in
+perfbench's 20 m box) and one singular-value-thresholding step of
+principal component pursuit (``rpca._svd_threshold``) on a window of
+the shape the reduced scene1 benchmark splits (87 pulses by 617
+samples).
 
 Usage::
 
@@ -28,7 +31,7 @@ import time
 
 import numpy as np
 
-from sarsep import imaging, kernels, motion, ranklab, rpca, scene
+from sarsep import annihil, imaging, kernels, motion, ranklab, rpca, scene
 from sarsep.geom import Aperture
 from sarsep.presets import preset_scene
 
@@ -135,7 +138,7 @@ def bench_image_points(repeats, extent=40.0, spacing=0.24):
     print(f"image_points {ny}x{nx} numpy   {t_numpy * 1e3:8.2f} ms")
 
 
-def scan_trace():
+def reduced_scene1_trace():
     """scene1 reduced about ninefold, as perfbench's scene1 workloads
     reduce it: positions scaled by 1/8, velocities by 1/2, the middle
     87 pulses and 2.5 fast-time samples per carrier cycle."""
@@ -153,7 +156,7 @@ def scan_trace():
 
 
 def bench_scan(repeats):
-    trace = scan_trace()
+    trace = reduced_scene1_trace()
     trials = motion.g_curve(trace)[0].size
     shape = f"{trace.n + 1}x{trace.m + 1}"
     pooled = kernels._WORKERS
@@ -167,6 +170,17 @@ def bench_scan(repeats):
             f"g_curve {shape} {trials} trials, {workers} worker(s)"
             f"   numpy   {t_numpy * 1e3:8.2f} ms"
         )
+
+
+def bench_remove_stationary(repeats, extent=20.0):
+    trace = reduced_scene1_trace()
+    points = annihil.locate_stationary(trace, extent=extent)
+    t_numpy = median_time(lambda: annihil.remove_stationary(trace, points), repeats)
+    shape = f"{trace.n + 1}x{trace.m + 1}"
+    print(
+        f"remove_stationary {shape} {len(points)} points"
+        f"   numpy   {t_numpy * 1e3:8.2f} ms"
+    )
 
 
 def bench_svt(repeats, shape=(87, 617)):
@@ -188,6 +202,7 @@ def main():
     bench_backproject(args.repeats)
     bench_image_points(args.repeats)
     bench_scan(args.repeats)
+    bench_remove_stationary(args.repeats)
     bench_svt(args.repeats)
 
 

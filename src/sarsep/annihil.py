@@ -18,6 +18,7 @@ movers, which cross the point's delay in a few rows only, pass through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,13 +454,92 @@ def _median_rows(rows: np.ndarray) -> np.ndarray:
     return (part[half - 1] + part[half]) / 2
 
 
+#: Golden-section fraction (3 - sqrt 5) / 2 of the bounded search.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+#: Relative resolution in x of the bounded search.
+_SQRT_EPS = math.sqrt(2.2e-16)
+#: Evaluation cap of the bounded search.
+_MAX_EVALUATIONS = 500
+
+
+def _bounded_minimum(func, lo: float, hi: float, xatol: float):
+    """Local minimum of ``func`` on [lo, hi]: (x, func(x), evaluations).
+
+    Brent's search without derivatives (Brent, "Algorithms for
+    Minimization without Derivatives", 1973, ch. 5; ``fmin`` of
+    Forsythe, Malcolm and Moler, 1977): x is the best point so far, w
+    the second best and v the previous w.  The vertex of the parabola
+    through the three is the next trial where it lies inside the bracket
+    [a, b] and moves x less than half the step before last; a
+    golden-section step into the larger part of the bracket is taken
+    otherwise.  No trial lies closer than tol1 to x.  The search stops
+    when x is within about ``xatol`` of the bracket's middle, or after
+    500 evaluations.  These are the constants, the step order and the
+    tie rules of ``scipy.optimize.minimize_scalar(method="bounded")``,
+    so both evaluate ``func`` at the same points and return the same x.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = func(x)
+    count = 1
+    step = previous = 0.0
+    mid = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - mid) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(previous) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, previous = previous, step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                step = p / q
+                u = x + step
+                if u - a < tol2 or b - u < tol2:
+                    step = tol1 if mid >= x else -tol1
+        if golden:
+            previous = (a if x >= mid else b) - x
+            step = _GOLDEN * previous
+        size = max(abs(step), tol1)
+        u = x + size if step >= 0.0 else x - size
+        fu = func(u)
+        count += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if count >= _MAX_EVALUATIONS:
+            break
+    return x, fx, count
+
+
 def _refine_cross_range(trace, win: _PointWindow, origin, cross, span):
     """Point within +-span of ``origin`` along ``cross`` where the
     per-sample median fits the rows of ``win``, straightened at
     ``origin``, best (least absolute deviation)."""
-    # Imported here so that ``import sarsep`` does not load scipy.
-    from scipy.optimize import minimize_scalar
-
     start, stop = trace.valid_rows
     base = _track_delays(trace, origin, None)[start:stop]
 
@@ -471,10 +551,8 @@ def _refine_cross_range(trace, win: _PointWindow, origin, cross, span):
     # Bounded Brent, not a sampled grid: a 9-point grid plus parabola or a
     # golden-section search at this tolerance lowered the mover
     # correlations of the scene1 pipeline (0.9964 -> 0.9944 / 0.9949).
-    best = minimize_scalar(
-        misfit, bounds=(-span, span), method="bounded", options={"xatol": 1e-2 * span}
-    )
-    return origin + best.x * cross
+    offset = _bounded_minimum(misfit, -span, span, 1e-2 * span)[0]
+    return origin + offset * cross
 
 
 def _split_off(trace: TraceMatrix, rest: np.ndarray, points) -> StationaryRemoval:
@@ -501,9 +579,10 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
     point's delay locus and subtracted.  Before that the point is moved
     along cross-range, within ``REFINE_SPAN`` cross-range cells of where
     it was given, to where the median fits the straightened rows best
-    (least absolute deviation): neighbors' sidelobes bias image peaks by
-    about a tenth of a cell, which would leave a tilted residue the
-    median cannot take out.  ``REMOVAL_SWEEPS`` sweeps run over the
+    (least absolute deviation, found by a bounded Brent search to 1% of
+    the span, ``_bounded_minimum``): neighbors' sidelobes bias image
+    peaks by about a tenth of a cell, which would leave a tilted residue
+    the median cannot take out.  ``REMOVAL_SWEEPS`` sweeps run over the
     points; each adds a point's previous estimate back first, so later
     sweeps see every other point removed.
 

@@ -143,7 +143,9 @@ def theoretical_covariance(
     same-target pairs have psi = alpha_j (a - b) ds, which depends on
     a - b alone: their sum is the Toeplitz matrix of
     ``toeplitz_sequence``, built from one kernel value per lag.  The
-    cross-target pairs take one kernel value per entry.
+    kernel is even in psi, so the pair (k, j) is the transpose of the
+    pair (j, k): each unordered cross-target pair takes one kernel value
+    per entry and adds its transpose, and the sum is exactly symmetric.
     """
     s = aperture.times
     alphas = [alpha_of(traj, rho_o, t, linearize) for t in targets]
@@ -151,11 +153,12 @@ def theoretical_covariance(
     amps = [t.amplitude for t in targets]
     y = toeplitz_sequence(alphas, amps, s.size, aperture.ds, radar)
     out = _toeplitz(y)
-    for j, (alpha_j, beta_j, amp_j) in enumerate(zip(alphas, betas, amps)):
-        for k, (alpha_k, beta_k, amp_k) in enumerate(zip(alphas, betas, amps)):
-            if j != k:
-                psi = alpha_j * s[:, None] - alpha_k * s[None, :] + (beta_j - beta_k)
-                out += _pair_kernel(radar, amp_j * amp_k, psi)
+    for j in range(len(alphas)):
+        for k in range(j + 1, len(alphas)):
+            psi = alphas[j] * s[:, None] - alphas[k] * s[None, :]
+            psi += betas[j] - betas[k]
+            cross = _pair_kernel(radar, amps[j] * amps[k], psi)
+            out += cross + cross.T
     return out
 
 
@@ -255,7 +258,7 @@ def build_structured(
     return {
         "toeplitz": toeplitz,
         "hankel": hankel,
-        "total": toeplitz + hankel + hankel.T,
+        "total": toeplitz + (hankel + hankel.T),
         "y": y,
         "h": h,
         "g": g,

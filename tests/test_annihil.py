@@ -5,10 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import compressed_trace, near_traj
+from scipy.optimize import minimize_scalar
 
+from sarsep import annihil
 from sarsep.annihil import (
     AnnihilationPlan,
     AnnihilationStage,
+    _bounded_minimum,
     _median_rows,
     annihilate,
     cross_range_cell,
@@ -354,6 +357,66 @@ class TestStationaryRemoval:
         assert out.stationary.tag == out.rest.tag == "filtered"
         assert out.stationary.meta["part"] == "stationary"
         assert out.rest.meta["part"] == "rest"
+
+
+def scipy_bounded(func, lo, hi, xatol):
+    """(x, fun, nfev) of scipy's bounded Brent search, the reference."""
+    res = minimize_scalar(
+        func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+    )
+    return res.x, res.fun, res.nfev
+
+
+class TestBoundedMinimum:
+    CASES = {
+        "parabola": (lambda x: (x - 0.3) ** 2, -1.0, 1.0, 1e-5),
+        "quartic": (lambda x: (x - 2.0) * x * (x + 2.0) ** 2, -3.0, -1.0, 1e-5),
+        "cosine": (lambda x: float(np.cos(3.0 * x) + 0.2 * x), -2.0, 2.0, 1e-8),
+        "coarse": (lambda x: (x - 0.11) ** 2 + 0.01 * x**4, -0.39, 0.39, 3.9e-3),
+        "kink": (lambda x: abs(x - 0.123), -1.0, 1.0, 1e-5),
+        "kink-coarse": (lambda x: abs(x + 0.2), -0.39, 0.39, 3.9e-3),
+        "two-kinks": (lambda x: abs(x - 0.4) + 0.5 * abs(x + 0.3), -1.0, 1.0, 1e-6),
+        "kink-exact": (lambda x: abs(x), -0.39, 0.39, 0.0),
+        "flat-bottom": (lambda x: max(abs(x) - 0.2, 0.0), -0.39, 0.39, 0.0),
+        "staircase": (lambda x: float(np.floor(100.0 * abs(x - 0.5))), -1.0, 1.0, 0.0),
+        "constant": (lambda x: 1.0, -1.0, 1.0, 1e-5),
+        "narrow": (lambda x: (x - 0.3) ** 2, 0.0, 1e-6, 1e-5),
+        "lower-bound": (lambda x: x, -1.0, 1.0, 1e-5),
+        "upper-bound": (lambda x: -np.exp(x), -0.5, 2.0, 1e-5),
+        "evaluation-cap": (lambda x: x * x, -1.0, 1.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_scipy_bounded_search(self, case):
+        func, lo, hi, xatol = self.CASES[case]
+        assert _bounded_minimum(func, lo, hi, xatol) == scipy_bounded(
+            func, lo, hi, xatol
+        )
+
+    def test_bounds_and_the_evaluation_cap(self):
+        x = _bounded_minimum(*self.CASES["lower-bound"])[0]
+        assert -1.0 < x <= -1.0 + 1e-5
+        x = _bounded_minimum(*self.CASES["upper-bound"])[0]
+        assert 2.0 - 1e-5 <= x < 2.0
+        assert _bounded_minimum(*self.CASES["evaluation-cap"])[2] == 500
+
+    def test_equals_scipy_on_recorded_removal_misfits(
+        self, flat_scene_builder, monkeypatch
+    ):
+        calls = []
+
+        def recorded(func, lo, hi, xatol):
+            out = _bounded_minimum(func, lo, hi, xatol)
+            calls.append((func, lo, hi, xatol, out))
+            return out
+
+        monkeypatch.setattr(annihil, "_bounded_minimum", recorded)
+        mixture, _, _ = TestStationaryRemoval.crossing_scene(flat_scene_builder)
+        start = TestStationaryRemoval.POINT + np.array([0.0, 0.3, 0.0])
+        remove_stationary(mixture, [start])
+        assert len(calls) == annihil.REMOVAL_SWEEPS
+        for func, lo, hi, xatol, out in calls:
+            assert out == scipy_bounded(func, lo, hi, xatol)
 
 
 class TestEnergyRatio:
