@@ -15,10 +15,12 @@ mover, on ``kernels._WORKERS`` threads), one range-speed scan
 pulses by 2025 samples, on ``kernels._WORKERS`` threads and on one),
 one stationary-echo removal (``annihil.remove_stationary`` on the same
 reduced scene1, at the points ``annihil.locate_stationary`` finds in
-perfbench's 20 m box) and one singular-value-thresholding step of
-principal component pursuit (``rpca._svd_threshold``) on a window of
-the shape the reduced scene1 benchmark splits (87 pulses by 617
-samples).
+perfbench's 20 m box), one peel of the first mover
+(``motion._peel``: straighten, split one 617-sample window, take the
+mover back; on what that removal leaves of the reduced scene1, at the
+pipeline's first-round estimate) and one singular-value-thresholding
+step of principal component pursuit (``rpca._svd_threshold``) on a
+window of the shape the peel splits (87 pulses by 617 samples).
 
 Usage::
 
@@ -28,6 +30,7 @@ Usage::
 import argparse
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 
@@ -183,6 +186,21 @@ def bench_remove_stationary(repeats, extent=20.0):
     )
 
 
+def bench_peel(repeats, extent=20.0):
+    trace = reduced_scene1_trace()
+    points = annihil.locate_stationary(trace, extent=extent)
+    rest = annihil.remove_stationary(trace, points).rest
+    u, score = motion.find_speed_peaks(*motion.g_curve(rest))[0]
+    with warnings.catch_warnings():
+        # Its location images sample outside the gate, as the pipeline's do.
+        warnings.filterwarnings("ignore", ".*outside the fast-time gate", RuntimeWarning)
+        scan = motion.estimate_motion(rest, u, score, extent=extent)
+    t_numpy = median_time(lambda: motion._peel(rest, scan), repeats)
+    ((a, b),) = [w["columns"] for w in motion._peel(rest, scan)[1].diagnostics]
+    shape = f"{trace.n + 1}x{trace.m + 1}"
+    print(f"peel {shape} window {b - a}   numpy   {t_numpy * 1e3:8.2f} ms")
+
+
 def bench_svt(repeats, shape=(87, 617)):
     window = np.random.default_rng(2).standard_normal(shape)
     # Keeps about a tenth of the singular values.
@@ -203,6 +221,7 @@ def main():
     bench_image_points(args.repeats)
     bench_scan(args.repeats)
     bench_remove_stationary(args.repeats)
+    bench_peel(args.repeats)
     bench_svt(args.repeats)
 
 

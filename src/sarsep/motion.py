@@ -7,8 +7,8 @@ cross-range speed is then found at a fixed range speed by minimizing
 the residual of a second slow-time difference after straightening at
 the mover's location.  The pipeline first removes the echoes of
 stationary points located in a preliminary image, then peels movers
-off one at a time with a windowed low-rank/sparse split in the
-straightened coordinates.
+off one at a time with a low-rank/sparse split of one fast-time window
+around the straightened mover.
 """
 
 from __future__ import annotations
@@ -39,7 +39,13 @@ from .imaging import (
     peak_extract,
 )
 from .kernels import _in_chunks
-from .rpca import separate_windowed
+from .rpca import (
+    SeparationResult,
+    WindowLayout,
+    _default_layout,
+    _separate_spans,
+    separate_windowed,
+)
 from .signal import AnalyticRows, TraceMatrix
 
 __all__ = [
@@ -289,8 +295,10 @@ class MoverSeparation:
     removal; ``movers[i]`` is the trace attributed to ``estimates[i]``;
     ``residual`` is what remains after peeling every mover.
     ``diagnostics["windows"]`` holds the per-window solver records of
-    each windowed split, in order, ``diagnostics["feasibility"]`` the
-    worst split's feasibility, and ``diagnostics["max_shift_frac"]`` the
+    each split, in order: the stand-in split's windows, if it ran, then
+    one record per peel, whose ``columns`` give the peel's window in
+    gate coordinates.  ``diagnostics["feasibility"]`` is the worst
+    split's feasibility and ``diagnostics["max_shift_frac"]`` the
     largest straightening shift of a peel as a fraction of the gate.
     ``low``, the movers and ``residual`` sum to the input.
     """
@@ -311,6 +319,36 @@ def _refine_speed(trace: TraceMatrix, u: float) -> tuple[float, float]:
     return float(u), float(values[i])
 
 
+def _peel_span(trace: TraceMatrix) -> tuple[int, int]:
+    """Columns of the peel's one window, in gate coordinates.
+
+    The window has ``rpca.choose_window``'s default length (16/B).  It is
+    centred on the column nearest differential delay t = 0, where a
+    straightened mover sits, and moved inward to lie inside the gate; a
+    gate no longer than one window is taken whole.
+    """
+    length = _default_layout(trace).length
+    centre = int(np.argmin(np.abs(trace.t_times)))
+    start = min(max(centre - length // 2, 0), trace.m + 1 - length)
+    return start, start + length
+
+
+def _peel(
+    trace: TraceMatrix, scan: VelocityEstimate
+) -> tuple[TraceMatrix, SeparationResult]:
+    """The trace of the mover at ``scan``, and the split it came from.
+
+    The trace is straightened along the mover's track and one window
+    around t = 0 (``_peel_span``) is split by principal component
+    pursuit.  Its low-rank part, zero outside the window, is the
+    straightened mover; it is taken back to scene coordinates.
+    """
+    straightened = tt_forward(trace, scan.rho, scan.u_vec)
+    a, b = _peel_span(straightened)
+    split = _separate_spans(straightened, WindowLayout(b - a, 0), [(a, b)])
+    return tt_inverse(split.low, scan.rho, scan.u_vec), split
+
+
 def separate_movers(
     trace: TraceMatrix,
     max_movers: int = 2,
@@ -322,11 +360,16 @@ def separate_movers(
     in a preliminary image over a box of side ``extent`` and their echoes
     taken out by ``annihil.remove_stationary``.  Each round then scans
     the remainder for the strongest range-speed peak, locates the mover,
-    estimates its cross-range speed, and peels its trace by a windowed
-    low-rank/sparse split in the straightened coordinates, which also
-    leaves behind whatever clutter the removal missed.  No windowed
-    split runs between the removal and the peels: with the stationary
-    echoes gone it would only move mover energy into its low-rank part.
+    estimates its cross-range speed, and peels its trace: the remainder
+    is straightened along the mover's track, which brings the mover to
+    t = 0, and one window of ``rpca.choose_window``'s length around
+    t = 0 is split by principal component pursuit (the whole gate, if it
+    is no longer than one window).  The low-rank part of that window is
+    the straightened mover; the sparse part holds whatever clutter the
+    removal missed, and the columns outside the window stay in the
+    remainder unchanged.  No windowed split runs between the removal
+    and the peels: with the stationary echoes gone it would only move
+    mover energy into its low-rank part.
     Where the preliminary image locates no stationary points (see
     ``annihil.locate_stationary``), the split of
     ``rpca.separate_windowed`` stands in for the removal.  The speeds
@@ -363,11 +406,9 @@ def separate_movers(
         scan = estimate_motion(residual, u, score, extent=extent)
         delays = _track_delays(residual, scan.rho, scan.u_vec)
         max_shift_frac = max(max_shift_frac, float(np.max(np.abs(delays))) / gate)
-        straightened = tt_forward(residual, scan.rho, scan.u_vec)
-        peel = separate_windowed(straightened)
+        mover, peel = _peel(residual, scan)
         splits.append(peel.diagnostics)
         feasibility = max(feasibility, peel.feasibility)
-        mover = tt_inverse(peel.low, scan.rho, scan.u_vec)
         residual = residual.replace(data=residual.data - mover.data)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.

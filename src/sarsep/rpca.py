@@ -250,30 +250,51 @@ def separate_windowed(
     """
     if not trace.compressed:
         raise ValueError("separation expects range-compressed traces")
-    n_cols = trace.m + 1
     if layout is None:
-        bandwidth = trace.meta.get("bandwidth")
-        if bandwidth is None:
-            raise ValueError(
-                "trace metadata lacks a bandwidth; pass an explicit layout"
-            )
-        layout = choose_window(n_cols, bandwidth, trace.axis.dt)
+        layout = _default_layout(trace)
+    return _separate_spans(
+        trace, layout, layout.spans(trace.m + 1), eta, tol, max_iter
+    )
+
+
+def _default_layout(trace: TraceMatrix) -> WindowLayout:
+    """``choose_window`` for the bandwidth recorded in the trace metadata."""
+    bandwidth = trace.meta.get("bandwidth")
+    if bandwidth is None:
+        raise ValueError("trace metadata lacks a bandwidth; pass an explicit layout")
+    return choose_window(trace.m + 1, bandwidth, trace.axis.dt)
+
+
+def _separate_spans(
+    trace: TraceMatrix,
+    layout: WindowLayout,
+    spans: list[tuple[int, int]],
+    eta: float | None = None,
+    tol: float = 1e-7,
+    max_iter: int = 1000,
+) -> SeparationResult:
+    """``separate_windowed`` over the contiguous column ``spans`` only.
+
+    Both parts are zero in the columns outside the spans, and the
+    feasibility is measured over the columns inside them.  The window
+    records give their columns in gate coordinates.
+    """
+    lo, hi = spans[0][0], spans[-1][1]
     start, stop = trace.valid_rows
-    rows = trace.data[start:stop]
+    rows = trace.data[start:stop, lo:hi]
     acc_low = np.zeros_like(rows)
     acc_sparse = np.zeros_like(rows)
-    acc_weight = np.zeros(n_cols)
+    acc_weight = np.zeros(hi - lo)
     diagnostics = []
-    for w_index, (a, b) in enumerate(layout.spans(n_cols)):
+    for w_index, (a, b) in enumerate(spans):
+        cols = slice(a - lo, b - lo)
         started = time.perf_counter()
-        solution = pcp_solve(
-            rows[:, a:b], eta=eta, tol=tol, max_iter=max_iter
-        )
+        solution = pcp_solve(rows[:, cols], eta=eta, tol=tol, max_iter=max_iter)
         seconds = time.perf_counter() - started
         weights = _crossfade_weights(b - a, layout.overlap if b - a == layout.length else 0)
-        acc_low[:, a:b] += solution.low * weights
-        acc_sparse[:, a:b] += solution.sparse * weights
-        acc_weight[a:b] += weights
+        acc_low[:, cols] += solution.low * weights
+        acc_sparse[:, cols] += solution.sparse * weights
+        acc_weight[cols] += weights
         diagnostics.append(
             {
                 "window": w_index,
@@ -290,8 +311,8 @@ def separate_windowed(
     acc_sparse /= acc_weight
     low_full = np.zeros_like(trace.data)
     sparse_full = np.zeros_like(trace.data)
-    low_full[start:stop] = acc_low
-    sparse_full[start:stop] = acc_sparse
+    low_full[start:stop, lo:hi] = acc_low
+    sparse_full[start:stop, lo:hi] = acc_sparse
     gap = float(np.linalg.norm(rows - acc_low - acc_sparse))
     denom = float(np.linalg.norm(rows))
     feasibility = gap / denom if denom > 0.0 else 0.0

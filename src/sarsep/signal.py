@@ -18,9 +18,12 @@ inverses, and slow-time differences commute with them, so
 back are safe on their own terms: ``range_expand`` widens its gate,
 since its output is read by absolute delay; ``annihil._PointWindow``
 reads rows by integer offset; and the speed scans' scores do not
-change under a circular shift.  The peel's windowed split is the one
-reader that sees wrapped columns, and padding its gate measured no
-better.
+change under a circular shift.  The peel (``motion._peel``) splits only
+one window of ``rpca.choose_window``'s length around t = 0, so it sees
+wrapped columns only if a straightening shift exceeds the window's
+distance to the gate edge, (gate - window)/2 for a centred window;
+``separate_movers`` records its largest shift as a fraction of the gate
+in ``diagnostics["max_shift_frac"]``.
 """
 
 from __future__ import annotations

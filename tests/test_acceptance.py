@@ -359,6 +359,7 @@ def test_criterion_7_end_to_end_scene():
                 "corr": corr,
                 "u_err": est.u - u_true,
                 "u_perp_err": est.u_perp - u_perp_true,
+                "rho_err": float(np.linalg.norm(est.rho - truth_rho)),
                 "focus": ratio,
             }
         )
@@ -372,7 +373,8 @@ def test_criterion_7_end_to_end_scene():
     ok_time = elapsed <= 600.0
     detail = ", ".join(
         f"mover{k + 1} corr {m['corr']:.4f} u err {m['u_err']:+.4f} "
-        f"u_perp err {m['u_perp_err']:+.4f} focus {m['focus']:.1f}x"
+        f"u_perp err {m['u_perp_err']:+.4f} rho err {m['rho_err']:.3f} m "
+        f"focus {m['focus']:.1f}x"
         for k, m in enumerate(per_mover)
     )
     record_acceptance(

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import flat_scene, near_scene, near_traj
+from conftest import compressed_trace, flat_scene, near_scene, near_traj
 
 from sarsep import kernels, motion
 from sarsep.geom import (
@@ -24,8 +24,9 @@ from sarsep.motion import (
     separate_movers,
     trial_velocity,
 )
+from sarsep.rpca import choose_window
 from sarsep.scene import Radar, Target, simulate
-from sarsep.signal import AnalyticRows
+from sarsep.signal import AnalyticRows, FastTimeAxis
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*far-field expansions degrade.*:RuntimeWarning",
@@ -305,3 +306,43 @@ class TestSeparateMovers:
         # The near-range image locates no points, so the windowed split
         # stands in for the removal, over the caller's box only.
         assert single_mover_run[2] == [12.0]
+
+
+class TestPeelWindow:
+    def test_a_long_gate_is_peeled_in_one_window_around_t0(self):
+        # Points 12 m apart in range widen the gate to about four windows.
+        mover = Target(rho=np.zeros(3), velocity=(3.0, 0.0, 0.0), amplitude=2.0)
+        trace = simulate(
+            flat_scene([(-6.0, 1.0, 0.0), (6.0, -1.0, 0.0), mover], n=64)
+        )
+        n_cols = trace.m + 1
+        length = choose_window(n_cols, trace.meta["bandwidth"], trace.axis.dt).length
+        assert 3 * length < n_cols
+        sep = separate_movers(trace, max_movers=1, extent=16.0)
+        # The removal route runs no split of its own: the one record is the peel.
+        ((window,),) = sep.diagnostics["windows"]
+        a, b = window["columns"]
+        assert b - a == length
+        assert 0 <= a and b <= n_cols
+        assert a <= int(np.argmin(np.abs(trace.t_times))) < b
+        assert sep.estimates[0].u == pytest.approx(3.0, abs=0.1)
+
+    def test_a_short_gate_is_split_whole(self):
+        trace = simulate(flat_scene([(1.0, 0.0, 0.0)], n=64))
+        n_cols = trace.m + 1
+        assert choose_window(n_cols, trace.meta["bandwidth"], trace.axis.dt).length == n_cols
+        sep = separate_movers(trace, extent=12.0)
+        assert sep.movers
+        for peel in sep.diagnostics["windows"]:
+            assert [w["columns"] for w in peel] == [[0, n_cols]]
+
+    @pytest.mark.parametrize(
+        "zero_column, expected", [(1000, (692, 1309)), (10, (0, 617)), (3000, (1408, 2025))]
+    )
+    def test_the_window_is_moved_inside_the_gate(self, zero_column, expected):
+        dt = 1.0 / (2.5 * Radar().nu0)
+        axis = FastTimeAxis(m=2024, dt=dt, t_center=(1012 - zero_column) * dt)
+        trace = compressed_trace(
+            np.zeros((9, 2025)), meta={"bandwidth": Radar().bandwidth}
+        ).replace(axis=axis)
+        assert motion._peel_span(trace) == expected
