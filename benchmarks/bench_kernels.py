@@ -10,9 +10,11 @@ matrix is symmetric Toeplitz), backprojection sampling
 (``kernels.backproject_block``) on one block of the size ``imaging``
 passes it, one motion-compensated image
 (``imaging.image_points`` on a 167 x 167 grid around scene1's first
-mover, on ``kernels._WORKERS`` threads), one range-speed scan
-(``motion.g_curve`` on scene1 reduced as perfbench reduces it, 87
-pulses by 2025 samples, on ``kernels._WORKERS`` threads and on one),
+mover), one range-speed scan (``motion.g_curve`` on scene1 reduced as
+perfbench reduces it, 87 pulses by 2025 samples) and one cross-speed
+scan on the same trace (``motion.g_perp_curve`` through the reference
+point at the strongest g(u) peak's range speed), each on
+``kernels._WORKERS`` threads and on one;
 one stationary-echo removal (``annihil.remove_stationary`` on the same
 reduced scene1, at the points ``annihil.locate_stationary`` finds in
 perfbench's 20 m box), one peel of the first mover
@@ -127,6 +129,20 @@ def bench_backproject(repeats):
     print(f"backproject_block  numpy   {t_numpy * 1e3:8.2f} ms")
 
 
+def pooled_and_alone(func, repeats):
+    """Median times of ``func()`` on ``kernels._WORKERS`` threads and on
+    one, as (workers, seconds) pairs."""
+    pooled = kernels._WORKERS
+    times = []
+    for workers in (pooled, 1):
+        kernels._WORKERS = workers
+        try:
+            times.append((workers, median_time(func, repeats)))
+        finally:
+            kernels._WORKERS = pooled
+    return times
+
+
 def bench_image_points(repeats, extent=40.0, spacing=0.24):
     spec = preset_scene("scene1")
     mover = spec.moving_targets[0]
@@ -136,9 +152,14 @@ def bench_image_points(repeats, extent=40.0, spacing=0.24):
     )
     points = grid.points()
     u_vec = mover.velocity
-    t_numpy = median_time(lambda: imaging.image_points(trace, points, u_vec), repeats)
     ny, nx = grid.shape
-    print(f"image_points {ny}x{nx} numpy   {t_numpy * 1e3:8.2f} ms")
+    for workers, t_numpy in pooled_and_alone(
+        lambda: imaging.image_points(trace, points, u_vec), repeats
+    ):
+        print(
+            f"image_points {ny}x{nx}, {workers} worker(s)"
+            f"   numpy   {t_numpy * 1e3:8.2f} ms"
+        )
 
 
 def reduced_scene1_trace():
@@ -160,19 +181,21 @@ def reduced_scene1_trace():
 
 def bench_scan(repeats):
     trace = reduced_scene1_trace()
-    trials = motion.g_curve(trace)[0].size
     shape = f"{trace.n + 1}x{trace.m + 1}"
-    pooled = kernels._WORKERS
-    for workers in (pooled, 1):
-        kernels._WORKERS = workers
-        try:
-            t_numpy = median_time(lambda: motion.g_curve(trace), repeats)
-        finally:
-            kernels._WORKERS = pooled
-        print(
-            f"g_curve {shape} {trials} trials, {workers} worker(s)"
-            f"   numpy   {t_numpy * 1e3:8.2f} ms"
-        )
+    # The cross-speed scan at the range speed of the strongest g(u) peak,
+    # through the reference point.
+    u = motion.find_speed_peaks(*motion.g_curve(trace))[0][0]
+    scans = {
+        "g_curve": lambda: motion.g_curve(trace),
+        "g_perp_curve": lambda: motion.g_perp_curve(trace, trace.rho_o, u),
+    }
+    for name, scan in scans.items():
+        trials = scan()[0].size
+        for workers, t_numpy in pooled_and_alone(scan, repeats):
+            print(
+                f"{name} {shape} {trials} trials, {workers} worker(s)"
+                f"   numpy   {t_numpy * 1e3:8.2f} ms"
+            )
 
 
 def bench_remove_stationary(repeats, extent=20.0):

@@ -48,10 +48,12 @@ _ZERO3 = np.zeros(3)
 _UPSAMPLE = 4
 
 #: Points per backprojection block.  Every worker holds one block's
-#: per-sample arrays (about 150 bytes per sample) at a time, so the size
-#: is set by per-worker memory: a call's at most four threads hold no
-#: more samples than one thread with 1024-point blocks, while larger
-#: blocks image a 167 x 167 grid up to 15% faster.
+#: per-sample arrays at a time: about 120 bytes per sample when every
+#: (pulse, point) pair is in the gate, 75 when half are (the delays'
+#: 8 bytes and ``kernels.backproject_block``'s peak).  So the size is set
+#: by per-worker memory: a call's at most four threads hold no more
+#: samples than one thread with 1024-point blocks, while larger blocks
+#: image a 167 x 167 grid up to 15% faster.
 _BLOCK = 256
 
 

@@ -7,6 +7,9 @@ addition from one cos/sin table that all echoes of a call share and
 one cos/sin per echo, so its only per-sample transcendental is the
 envelope's ``exp``; on the preset scenes it matches a direct
 per-sample evaluation to about 2e-12 of the trace's peak.
+``backproject_block`` samples only a block's in-gate (row, pixel)
+pairs and sums them per pixel in row order, by a scatter into a zeroed
+block and one sum over its rows.
 ``benchmarks/bench_kernels.py`` times both kernels on desk-scale
 inputs.
 
@@ -155,12 +158,15 @@ def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
 def backproject_block(rows, t0, dt, dtau):
     """Sum cubic-interpolated samples of complex rows at per-pixel delays.
 
-    Only the in-gate (row, pixel) pairs are sampled: ``np.nonzero``
-    compacts them in row-major order, the four-tap cubic weights and
-    the four gathers from the flattened rows run on those pairs alone,
-    and ``np.bincount`` sums them per pixel, real and imaginary parts
-    separately.  Each pixel's samples are added in row order, and
-    out-of-gate pairs add nothing.
+    Only the in-gate (row, pixel) pairs are sampled: one
+    ``np.flatnonzero`` compacts them in row-major order, and the
+    four-tap cubic weights and the four ``take``s from the flattened
+    rows run on those pairs alone.  The weighted samples are scattered
+    into a zeroed rows x pixels block and summed over its rows, so each
+    pixel's samples are added in row order and out-of-gate pairs add
+    nothing.  The block has one spare zero column: with a single pixel,
+    numpy would otherwise sum the rows as one pairwise reduction, in
+    another order.
 
     Parameters
     ----------
@@ -181,19 +187,28 @@ def backproject_block(rows, t0, dt, dtau):
     """
     n_rows, n_pix = dtau.shape
     width = rows.shape[1]
-    x = (dtau - t0) / dt
-    base = np.floor(x)
-    row, pix = np.nonzero((base >= 1.0) & (base <= width - 3))
-    x = x[row, pix]
-    base = base[row, pix]
-    frac = x - base
-    start = row * width + base.astype(np.int64)
+    x = dtau - t0
+    x /= dt
+    # floor(x) lies in [1, M - 3] exactly when x lies in [1, M - 2).
+    inside = x >= 1.0
+    inside &= x < width - 2.0
+    keep = np.flatnonzero(inside)
+    frac = x.take(keep)
+    base = np.floor(frac)
+    frac -= base
+    row = keep // n_pix
+    # Flat index of each pair's first tap, base - 1 on its row.
+    first = row * width
+    first += base.astype(np.int64)
+    first -= 1
+    fp1, fm1, fm2 = frac + 1.0, frac - 1.0, frac - 2.0
     flat = rows.reshape(-1)
-    vals = (-frac * (frac - 1.0) * (frac - 2.0) / 6.0) * flat.take(start - 1)
-    vals += ((frac + 1.0) * (frac - 1.0) * (frac - 2.0) / 2.0) * flat.take(start)
-    vals += (-(frac + 1.0) * frac * (frac - 2.0) / 2.0) * flat.take(start + 1)
-    vals += ((frac + 1.0) * frac * (frac - 1.0) / 6.0) * flat.take(start + 2)
-    acc = np.empty(n_pix, dtype=complex)
-    acc.real = np.bincount(pix, weights=vals.real, minlength=n_pix)
-    acc.imag = np.bincount(pix, weights=vals.imag, minlength=n_pix)
-    return acc, n_rows - np.bincount(pix, minlength=n_pix)
+    vals = (-frac * fm1 * fm2 / 6.0) * flat.take(first)
+    vals += (fp1 * fm1 * fm2 / 2.0) * flat[1:].take(first)
+    vals += (-fp1 * frac * fm2 / 2.0) * flat[2:].take(first)
+    vals += (fp1 * frac * fm1 / 6.0) * flat[3:].take(first)
+    block = np.zeros((n_rows, n_pix + 1), dtype=complex)
+    # Row r's pairs move r places on in the one column wider block.
+    keep += row
+    block.reshape(-1)[keep] = vals
+    return block.sum(axis=0)[:n_pix], n_rows - inside.sum(axis=0)

@@ -86,8 +86,13 @@ def _default_speed_grid(trace: TraceMatrix, step: float) -> np.ndarray:
     return np.arange(-top, top + 0.5 * step, step)
 
 
-#: Trials whose rows one FFT call shifts together in a scan.
-_SCAN_BATCH = 2
+#: Trials whose rows one FFT call shifts and one score call scores
+#: together in a scan.  Each thread holds about two batches of shifted
+#: rows at a time (the FFT's input and output), 1.2 MB each on
+#: perfbench's reduced scene1 at 4 trials.  On its mover-focus workload,
+#: 8 trials ran no faster than 4 and raised the peak memory about 9%
+#: over 2 trials, against about 3% at 4.
+_SCAN_BATCH = 4
 
 
 def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
@@ -97,9 +102,11 @@ def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     The trials are independent: ``kernels._in_chunks`` gives each CPU a
     contiguous run of them, on threads that this call starts and joins
     before it returns.  Each thread takes ``_SCAN_BATCH`` trials at a
-    time, with one ``delta_tau_moving`` call and one FFT call per
-    batch.  Each score sees one trial's rows, so the curve does not
-    depend on the chunks or the batches.
+    time, with one ``delta_tau_moving`` call, one phase ramp and one
+    FFT call per batch.  ``score`` maps the batch's shifted rows, shape
+    (trials, rows, samples), to one value per trial, and reduces each
+    trial's rows in the same order whatever the batch holds, so the
+    curve does not depend on the chunks or the batches.
     """
     if not trace.compressed:
         raise ValueError("speed scans expect range-compressed traces")
@@ -109,14 +116,15 @@ def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     velocities = np.reshape(velocities, (-1, 1, 3))
 
     def part(a, b):
-        curve = []
+        curve = np.empty(b - a)
         for i in range(a, b, _SCAN_BATCH):
-            batch = velocities[i : min(i + _SCAN_BATCH, b)]
+            j = min(i + _SCAN_BATCH, b)
+            batch = velocities[i:j]
             delays = delta_tau_moving(trace.traj, s, rho, batch, trace.rho_o)
-            curve.extend(score(z) for z in rows.shifted(delays))
+            curve[i - a : j - a] = score(rows.shifted(delays))
         return curve
 
-    return np.array([g for chunk in _in_chunks(part, len(velocities)) for g in chunk])
+    return np.concatenate(_in_chunks(part, len(velocities)))
 
 
 def g_curve(
@@ -136,7 +144,7 @@ def g_curve(
     frame = make_frame(trace.traj, trace.rho_o)
     velocities = [trial_velocity(frame, u) for u in u_grid]
     return u_grid, _scan(
-        trace, trace.rho_o, velocities, lambda z: np.abs(z).sum(axis=0).max()
+        trace, trace.rho_o, velocities, lambda z: np.abs(z).sum(axis=-2).max(axis=-1)
     )
 
 
@@ -179,7 +187,10 @@ def g_perp_curve(
     velocities = [compose_velocity(frame, u, u_perp) for u_perp in u_perp_grid]
     rho_e = np.asarray(rho_e, dtype=float)
     return u_perp_grid, _scan(
-        trace, rho_e, velocities, lambda z: np.abs(z[2:] - 2.0 * z[1:-1] + z[:-2]).sum()
+        trace,
+        rho_e,
+        velocities,
+        lambda z: np.abs(z[:, 2:] - 2.0 * z[:, 1:-1] + z[:, :-2]).sum(axis=(-2, -1)),
     )
 
 
@@ -297,7 +308,9 @@ class MoverSeparation:
     ``diagnostics["windows"]`` holds the per-window solver records of
     each split, in order: the stand-in split's windows, if it ran, then
     one record per peel, whose ``columns`` give the peel's window in
-    gate coordinates.  ``diagnostics["feasibility"]`` is the worst
+    gate coordinates and whose ``wrapped_samples`` counts the (row,
+    column) samples of that window that the straightening read around
+    the gate's circle.  ``diagnostics["feasibility"]`` is the worst
     split's feasibility and ``diagnostics["max_shift_frac"]`` the
     largest straightening shift of a peel as a fraction of the gate.
     ``low``, the movers and ``residual`` sum to the input.
@@ -331,6 +344,21 @@ def _peel_span(trace: TraceMatrix) -> tuple[int, int]:
     centre = int(np.argmin(np.abs(trace.t_times)))
     start = min(max(centre - length // 2, 0), trace.m + 1 - length)
     return start, start + length
+
+
+def _wrapped_samples(trace: TraceMatrix, delays, columns) -> int:
+    """(row, column) samples of a straightened window taken from beyond
+    the gate.
+
+    Straightening advances valid row j by ``delays[j]``, so column c of
+    the window ``columns`` = [a, b) reads the input at fractional sample
+    c + delays[j] / dt.  A sample below 0 or above m is read around the
+    circle from the gate's other end.
+    """
+    start, stop = trace.valid_rows
+    a, b = columns
+    source = np.arange(a, b) + np.asarray(delays)[start:stop, None] / trace.axis.dt
+    return int(np.count_nonzero((source < 0.0) | (source > trace.m)))
 
 
 def _peel(
@@ -407,6 +435,10 @@ def separate_movers(
         delays = _track_delays(residual, scan.rho, scan.u_vec)
         max_shift_frac = max(max_shift_frac, float(np.max(np.abs(delays))) / gate)
         mover, peel = _peel(residual, scan)
+        (window,) = peel.diagnostics
+        window["wrapped_samples"] = _wrapped_samples(
+            residual, delays, window["columns"]
+        )
         splits.append(peel.diagnostics)
         feasibility = max(feasibility, peel.feasibility)
         residual = residual.replace(data=residual.data - mover.data)

@@ -271,8 +271,11 @@ class AnalyticRows:
         """
         delays = np.asarray(delays, dtype=float)
         band = self.spectra[:, self.k_lo : self.k_lo + self.bins]
-        ramp = phase_ramp(delays.ravel(), self.count, self.dt, self.k_lo, self.bins)
-        band = band * ramp.reshape(delays.shape + (self.bins,))
+        # The ramp is dropped before the FFT, so the FFT's input and
+        # output are the only arrays of a batch's size alive across it.
+        band = band * phase_ramp(
+            delays.ravel(), self.count, self.dt, self.k_lo, self.bins
+        ).reshape(delays.shape + (self.bins,))
         return np.fft.ifft(band, n=self.bins if self.k_lo else self.count, axis=-1)
 
     def upsampled(self, factor: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 backprojection sampler against cubic reference rows, and of the chunked
 thread runs."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 from conftest import near_scene
 
-from sarsep import kernels
+from sarsep import imaging, kernels
+from sarsep.geom import Aperture
 from sarsep.imaging import _BLOCK, ImageGrid, image_points
 from sarsep.kernels import _in_chunks, accumulate_echoes, backproject_block
 from sarsep.motion import g_curve
+from sarsep.presets import preset_scene
 from sarsep.scene import simulate
 from sarsep.signal import pulse
 
@@ -141,6 +144,112 @@ class TestBackprojectBlock:
         acc, missed = backproject_block(rows, 0.0, self.DT, x * self.DT)
         assert acc.shape == (n_pix,) and np.all(acc == 0.0)
         np.testing.assert_array_equal(missed, np.full(n_pix, n_rows))
+
+
+def parent_backproject_block(rows, t0, dt, dtau):
+    """The kernel before the scatter-and-sum rewrite, kept as an oracle:
+    ``np.nonzero`` compaction, 2-D gathers and three ``np.bincount``s."""
+    n_rows, n_pix = dtau.shape
+    width = rows.shape[1]
+    x = (dtau - t0) / dt
+    base = np.floor(x)
+    row, pix = np.nonzero((base >= 1.0) & (base <= width - 3))
+    x = x[row, pix]
+    base = base[row, pix]
+    frac = x - base
+    start = row * width + base.astype(np.int64)
+    flat = rows.reshape(-1)
+    vals = (-frac * (frac - 1.0) * (frac - 2.0) / 6.0) * flat.take(start - 1)
+    vals += ((frac + 1.0) * (frac - 1.0) * (frac - 2.0) / 2.0) * flat.take(start)
+    vals += (-(frac + 1.0) * frac * (frac - 2.0) / 2.0) * flat.take(start + 1)
+    vals += ((frac + 1.0) * frac * (frac - 1.0) / 6.0) * flat.take(start + 2)
+    acc = np.empty(n_pix, dtype=complex)
+    acc.real = np.bincount(pix, weights=vals.real, minlength=n_pix)
+    acc.imag = np.bincount(pix, weights=vals.imag, minlength=n_pix)
+    return acc, n_rows - np.bincount(pix, minlength=n_pix)
+
+
+def assert_matches_the_oracle(rows, t0, dt, dtau):
+    acc, missed = backproject_block(rows, t0, dt, dtau)
+    expected_acc, expected_missed = parent_backproject_block(rows, t0, dt, dtau)
+    assert np.array_equal(acc, expected_acc)
+    assert np.array_equal(missed, expected_missed)
+    return missed
+
+
+class TestMatchesTheParentKernel:
+    """The kernel's sums are bit-identical to the parent's per-pixel
+    ``bincount`` in row order, whatever share of the block is in the gate."""
+
+    DT = 1.0e-12
+
+    def rows(self, n_rows):
+        rng = np.random.default_rng(11)
+        return rng.standard_normal((n_rows, 400)) + 1j * rng.standard_normal(
+            (n_rows, 400)
+        )
+
+    def dtau(self, shape, lo, hi):
+        # Sample indices uniform over [lo, hi) of the 400-sample rows.
+        return np.random.default_rng(12).uniform(lo, hi, shape) * self.DT
+
+    @pytest.mark.parametrize(
+        "lo, hi, fewest, most",
+        [
+            (1.0, 397.99, 0, 0),
+            (-300.0, -2.0, 87 * 256, 87 * 256),
+            (-100.0, 500.0, 1, 87 * 256 - 1),
+        ],
+        ids=["all-in-gate", "none-in-gate", "mixed"],
+    )
+    def test_blocks_of_many_rows_and_pixels(self, lo, hi, fewest, most):
+        dtau = self.dtau((87, 256), lo, hi)
+        missed = assert_matches_the_oracle(self.rows(87), 0.0, self.DT, dtau)
+        assert fewest <= missed.sum() <= most
+
+    def test_one_row(self):
+        missed = assert_matches_the_oracle(
+            self.rows(1), 0.0, self.DT, self.dtau((1, 256), -100.0, 500.0)
+        )
+        assert 0 < missed.sum() < 256
+
+    @pytest.mark.parametrize("n_rows", [1, 9, 87, 300])
+    def test_one_pixel(self, n_rows):
+        # numpy sums a lone column pairwise from nine rows on, so the
+        # order of the additions shows here first.
+        assert_matches_the_oracle(
+            self.rows(n_rows), 0.0, self.DT, self.dtau((n_rows, 1), -20.0, 420.0)
+        )
+
+    def test_the_blocks_of_a_mover_focus_image(self, monkeypatch):
+        """A 167 x 167 compensated image around the first mover of
+        scene1 reduced as the benchmark reduces it (positions / 8,
+        velocities / 2, 87 pulses, 2.5 samples per carrier cycle), on
+        that scene's gate."""
+        spec = preset_scene("scene1")
+        reduced = dataclasses.replace(
+            spec,
+            aperture=Aperture(n=86, ds=spec.aperture.ds),
+            radar=dataclasses.replace(spec.radar, dt=1.0 / (2.5 * spec.radar.nu0)),
+            targets=tuple(
+                dataclasses.replace(t, rho=t.rho / 8.0, velocity=t.velocity / 2.0)
+                for t in spec.targets
+            ),
+        )
+        mover = reduced.moving_targets[0]
+        trace = simulate(reduced.subset([mover]), axis=simulate(reduced).axis)
+        blocks = []
+
+        def checked(*args):
+            blocks.append(assert_matches_the_oracle(*args).sum())
+            return backproject_block(*args)
+
+        monkeypatch.setattr(imaging, "backproject_block", checked)
+        grid = ImageGrid(mover.rho, 40.0, 40.0, 0.24)
+        assert grid.shape == (167, 167)
+        _, missed = image_points(trace, grid.points(), mover.velocity)
+        assert len(blocks) == -(-167 * 167 // _BLOCK)
+        assert 0 < missed == sum(blocks) < 167 * 167 * (trace.n + 1)
 
 
 class TestInChunks:

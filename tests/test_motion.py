@@ -134,17 +134,21 @@ class TestFindSpeedPeaks:
 def test_scans_do_not_depend_on_the_worker_count(
     mover_trace, near_frame, monkeypatch
 ):
-    # 41 trials: three uneven chunks, each ending on a partial batch.
+    # 41 trials: no batch size here divides it, and three workers take
+    # uneven chunks, each ending on a partial batch.
     grid = np.linspace(-10.0, 10.0, 41)
     curves = {}
-    for workers in (1, 3):
-        monkeypatch.setattr(kernels, "_WORKERS", workers)
-        curves[workers] = (
-            g_curve(mover_trace, grid)[1],
-            g_perp_curve(mover_trace, np.zeros(3), 2.0, grid)[1],
-        )
-    for alone, pooled in zip(curves[1], curves[3]):
-        assert np.array_equal(alone, pooled)
+    for batch in (1, 3, 4, 8):
+        monkeypatch.setattr(motion, "_SCAN_BATCH", batch)
+        for workers in (1, 3):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            curves[batch, workers] = (
+                g_curve(mover_trace, grid)[1],
+                g_perp_curve(mover_trace, np.zeros(3), 2.0, grid)[1],
+            )
+    first = curves[1, 1]
+    for curve in curves.values():
+        assert all(np.array_equal(a, b) for a, b in zip(first, curve))
 
 
 class TestCrossSpeed:
@@ -335,6 +339,32 @@ class TestPeelWindow:
         assert sep.movers
         for peel in sep.diagnostics["windows"]:
             assert [w["columns"] for w in peel] == [[0, n_cols]]
+
+    @pytest.mark.parametrize(
+        "shift, wrapped",
+        # Row 0 reads 0.4 of the 2025-sample gate ahead, so its columns
+        # 1215 .. 1308 read past the gate's end; 0.1 keeps every column
+        # of the window inside.
+        [(0.4, 1309 - 1215), (0.1, 0)],
+        ids=["wraps", "stays-inside"],
+    )
+    def test_the_peel_counts_the_samples_it_wraps(self, shift, wrapped):
+        dt = 1.0 / (2.5 * Radar().nu0)
+        trace = compressed_trace(np.zeros((9, 2025)), valid_rows=(0, 8)).replace(
+            axis=FastTimeAxis(m=2024, dt=dt, t_center=0.0)
+        )
+        delays = np.zeros(9)
+        delays[0] = shift * 2025 * dt
+        # Half a gate back on the invalid last row counts for nothing.
+        delays[8] = -0.5 * 2025 * dt
+        assert motion._wrapped_samples(trace, delays, (692, 1309)) == wrapped
+
+    def test_each_peel_records_its_wrapped_samples(self, single_mover_run):
+        # This gate is split whole, so any shift reads around the circle.
+        trace, sep, _ = single_mover_run
+        ((window,),) = sep.diagnostics["windows"][-len(sep.movers) :]
+        start, stop = trace.valid_rows
+        assert 0 < window["wrapped_samples"] < (stop - start) * (trace.m + 1)
 
     @pytest.mark.parametrize(
         "zero_column, expected", [(1000, (692, 1309)), (10, (0, 617)), (3000, (1408, 2025))]
