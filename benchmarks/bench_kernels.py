@@ -17,7 +17,11 @@ point at the strongest g(u) peak's range speed), each on
 ``kernels._WORKERS`` threads and on one;
 one stationary-echo removal (``annihil.remove_stationary`` on the same
 reduced scene1, at the points ``annihil.locate_stationary`` finds in
-perfbench's 20 m box), one peel of the first mover
+perfbench's 20 m box), two annihilation filters (``annihil.annihilate``:
+example2's 30-stage plan, one stage per stationary point, and
+acceptance 3's 1857-pulse dense-aperture mover trace at the stage 2.5 m
+off the target in cross-range), each on ``kernels._WORKERS`` threads and
+on one, one peel of the first mover
 (``motion._peel``: straighten, split one 617-sample window, take the
 mover back; on what that removal leaves of the reduced scene1, at the
 pipeline's first-round estimate) and one singular-value-thresholding
@@ -36,7 +40,7 @@ import warnings
 
 import numpy as np
 
-from sarsep import annihil, imaging, kernels, motion, ranklab, rpca, scene
+from sarsep import annihil, geom, imaging, kernels, motion, ranklab, rpca, scene
 from sarsep.geom import Aperture
 from sarsep.presets import preset_scene
 
@@ -209,6 +213,41 @@ def bench_remove_stationary(repeats, extent=20.0):
     )
 
 
+def annihilation_workloads():
+    """(label, trace, plan) of example2's stationary-point plan and of
+    acceptance 3's dense-aperture mover at the 2.5 m cross-range offset
+    stage."""
+    example2 = preset_scene("example2")
+    plan = annihil.AnnihilationPlan.for_points(
+        [t.rho for t in example2.stationary_targets]
+    )
+    yield "example2", scene.simulate(example2), plan
+    base = preset_scene("single")
+    rho_t = np.array([0.0, 5.0, 0.0])
+    mover = scene.Target(
+        rho=rho_t, velocity=geom.compose_velocity(base.frame, 1.0, 0.0)
+    )
+    dense = dataclasses.replace(
+        base, aperture=Aperture(n=1856, ds=0.015 / 16.0), targets=(mover,)
+    )
+    offset = rho_t + 2.5 * np.array([0.0, 1.0, 0.0])
+    plan = annihil.AnnihilationPlan(stages=(annihil.AnnihilationStage(rho_e=offset),))
+    yield "dense mover", scene.simulate(dense), plan
+
+
+def bench_annihilate(repeats):
+    for label, trace, plan in annihilation_workloads():
+        shape = f"{trace.n + 1}x{trace.m + 1}"
+        stages = len(plan.stages)
+        for workers, t_numpy in pooled_and_alone(
+            lambda: annihil.annihilate(trace, plan), repeats
+        ):
+            print(
+                f"annihilate {label} {shape} {stages} stage(s), {workers} worker(s)"
+                f"   numpy   {t_numpy * 1e3:8.2f} ms"
+            )
+
+
 def bench_peel(repeats, extent=20.0):
     trace = reduced_scene1_trace()
     points = annihil.locate_stationary(trace, extent=extent)
@@ -244,6 +283,7 @@ def main():
     bench_image_points(args.repeats)
     bench_scan(args.repeats)
     bench_remove_stationary(args.repeats)
+    bench_annihilate(args.repeats)
     bench_peel(args.repeats)
     bench_svt(args.repeats)
 

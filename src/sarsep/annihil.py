@@ -7,7 +7,12 @@ original coordinates.  Composing stages removes several targets one by
 one.  ``annihilate`` composes its stages on the row spectra: the
 slow-time difference commutes with the per-row FFT and consecutive
 shifts add their delays, so a plan costs one FFT round trip and one
-phase ramp per stage.
+phase ramp per stage.  It runs in place on one array of the valid rows'
+spectra, in chunks of ``kernels._ROW_CHUNK`` rows spread over the
+workers by ``kernels._in_row_chunks``.  The slow-time difference of the
+complex spectra is taken on their float64 view and multiplied by 1/ds,
+which equals numpy's complex division by ds bit for bit, so the output
+does not depend on the chunk size or the number of workers.
 
 ``locate_stationary`` and ``remove_stationary`` use the same
 straightening to take out the echoes of stationary points found in a
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .geom import (
     C_LIGHT,
     Aperture,
@@ -38,7 +44,13 @@ from .imaging import (
     image_points,
 )
 from .scene import Target
-from .signal import TraceMatrix, fast_time_shift, next_fast_odd, phase_ramp
+from .signal import (
+    TraceMatrix,
+    _shift_spectra,
+    fast_time_shift,
+    next_fast_odd,
+    phase_ramp,
+)
 
 __all__ = [
     "AnnihilationStage",
@@ -116,10 +128,22 @@ def tt_inverse(trace: TraceMatrix, rho_e, u_vec=None) -> TraceMatrix:
 
 
 def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
-    """Slow-time difference of rows ``d``, real or complex, over ``valid_rows``.
+    """Slow-time difference of rows ``d``, real or complex, over
+    ``valid_rows``, in place.
 
-    Returns the differenced rows, zero outside the new valid range, and
-    that range.
+    Returns the new valid range; rows outside it keep stale values.
+    Real rows are divided by ds (ds^2 for order 2).  Complex rows are
+    differenced on their float64 view and multiplied by 1/ds (1/ds^2):
+    numpy divides a complex a + bi by a real x + 0i as ((a + b 0)(1/x),
+    (b - a 0)(1/x)), so the product equals its complex division bit for
+    bit, in a sixth of the time (0.6 against 3.6 ms on example2's 117
+    spectra).  A true division of the float view by ds would round
+    differently.
+
+    The new rows run in chunks over ``kernels._in_row_chunks``.  A chunk
+    reads the old row after it and, for order 2, the one before it,
+    which other chunks may already have rewritten, so those rows are
+    copied before any chunk runs.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -128,14 +152,30 @@ def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
         raise ValueError(
             f"need more than {order} valid rows, have {stop - start}"
         )
-    out = np.zeros_like(d)
-    if order == 1:
-        out[start : stop - 1] = (d[start + 1 : stop] - d[start : stop - 1]) / ds
-        return out, (start, stop - 1)
-    out[start + 1 : stop - 1] = (
-        d[start + 2 : stop] - 2.0 * d[start + 1 : stop - 1] + d[start : stop - 2]
-    ) / ds**2
-    return out, (start + 1, stop - 1)
+    lo, hi = start + order - 1, stop - 1
+    complex_rows = np.iscomplexobj(d)
+    rows = d.view(float) if complex_rows else d
+    chunk = kernels._ROW_CHUNK
+    firsts = np.arange(lo, hi, chunk)
+    after = rows[np.minimum(firsts + chunk, hi)]
+    before = rows[firsts - 1] if order == 2 else None
+
+    def part(a, b):
+        k, r0, r1 = a // chunk, lo + a, lo + b
+        if order == 1:
+            # In place: numpy reads each row before it is rewritten.
+            np.subtract(rows[r0 + 1 : r1], rows[r0 : r1 - 1], out=rows[r0 : r1 - 1])
+            np.subtract(after[k], rows[r1 - 1], out=rows[r1 - 1])
+        else:
+            old = np.concatenate((before[k : k + 1], rows[r0:r1], after[k : k + 1]))
+            rows[r0:r1] = old[2:] - 2.0 * old[1:-1] + old[:-2]
+        if complex_rows:
+            rows[r0:r1] *= 1.0 / ds**order
+        else:
+            rows[r0:r1] /= ds**order
+
+    kernels._in_row_chunks(part, hi - lo)
+    return lo, hi
 
 
 def slow_diff(trace: TraceMatrix, order: int = 1) -> TraceMatrix:
@@ -146,10 +186,13 @@ def slow_diff(trace: TraceMatrix, order: int = 1) -> TraceMatrix:
     that lose their neighbors are zeroed and dropped from
     ``valid_rows``.
     """
-    data, valid = _row_difference(
-        trace.data, trace.valid_rows, order, trace.aperture.ds
+    data = trace.data.copy()
+    start, stop = _row_difference(
+        data, trace.valid_rows, order, trace.aperture.ds
     )
-    return trace.replace(data=data, valid_rows=valid, tag="transformed")
+    data[:start] = 0.0
+    data[stop:] = 0.0
+    return trace.replace(data=data, valid_rows=(start, stop), tag="transformed")
 
 
 @dataclass(frozen=True)
@@ -221,33 +264,44 @@ def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
     stage by stage, since the slow-time difference commutes with the
     per-row FFT and consecutive shifts add.  The shifts are circular on
     the gate, and exact at any size (see ``sarsep.signal``).
+
+    The work is done in place on one array of the valid rows' spectra:
+    the first stage's FFT is written into it, each stage multiplies its
+    phase ramps into it and differences it in place
+    (``_row_difference``, with the reciprocal of ds), and the last
+    ramp's inverse FFT is written straight into the output rows.  Each
+    pass runs in chunks of ``kernels._ROW_CHUNK`` rows on every worker
+    (``kernels._in_row_chunks``), so the only other temporaries are a
+    chunk's phase ramp or difference per worker.  Every row takes the
+    operations of a whole-array pass, so the output does not depend on
+    the chunk size or the number of workers.
     """
     if not plan.stages:
         raise ValueError("annihilation plan has no stages")
     _require_compressed(trace)
     count, dt, ds = trace.axis.m + 1, trace.axis.dt, trace.aperture.ds
     valid = trace.valid_rows
-    start, stop = valid
-    spectra = np.zeros((trace.n + 1, count // 2 + 1), dtype=complex)
-    spectra[start:stop] = np.fft.rfft(trace.data[start:stop], axis=1)
+    spectra = np.empty((trace.n + 1, count // 2 + 1), dtype=complex)
     applied = np.zeros(trace.n + 1)
     for k, stage in enumerate(plan.stages):
         delays = _track_delays(trace, stage.rho_e, stage.u_vec)
         start, stop = valid
-        spectra[start:stop] *= phase_ramp(
-            delays[start:stop] - applied[start:stop], count, dt
+        _shift_spectra(
+            spectra[start:stop],
+            (delays - applied)[start:stop],
+            count,
+            dt,
+            rows=None if k else trace.data[start:stop],
         )
         applied = delays
         try:
-            spectra, valid = _row_difference(spectra, valid, stage.order, ds)
+            valid = _row_difference(spectra, valid, stage.order, ds)
         except ValueError as exc:
             raise ValueError(f"annihilation stage {k} failed: {exc}") from exc
     start, stop = valid
     data = np.zeros_like(trace.data)
-    data[start:stop] = np.fft.irfft(
-        spectra[start:stop] * phase_ramp(-applied[start:stop], count, dt),
-        n=count,
-        axis=1,
+    _shift_spectra(
+        spectra[start:stop], -applied[start:stop], count, dt, out=data[start:stop]
     )
     return trace.replace(data=data, valid_rows=valid, tag="range-compressed")
 

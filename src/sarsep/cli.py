@@ -220,13 +220,17 @@ def _cmd_compress(args):
 def _cmd_annihilate(args):
     trace = sario.read_trace(args.input)
     plan = AnnihilationPlan.from_dict(json.loads(Path(args.plan).read_text()))
+    started = time.perf_counter()
     result = annihilate(trace, plan)
+    seconds = time.perf_counter() - started
     out = sario.write_trace(args.output, result)
     outputs = [out, _sidecar(out)]
     if args.report:
         report = {
             "stages": len(plan.stages),
             "residual_db": energy_ratio_db(trace, result),
+            "valid_rows": list(result.valid_rows),
+            "seconds": round(seconds, 6),
         }
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
         outputs.append(Path(args.report))
@@ -439,7 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--plan", required=True, help="JSON stage list")
-    p.add_argument("--report", help="write residual-energy report JSON")
+    p.add_argument(
+        "--report",
+        help="write a JSON report: stages, residual energy, valid rows, seconds",
+    )
     p.set_defaults(handler=_cmd_annihilate)
 
     p = sub.add_parser(

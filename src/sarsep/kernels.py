@@ -16,10 +16,13 @@ inputs.
 ``_in_chunks`` runs the speed scans' trial velocities and the
 backprojection images' pixel blocks in contiguous chunks, one per CPU
 of the process's affinity mask, on at most ``_MAX_WORKERS`` threads.
-Each call starts its own threads and joins them before it returns.
-numpy releases the GIL inside its FFTs and array loops, so the chunks
-run in parallel.  Each chunk writes only its own outputs, so results
-do not depend on the number of CPUs.
+Through ``_in_row_chunks`` it also runs, in chunks of ``_ROW_CHUNK``
+rows, the in-place spectral shifts of ``signal.fractional_shift`` and
+``annihil.annihilate`` and the in-place slow-time differences of
+``annihil._row_difference``.  Each call starts its own threads and
+joins them before it returns.  numpy releases the GIL inside its FFTs
+and array loops, so the chunks run in parallel.  Each chunk writes
+only its own outputs, so results do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ _MAX_WORKERS = 4
 #: Most values in each temporary array of ``accumulate_echoes``'s row
 #: chunks (1 MB of float64).
 _ECHO_CHUNK = 1 << 17
+
+#: Rows per chunk of ``_in_row_chunks``: a spectral shift's phase ramp
+#: holds this many rows (3 MB on example2's 11907-sample rows).  Over
+#: perfbench annihil-rank's four filters on two CPUs, 16 rows took 6-10%
+#: longer than 32 and 64 rows 2-5% less; 32 still cuts example2's 117
+#: rows into four chunks, one per thread at the cap.
+_ROW_CHUNK = 32
 
 #: Threads that run a chunked call, the caller included: one per CPU the
 #: process may run on, up to ``_MAX_WORKERS``.
@@ -73,6 +83,25 @@ def _in_chunks(part, count: int) -> list:
         futures = [pool.submit(part, a, b) for a, b in spans[1:]]
         first = part(*spans[0])
     return [first] + [future.result() for future in futures]
+
+
+def _in_row_chunks(part, rows: int) -> list:
+    """``[part(r0, r1), ...]`` over the chunks [k c, min((k + 1) c,
+    rows)) of range(rows), c = ``_ROW_CHUNK``, in row order.
+
+    ``_in_chunks`` gives each worker a contiguous run of chunks.  The
+    chunks do not depend on the number of workers, so neither does the
+    work done on any row.
+    """
+    size = _ROW_CHUNK
+
+    def run(a, b):
+        return [
+            part(r0, min(r0 + size, rows))
+            for r0 in range(a * size, min(b * size, rows), size)
+        ]
+
+    return [out for run_out in _in_chunks(run, -(-rows // size)) for out in run_out]
 
 
 def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import Aperture, Trajectory, travel_time
+from .kernels import _in_row_chunks
 
 #: Gate padding on each side of the delay extremes, in units of 1/bandwidth.
 GATE_PAD_FACTOR = 6.0
@@ -223,18 +224,47 @@ def phase_ramp(
     return ramp.reshape(delays.size, -1)[:, :bins]
 
 
+def _shift_spectra(spectra, delays, count: int, dt: float, rows=None, out=None):
+    """Advance the rows held as real-FFT spectra, in place.
+
+    Row j of ``spectra`` (``count`` samples' ``count // 2 + 1`` bins) is
+    multiplied by the phase ramp of ``delays[j]``.  With ``rows``, it is
+    first set to the real FFT of ``rows[j]``; with ``out``, ``out[j]``
+    receives the shifted row's inverse real FFT.  The rows run in chunks
+    of ``kernels._ROW_CHUNK`` over ``kernels._in_row_chunks``, so the
+    only temporaries are one chunk's phase ramp per worker.  Every row
+    takes the same operations as in one whole-array pass, so the result
+    does not depend on the chunk size or the number of workers.
+    """
+
+    def part(r0, r1):
+        block = spectra[r0:r1]
+        if rows is not None:
+            np.fft.rfft(rows[r0:r1], axis=1, out=block)
+        block *= phase_ramp(delays[r0:r1], count, dt)
+        if out is not None:
+            np.fft.irfft(block, n=count, axis=1, out=out[r0:r1])
+
+    _in_row_chunks(part, len(spectra))
+
+
 def fractional_shift(rows: np.ndarray, delays, dt: float) -> np.ndarray:
     """Advance each row by its delay: out_j(t) = rows_j(t + delay_j).
 
     Implemented as a phase ramp on the real FFT, which is exact for
-    band-limited rows and circular at the gate edges.
+    band-limited rows and circular at the gate edges.  ``delays``
+    broadcast against the rows.  The rows are shifted in chunks, on
+    every worker (``_shift_spectra``): the spectra are the only
+    temporary of the rows' size.
     """
     rows = np.asarray(rows, dtype=float)
-    delays = np.atleast_1d(np.asarray(delays, dtype=float))
     count = rows.shape[-1]
-    spectra = np.fft.rfft(rows, axis=-1)
-    spectra *= phase_ramp(delays.ravel(), count, dt).reshape(delays.shape + (-1,))
-    return np.fft.irfft(spectra, n=count, axis=-1)
+    flat = rows.reshape(-1, count)
+    delays = np.broadcast_to(np.asarray(delays, dtype=float), rows.shape[:-1])
+    spectra = np.empty((len(flat), count // 2 + 1), dtype=complex)
+    out = np.empty(flat.shape)
+    _shift_spectra(spectra, delays.reshape(-1), count, dt, rows=flat, out=out)
+    return out.reshape(rows.shape)
 
 
 class AnalyticRows:

@@ -4,15 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import compressed_trace, near_traj
+from conftest import compressed_trace, flat_scene, near_traj
 from scipy.optimize import minimize_scalar
 
-from sarsep import annihil
+from sarsep import annihil, kernels
 from sarsep.annihil import (
     AnnihilationPlan,
     AnnihilationStage,
     _bounded_minimum,
     _median_rows,
+    _row_difference,
     annihilate,
     cross_range_cell,
     energy_ratio_db,
@@ -23,10 +24,85 @@ from sarsep.annihil import (
     tt_forward,
     tt_inverse,
 )
-from sarsep.geom import C_LIGHT, Aperture, CircularTrajectory
-from sarsep.scene import Target, simulate
+from sarsep.geom import C_LIGHT, Aperture, CircularTrajectory, compose_velocity
+from sarsep.presets import preset_scene
+from sarsep.scene import SceneSpec, Target, simulate
+from sarsep.signal import fractional_shift, phase_ramp
 
 DS = 0.015
+CROSS = np.array([0.0, 1.0, 0.0])
+
+
+def _parent_row_difference(d, valid_rows, order, ds):
+    """The whole-array slow-time difference that ``_row_difference``
+    replaces: new arrays, and complex rows divided as complex numbers."""
+    start, stop = valid_rows
+    out = np.zeros_like(d)
+    if order == 1:
+        out[start : stop - 1] = (d[start + 1 : stop] - d[start : stop - 1]) / ds
+        return out, (start, stop - 1)
+    out[start + 1 : stop - 1] = (
+        d[start + 2 : stop] - 2.0 * d[start + 1 : stop - 1] + d[start : stop - 2]
+    ) / ds**2
+    return out, (start + 1, stop - 1)
+
+
+def _parent_annihilate(trace, plan):
+    """The whole-array annihilation filter that the in-place, chunked
+    one replaces: full-size ramps, products and differences."""
+    count, dt, ds = trace.axis.m + 1, trace.axis.dt, trace.aperture.ds
+    valid = trace.valid_rows
+    start, stop = valid
+    spectra = np.zeros((trace.n + 1, count // 2 + 1), dtype=complex)
+    spectra[start:stop] = np.fft.rfft(trace.data[start:stop], axis=1)
+    applied = np.zeros(trace.n + 1)
+    for stage in plan.stages:
+        delays = annihil._track_delays(trace, stage.rho_e, stage.u_vec)
+        start, stop = valid
+        spectra[start:stop] *= phase_ramp(
+            delays[start:stop] - applied[start:stop], count, dt
+        )
+        applied = delays
+        spectra, valid = _parent_row_difference(spectra, valid, stage.order, ds)
+    start, stop = valid
+    data = np.zeros_like(trace.data)
+    data[start:stop] = np.fft.irfft(
+        spectra[start:stop] * phase_ramp(-applied[start:stop], count, dt),
+        n=count,
+        axis=1,
+    )
+    return trace.replace(data=data, valid_rows=valid, tag="range-compressed")
+
+
+def _parent_fractional_shift(rows, delays, dt):
+    """The whole-array spectral shift that ``fractional_shift`` replaces."""
+    rows = np.asarray(rows, dtype=float)
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    count = rows.shape[-1]
+    spectra = np.fft.rfft(rows, axis=-1)
+    spectra *= phase_ramp(delays.ravel(), count, dt).reshape(delays.shape + (-1,))
+    return np.fft.irfft(spectra, n=count, axis=-1)
+
+
+def mixed_orders():
+    """A still and a moving target on rows 2 .. n - 1, and a plan of
+    order-1 and order-2 stages, one of them moving, off the targets."""
+    still = Target(rho=np.array([0.5, 3.0, 0.0]))
+    mover = Target(rho=np.array([-0.5, 1.0, 0.0]), velocity=(1.0, -0.5, 0.0))
+    trace = simulate(flat_scene([still, mover]))
+    data = trace.data.copy()
+    data[:2] = data[-1:] = 0.0
+    trace = trace.replace(data=data, valid_rows=(2, trace.n))
+    plan = AnnihilationPlan(
+        stages=(
+            AnnihilationStage(rho_e=(0.4, 2.5, 0.0), order=1),
+            AnnihilationStage(
+                rho_e=(-0.3, 1.5, 0.0), u_vec=(0.8, -0.3, 0.0), order=2
+            ),
+            AnnihilationStage(rho_e=np.zeros(3), order=1),
+        )
+    )
+    return trace, plan
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -64,7 +140,7 @@ class TestSlowDiff:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(5, 9))
         out = slow_diff(compressed_trace(data))
-        np.testing.assert_allclose(out.data[:4], np.diff(data, axis=0) / DS)
+        assert np.array_equal(out.data[:4], np.diff(data, axis=0) / DS)
         assert np.all(out.data[4] == 0.0)
         assert out.valid_rows == (0, 4)
         assert out.tag == "transformed"
@@ -74,9 +150,28 @@ class TestSlowDiff:
         data = rng.normal(size=(5, 9))
         out = slow_diff(compressed_trace(data), order=2)
         expected = (data[2:] - 2.0 * data[1:-1] + data[:-2]) / DS**2
-        np.testing.assert_allclose(out.data[1:4], expected)
+        assert np.array_equal(out.data[1:4], expected)
         assert np.all(out.data[0] == 0.0) and np.all(out.data[4] == 0.0)
         assert out.valid_rows == (1, 4)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rows_equal_the_whole_array_formula(self, monkeypatch, chunk, order):
+        # Real rows are divided by ds; complex rows are multiplied by 1/ds
+        # on their float view, which must equal numpy's complex division.
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "_WORKERS", 3)
+        rng = np.random.default_rng(order)
+        real = rng.normal(size=(40, 9))
+        for data in (real, real + 1j * rng.normal(size=real.shape)):
+            expected, valid = _parent_row_difference(data, (3, 37), order, DS)
+            out = data.copy()
+            assert _row_difference(out, (3, 37), order, DS) == valid
+            start, stop = valid
+            assert np.array_equal(out[start:stop], expected[start:stop])
+            # No chunk writes outside the rows it was given.
+            assert np.array_equal(out[:3], data[:3])
+            assert np.array_equal(out[37:], data[37:])
 
     def test_rejects_unsupported_order(self):
         with pytest.raises(ValueError, match="order must be 1 or 2"):
@@ -175,25 +270,11 @@ class TestAnnihilate:
         assert out.valid_rows == (1, trace.n - 1)
         assert out.tag == "range-compressed"
 
-    def test_matches_the_stage_by_stage_transforms(self, flat_scene_builder):
-        still = Target(rho=np.array([0.5, 3.0, 0.0]))
-        mover = Target(rho=np.array([-0.5, 1.0, 0.0]), velocity=(1.0, -0.5, 0.0))
-        trace = simulate(flat_scene_builder([still, mover]))
-        data = trace.data.copy()
-        data[:2] = data[-1:] = 0.0
-        trace = trace.replace(data=data, valid_rows=(2, trace.n))
-        # Stages off the targets: a stage on a target cancels its echo
-        # down to rounding, and two routes to rounding residue need not
-        # agree to 1e-10 of its peak.
-        plan = AnnihilationPlan(
-            stages=(
-                AnnihilationStage(rho_e=(0.4, 2.5, 0.0), order=1),
-                AnnihilationStage(
-                    rho_e=(-0.3, 1.5, 0.0), u_vec=(0.8, -0.3, 0.0), order=2
-                ),
-                AnnihilationStage(rho_e=np.zeros(3), order=1),
-            )
-        )
+    def test_matches_the_stage_by_stage_transforms(self):
+        trace, plan = mixed_orders()
+        # The stages lie off the targets: a stage on a target cancels its
+        # echo down to rounding, and two routes to rounding residue need
+        # not agree to 1e-10 of its peak.
         expected = trace
         for stage in plan.stages:
             expected = tt_forward(expected, stage.rho_e, stage.u_vec)
@@ -229,6 +310,99 @@ class TestAnnihilate:
             # exp(-GATE_PAD_FACTOR^2 / 2) = 1.5e-8 of its peak: the only
             # content that wrapping and padding treat differently.
             np.testing.assert_allclose(out, padded, rtol=0.0, atol=1e-6 * peak)
+
+
+@pytest.fixture(scope="module")
+def filter_inputs():
+    """(trace, plan) pairs: acceptance 3's dense-aperture stationary and
+    mover traces at the exact stage and at the 2.5 m cross-range offset
+    stage, example2 with one stage per stationary point, and the mixed
+    order-1/order-2 plan on rows 2 .. n - 1."""
+    base = preset_scene("single")
+    rho_t = np.array([0.0, 5.0, 0.0])
+    velocity = compose_velocity(base.frame, 1.0, 0.0)
+    dense = {
+        name: simulate(
+            SceneSpec(
+                traj=base.traj,
+                rho_o=base.rho_o,
+                aperture=Aperture(n=1856, ds=0.015 / 16.0),
+                radar=base.radar,
+                targets=(Target(rho=rho_t, velocity=v),),
+            )
+        )
+        for name, v in (("stationary", np.zeros(3)), ("mover", velocity))
+    }
+    stages = {
+        "exact": AnnihilationPlan(stages=(AnnihilationStage(rho_e=rho_t),)),
+        "offset": AnnihilationPlan(
+            stages=(AnnihilationStage(rho_e=rho_t + 2.5 * CROSS),)
+        ),
+    }
+    example2 = preset_scene("example2")
+    inputs = {
+        f"{name}-{stage}": (trace, plan)
+        for name, trace in dense.items()
+        for stage, plan in stages.items()
+    }
+    inputs["example2"] = (
+        simulate(example2),
+        AnnihilationPlan.for_points([t.rho for t in example2.stationary_targets]),
+    )
+    inputs["mixed-orders"] = mixed_orders()
+    return inputs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMatchesTheParentAnnihilate:
+    """The in-place, chunked filter and shift equal the whole-array
+    formulas bit for bit."""
+
+    NAMES = [
+        "stationary-exact",
+        "stationary-offset",
+        "mover-exact",
+        "mover-offset",
+        "example2",
+        "mixed-orders",
+    ]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_annihilate(self, filter_inputs, name):
+        trace, plan = filter_inputs[name]
+        if name == "example2":
+            assert len(plan.stages) == 30
+        expected = _parent_annihilate(trace, plan)
+        out = annihilate(trace, plan)
+        assert out.valid_rows == expected.valid_rows
+        assert np.array_equal(out.data, expected.data)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_fractional_shift(self, filter_inputs, name):
+        trace, plan = filter_inputs[name]
+        stage = plan.stages[-1]
+        delays = annihil._track_delays(trace, stage.rho_e, stage.u_vec)
+        dt = trace.axis.dt
+        expected = _parent_fractional_shift(trace.data, delays, dt)
+        assert np.array_equal(fractional_shift(trace.data, delays, dt), expected)
+
+    def test_any_worker_count_and_chunk_size(self, monkeypatch):
+        trace, plan = mixed_orders()
+        rows = trace.data[1:]
+        delays = np.linspace(-3.0, 3.0, len(rows)) * trace.axis.dt
+        expected = (
+            _parent_annihilate(trace, plan).data,
+            _parent_fractional_shift(rows, delays, trace.axis.dt),
+        )
+        for chunk in (1, 7, trace.n + 2):
+            monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
+            for workers in (1, 3):
+                monkeypatch.setattr(kernels, "_WORKERS", workers)
+                out = (
+                    annihilate(trace, plan).data,
+                    fractional_shift(rows, delays, trace.axis.dt),
+                )
+                assert all(np.array_equal(a, b) for a, b in zip(out, expected))
 
 
 class TestFactorReport:

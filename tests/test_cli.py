@@ -208,7 +208,11 @@ class TestAnnihilate:
         summary = json.loads(report.read_text())
         assert summary["stages"] == 1
         assert summary["residual_db"] <= -60.0
-        assert sario.read_trace(out).tag == "range-compressed"
+        result = sario.read_trace(out)
+        assert result.tag == "range-compressed"
+        # One first-order stage drops the last row.
+        assert summary["valid_rows"] == [0, result.n] == list(result.valid_rows)
+        assert 0.0 < summary["seconds"] < 60.0
 
     def test_empty_plan_is_a_usage_error(self, mixture, tmp_path):
         plan_path = tmp_path / "empty.json"

@@ -14,9 +14,15 @@ import pytest
 from conftest import near_scene
 
 from sarsep import imaging, kernels
+from sarsep.annihil import AnnihilationPlan, annihilate
 from sarsep.geom import Aperture
 from sarsep.imaging import _BLOCK, ImageGrid, image_points
-from sarsep.kernels import _in_chunks, accumulate_echoes, backproject_block
+from sarsep.kernels import (
+    _in_chunks,
+    _in_row_chunks,
+    accumulate_echoes,
+    backproject_block,
+)
 from sarsep.motion import g_curve
 from sarsep.presets import preset_scene
 from sarsep.scene import simulate
@@ -259,6 +265,16 @@ class TestInChunks:
         assert _in_chunks(lambda a, b: (a, b), 2) == [(0, 1), (1, 2)]
         assert _in_chunks(lambda a, b: (a, b), 0) == [(0, 0)]
 
+    def test_row_chunks_cover_the_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", 3)
+        for workers in (1, 3):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            assert _in_row_chunks(lambda a, b: (a, b), 10) == [
+                (0, 3), (3, 6), (6, 9), (9, 10)
+            ]
+            assert _in_row_chunks(lambda a, b: (a, b), 2) == [(0, 2)]
+            assert _in_row_chunks(lambda a, b: (a, b), 0) == []
+
     def test_one_worker_runs_one_chunk_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(kernels, "_WORKERS", 1)
         caller = threading.current_thread()
@@ -308,6 +324,7 @@ class TestInChunks:
         g_curve(trace, np.linspace(-4.0, 4.0, 9))
         points = ImageGrid(np.array([1.0, 2.0, 0.0]), 4.0, 3.0, 0.1).points()
         image_points(trace, points[: 2 * _BLOCK + 5])
+        annihilate(trace, AnnihilationPlan.for_points([(1.0, 2.0, 0.0)]))
         alive = [t.name for t in threading.enumerate() if t.name.startswith("sarsep")]
         assert alive == []
 
