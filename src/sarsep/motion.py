@@ -5,7 +5,13 @@ velocities and scores how well the rows align; a mover produces a peak
 at its range speed while stationary clutter peaks at zero.  The
 cross-range speed is then found at a fixed range speed by minimizing
 the residual of a second slow-time difference after straightening at
-the mover's location.  The pipeline first removes the echoes of
+the mover's location.  The pipeline's scans (detection, cross speed and
+the range-speed refinement) search their lattice coarse to fine
+(``_scan_extremum``): every 4th trial first, then the trials around
+the best coarse candidates, with the full scan's values and extremum
+wherever the coarse step brackets it.  The public ``g_curve`` and
+``g_perp_curve`` evaluate exactly the grid they are given.  The
+pipeline first removes the echoes of
 stationary points located in a preliminary image, then peels movers
 off one at a time with a low-rank/sparse split of one fast-time window
 around the straightened mover.
@@ -148,8 +154,12 @@ def g_curve(
     )
 
 
+#: A detected g(u) peak reaches this multiple of the curve median.
+_PEAK_HEIGHT = 3.0
+
+
 def find_speed_peaks(
-    u_grid: np.ndarray, values: np.ndarray, height_factor: float = 3.0
+    u_grid: np.ndarray, values: np.ndarray, height_factor: float = _PEAK_HEIGHT
 ) -> list[tuple[float, float]]:
     """Significant local maxima of a g(u) curve, strongest first.
 
@@ -164,6 +174,111 @@ def find_speed_peaks(
     step = u_grid[1] - u_grid[0] if u_grid.size > 1 else 0.0
     u = _refine_peaks(values, (order,), (u_grid,), (step,))[:, 0]
     return list(zip(u.tolist(), values[order].tolist()))
+
+
+#: Coarse-to-fine scans (``_scan_extremum``) evaluate every
+#: ``_COARSE_FACTOR``-th lattice point, then the points within
+#: +-``_COARSE_FACTOR`` of the ``_COARSE_CANDIDATES`` best coarse
+#: extrema.  Factor 1 is the full scan, and is used on a lattice no
+#: longer than those fine windows.
+_COARSE_FACTOR = 4
+_COARSE_CANDIDATES = 3
+
+
+def _lattice_maxima(score: np.ndarray, done: np.ndarray, border: bool) -> np.ndarray:
+    """Indices of the local maxima of ``score`` among its evaluated
+    samples (``done``), strongest first, by ``imaging._local_maxima``'s
+    rule.
+
+    The rule is applied to the dense ranks of the evaluated samples,
+    counted from 1, which keep their order and ties whatever their sign;
+    the samples not evaluated read 0, below every evaluated one.  With
+    ``border`` each end of the lattice may be a maximum, compared with
+    its one neighbour.
+    """
+    ranks = np.zeros(score.size)
+    ranks[done] = np.unique(score[done], return_inverse=True)[1] + 1.0
+    if border:
+        return _local_maxima(np.pad(ranks, 1), 0.0)[0] - 1
+    return _local_maxima(ranks, 0.0)[0]
+
+
+def _scan_extremum(curve, grid, kind, sign=1.0, step=None, height_factor=None):
+    """Strongest extremum of a scan over the lattice ``grid``, coarse to fine.
+
+    ``curve(speeds)`` returns the scan's values at some lattice points;
+    ``sign`` is +1 to find a maximum and -1 a minimum.  The search
+    evaluates every ``_COARSE_FACTOR``-th lattice point and the last
+    one; then, in one call, the missing points within
+    +-``_COARSE_FACTOR`` of the ``_COARSE_CANDIDATES`` strongest
+    extrema of that coarse curve; then the missing neighbours of the
+    strongest extremum among all evaluated points, until it has none.
+    The candidates are ranked only after the fine pass: a coarse sample
+    may sit on the flank of the strongest peak.  A lattice no longer
+    than the fine windows is evaluated whole, in one call (factor 1).
+    Extrema follow ``imaging._local_maxima``'s rule (ties go to the last
+    index) and may sit on either end of the lattice, unless
+    ``height_factor`` is given: then, as in ``find_speed_peaks``, the
+    extremum must lie off the ends and reach ``height_factor`` times the
+    median of the coarse curve.  A trial's value does not depend on the
+    other trials of its call, so each evaluated point reads as in the
+    full scan.
+
+    Returns (position, value, (speeds, values), record): the extremum
+    refined by ``imaging._refine_peaks`` with ``step`` (default: the
+    grid's first spacing) and its value, both None when there is none;
+    the evaluated points in grid order; and the scan's record (``kind``,
+    ``trials``, ``coarse_factor``, ``fine_windows`` in grid units,
+    ``on_border``, true when the extremum is an end of the lattice).
+    """
+    n = grid.size
+    factor = _COARSE_FACTOR
+    if n <= _COARSE_CANDIDATES * (2 * factor + 1):
+        factor = 1
+    values = np.zeros(n)
+    done = np.zeros(n, dtype=bool)
+
+    def evaluate(index):
+        index = np.unique(np.clip(index, 0, n - 1))
+        index = index[~done[index]]
+        if index.size:
+            values[index] = curve(grid[index])
+            done[index] = True
+        return index.size
+
+    coarse = np.unique(np.append(np.arange(0, n, factor), n - 1))
+    evaluate(coarse)
+    windows = []
+    if factor > 1:
+        top = _lattice_maxima(sign * values[coarse], done[coarse], True)
+        windows = [
+            (max(c - factor, 0), min(c + factor, n - 1))
+            for c in coarse[top[:_COARSE_CANDIDATES]]
+        ]
+        evaluate(np.concatenate([np.arange(a, b + 1) for a, b in windows]))
+    while True:
+        peaks = _lattice_maxima(sign * values, done, height_factor is None)
+        if not peaks.size or not evaluate(peaks[0] + np.array([-1, 1])):
+            break
+    best = int(peaks[0]) if peaks.size else None
+    if best is not None and height_factor is not None:
+        floor = height_factor * float(np.median(values[coarse]))
+        if not (values[best] >= floor and values[best] > 0.0):
+            best = None
+    record = {
+        "kind": kind,
+        "trials": int(done.sum()),
+        "coarse_factor": factor,
+        "fine_windows": [[float(grid[a]), float(grid[b])] for a, b in windows],
+        "on_border": best in (0, n - 1),
+    }
+    evaluated = (grid[done], values[done])
+    if best is None:
+        return None, None, evaluated, record
+    if step is None:
+        step = grid[1] - grid[0] if n > 1 else 0.0
+    position = _refine_peaks(sign * values, (best,), (grid,), (step,))[0, 0]
+    return float(position), float(values[best]), evaluated, record
 
 
 def g_perp_curve(
@@ -200,12 +315,26 @@ def estimate_cross_speed(
     u: float,
     u_perp_grid: np.ndarray | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Cross-range speed minimizing the g_perp misalignment score."""
-    grid, values = g_perp_curve(trace, rho_e, u, u_perp_grid)
-    du = grid[1] - grid[0] if grid.size > 1 else 0.0
-    # The vertex of the negated curve: its top is the minimum.
-    u_perp = _refine_peaks(-values, (np.argmin(values),), (grid,), (du,))[0, 0]
-    return float(u_perp), (grid, values)
+    """Cross-range speed minimizing the g_perp misalignment score.
+
+    The grid (default as in ``g_perp_curve``) is searched coarse to fine
+    (``_scan_extremum``); the curve returned holds the evaluated points.
+    """
+    return _cross_speed(trace, rho_e, u, u_perp_grid, [])
+
+
+def _cross_speed(trace, rho_e, u, u_perp_grid, scans: list):
+    """``estimate_cross_speed``, appending the scan's record to ``scans``."""
+    if u_perp_grid is None:
+        u_perp_grid = _default_speed_grid(trace, _U_PERP_STEP)
+    u_perp, _, curve, record = _scan_extremum(
+        lambda grid: g_perp_curve(trace, rho_e, u, grid)[1],
+        np.asarray(u_perp_grid, dtype=float),
+        "g_perp",
+        sign=-1.0,
+    )
+    scans.append(record)
+    return u_perp, curve
 
 
 def estimate_location(trace: TraceMatrix, u_vec, extent: float = 80.0) -> np.ndarray:
@@ -284,12 +413,19 @@ def estimate_motion(
     scanned at that location, and it is located again at the composed
     velocity.  A given ``rho`` is kept and skips both images.
     """
+    return _estimate_motion(trace, u, g_score, [], u_vec, rho, u_perp_grid, extent)
+
+
+def _estimate_motion(
+    trace, u, g_score, scans: list, u_vec=None, rho=None, u_perp_grid=None, extent=80.0
+) -> VelocityEstimate:
+    """``estimate_motion``, appending its scan's record to ``scans``."""
     frame = make_frame(trace.traj, trace.rho_o)
     located = rho is None
     if located:
         first = trial_velocity(frame, u) if u_vec is None else u_vec
         rho = estimate_location(trace, first, extent=extent)
-    u_perp, _ = estimate_cross_speed(trace, rho, u, u_perp_grid)
+    u_perp, _ = _cross_speed(trace, rho, u, u_perp_grid, scans)
     if located:
         rho = estimate_location(
             trace, compose_velocity(frame, u, u_perp), extent=extent
@@ -313,6 +449,13 @@ class MoverSeparation:
     the gate's circle.  ``diagnostics["feasibility"]`` is the worst
     split's feasibility and ``diagnostics["max_shift_frac"]`` the
     largest straightening shift of a peel as a fraction of the gate.
+    ``diagnostics["g_curves"]`` holds each round's detection curve as
+    (u_grid, values) at the lattice points its coarse-to-fine scan
+    evaluated, sorted by u.  ``diagnostics["scans"]`` holds one
+    ``_scan_extremum`` record per scan, in order: per round the
+    detection (``g``), the cross speed at the first location
+    (``g_perp``), then, after the peel, the range-speed refinement
+    (``g_refine``) and the cross speed on the peeled trace (``g_perp``).
     ``low``, the movers and ``residual`` sum to the input.
     """
 
@@ -323,13 +466,15 @@ class MoverSeparation:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _refine_speed(trace: TraceMatrix, u: float) -> tuple[float, float]:
-    """Re-peak g(u) on a grid of +-2 m/s around a prior estimate."""
+def _refine_speed(trace: TraceMatrix, u: float, scans: list) -> tuple[float, float]:
+    """Re-peak g(u) on a grid of +-2 m/s around a prior estimate,
+    appending the scan's record to ``scans``."""
     grid = np.arange(u - 2.0, u + 2.0 + 0.5 * _U_STEP, _U_STEP)
-    grid, values = g_curve(trace, u_grid=grid)
-    i = int(np.argmax(values))
-    u = _refine_peaks(values, (i,), (grid,), (_U_STEP,))[0, 0]
-    return float(u), float(values[i])
+    u, score, _, record = _scan_extremum(
+        lambda trial: g_curve(trace, trial)[1], grid, "g_refine", step=_U_STEP
+    )
+    scans.append(record)
+    return u, score
 
 
 def _peel_span(trace: TraceMatrix) -> tuple[int, int]:
@@ -387,7 +532,8 @@ def separate_movers(
     The stationary scene is removed first: stationary points are located
     in a preliminary image over a box of side ``extent`` and their echoes
     taken out by ``annihil.remove_stationary``.  Each round then scans
-    the remainder for the strongest range-speed peak, locates the mover,
+    the remainder for the strongest range-speed peak, which must reach
+    3 times the median of the scan's coarse curve, locates the mover,
     estimates its cross-range speed, and peels its trace: the remainder
     is straightened along the mover's track, which brings the mover to
     t = 0, and one window of ``rpca.choose_window``'s length around
@@ -424,14 +570,19 @@ def separate_movers(
     movers: list[TraceMatrix] = []
     estimates: list[VelocityEstimate] = []
     g_curves: list[tuple[np.ndarray, np.ndarray]] = []
+    scans: list[dict] = []
     for _ in range(max_movers):
-        u_grid, values = g_curve(residual)
-        g_curves.append((u_grid, values))
-        peaks = find_speed_peaks(u_grid, values)
-        if not peaks:
+        u, score, curve, record = _scan_extremum(
+            lambda grid: g_curve(residual, grid)[1],
+            _default_speed_grid(residual, _U_STEP),
+            "g",
+            height_factor=_PEAK_HEIGHT,
+        )
+        g_curves.append(curve)
+        scans.append(record)
+        if u is None:
             break
-        u, score = peaks[0]
-        scan = estimate_motion(residual, u, score, extent=extent)
+        scan = _estimate_motion(residual, u, score, scans, extent=extent)
         delays = _track_delays(residual, scan.rho, scan.u_vec)
         max_shift_frac = max(max_shift_frac, float(np.max(np.abs(delays))) / gate)
         mover, peel = _peel(residual, scan)
@@ -444,10 +595,10 @@ def separate_movers(
         residual = residual.replace(data=residual.data - mover.data)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.
-        u, score = _refine_speed(mover, u)
+        u, score = _refine_speed(mover, u, scans)
         movers.append(mover)
         estimates.append(
-            estimate_motion(mover, u, score, u_vec=scan.u_vec, extent=extent)
+            _estimate_motion(mover, u, score, scans, u_vec=scan.u_vec, extent=extent)
         )
     return MoverSeparation(
         low=low,
@@ -457,6 +608,7 @@ def separate_movers(
         diagnostics={
             "windows": splits,
             "g_curves": g_curves,
+            "scans": scans,
             "feasibility": feasibility,
             "max_shift_frac": max_shift_frac,
         },

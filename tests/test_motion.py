@@ -1,6 +1,9 @@
 """Velocity scans, mover location, and the peeling pipeline."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from sarsep.geom import (
     decompose_velocity,
     make_frame,
 )
+from sarsep.imaging import _local_maxima, _refine_peaks
 from sarsep.motion import (
     MoverSeparation,
     VelocityEstimate,
@@ -149,6 +153,100 @@ def test_scans_do_not_depend_on_the_worker_count(
     first = curves[1, 1]
     for curve in curves.values():
         assert all(np.array_equal(a, b) for a, b in zip(first, curve))
+    # A curve taken on a sub-grid reads the full curve's values there,
+    # which is what lets a coarse-to-fine search stand for the full scan.
+    some = np.array([0, 3, 4, 17, 18, 40])
+    assert np.array_equal(g_curve(mover_trace, grid[some])[1], first[0][some])
+    assert np.array_equal(
+        g_perp_curve(mover_trace, np.zeros(3), 2.0, grid[some])[1], first[1][some]
+    )
+
+
+def _search(values, sign=1.0, height_factor=None):
+    """``_scan_extremum`` on a synthetic curve over the lattice 0, 1, ...,
+    with the size of each call it makes."""
+    calls = []
+
+    def curve(speeds):
+        calls.append(speeds.size)
+        return values[speeds.astype(int)]
+
+    grid = np.arange(values.size, dtype=float)
+    found = motion._scan_extremum(
+        curve, grid, "test", sign=sign, height_factor=height_factor
+    )
+    return found, calls
+
+
+class TestScanExtremum:
+    def test_factor_one_is_the_full_scan(self, monkeypatch):
+        monkeypatch.setattr(motion, "_COARSE_FACTOR", 1)
+        values = np.random.default_rng(5).random(101)
+        grid = np.arange(values.size, dtype=float)
+        (u, value, (speeds, seen), record), calls = _search(values)
+        assert calls == [values.size] and record["trials"] == values.size
+        np.testing.assert_array_equal(speeds, grid)
+        np.testing.assert_array_equal(seen, values)
+        i = int(np.argmax(values))
+        assert value == values[i]
+        assert u == _refine_peaks(values, (i,), (grid,), (1.0,))[0, 0]
+        (u, _, _, _), _ = _search(values, sign=-1.0)
+        i = int(np.argmin(values))
+        assert u == _refine_peaks(-values, (i,), (grid,), (1.0,))[0, 0]
+        (u, value, _, _), _ = _search(values, height_factor=1.5)
+        assert [(u, value)] == find_speed_peaks(grid, values, 1.5)[:1]
+
+    def test_candidates_are_ranked_after_the_fine_pass(self):
+        # A narrow peak at 50 between coarse points 48 and 52, a broad
+        # one on coarse point 80: the coarse curve ranks the broad one
+        # first, the full curve the narrow one.
+        lattice = np.arange(121)
+        values = 1.0 + 0.01 * np.cos(lattice)
+        values += 10.0 * np.exp(-(((lattice - 50) / 1.5) ** 2))
+        values += 9.9 * np.exp(-(((lattice - 80) / 6.0) ** 2))
+        coarse = lattice[:: motion._COARSE_FACTOR]
+        assert coarse[np.argmax(values[coarse])] == 80
+        (u, value, _, record), calls = _search(values)
+        assert value == values.max() == values[50]
+        assert round(u) == 50 and record["trials"] < values.size / 2
+        assert len(calls) == 2
+
+    def test_an_end_of_the_lattice_can_be_the_extremum(self):
+        values = np.linspace(1.0, 2.0, 61) ** 2
+        (u, value, _, record), _ = _search(values)
+        assert (u, value, record["on_border"]) == (60.0, values[-1], True)
+        (u, value, _, record), _ = _search(values, sign=-1.0)
+        assert (u, value, record["on_border"]) == (0.0, values[0], True)
+        # A detection takes interior peaks only, as find_speed_peaks does.
+        (u, value, _, record), _ = _search(values, height_factor=1.0)
+        assert u is value is None and not record["on_border"]
+
+    def test_a_flat_top_is_tie_broken_as_local_maxima_breaks_ties(self):
+        # The top spans 30-32; 32 is a coarse point.
+        values = np.full(81, 1.0)
+        values[29:34] = [2.0, 5.0, 5.0, 5.0, 2.0]
+        i = _local_maxima(values, 0.0)[0][0]
+        assert i == 32
+        (u, value, _, _), _ = _search(values)
+        grid = np.arange(values.size, dtype=float)
+        assert u == _refine_peaks(values, (i,), (grid,), (1.0,))[0, 0]
+        assert value == 5.0
+
+    @pytest.mark.parametrize(
+        "values, index",
+        [
+            ([3.0], 0),
+            ([1.0, 2.0], 1),
+            ([1.0, 3.0, 2.0], 1),
+            ([4.0, 1.0, 2.0, 3.0], 0),
+        ],
+    )
+    def test_a_lattice_shorter_than_one_coarse_step(self, values, index):
+        values = np.array(values)
+        (u, value, (speeds, _), record), calls = _search(values)
+        assert calls == [values.size] and speeds.size == values.size
+        assert value == values[index] and round(u) == index
+        assert record["on_border"] == (index in (0, values.size - 1))
 
 
 class TestCrossSpeed:
@@ -272,9 +370,19 @@ class TestSeparateMovers:
         assert set(sep.diagnostics) == {
             "windows",
             "g_curves",
+            "scans",
             "feasibility",
             "max_shift_frac",
         }
+        scans = sep.diagnostics["scans"]
+        assert [r["kind"] for r in scans] == ["g", "g_perp", "g_refine", "g_perp"]
+        assert all(
+            r.keys() == {"kind", "trials", "coarse_factor", "fine_windows", "on_border"}
+            for r in scans
+        )
+        u_grid, values = sep.diagnostics["g_curves"][0]
+        assert u_grid.size == values.size == scans[0]["trials"]
+        assert np.all(np.diff(u_grid) > 0.0)
         assert 0.0 < sep.diagnostics["max_shift_frac"] < 1.0
         mix_energy = float(np.sum(trace.data**2))
         resid_energy = float(np.sum(sep.residual.data**2))
@@ -310,6 +418,57 @@ class TestSeparateMovers:
         # The near-range image locates no points, so the windowed split
         # stands in for the removal, over the caller's box only.
         assert single_mover_run[2] == [12.0]
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _separation_arrays(sep):
+    """Every number of a separation except its scan records and curves."""
+    yield sep.low.data
+    yield sep.residual.data
+    yield from (m.data for m in sep.movers)
+    for est in sep.estimates:
+        yield np.array([est.u, est.u_perp, est.g_score, *est.rho])
+    yield np.array([sep.diagnostics["max_shift_frac"]])
+
+
+class TestCoarseToFineOracle:
+    """The pipeline at the shipped coarse factor against factor 1, the
+    full scan of every curve."""
+
+    def assert_same_as_full_scans(self, monkeypatch, run):
+        shipped = run()
+        monkeypatch.setattr(motion, "_COARSE_FACTOR", 1)
+        full = run()
+        assert len(shipped.estimates) == len(full.estimates) > 0
+        for a, b in zip(_separation_arrays(shipped), _separation_arrays(full)):
+            np.testing.assert_array_equal(a, b)
+        trials = [
+            sum(r["trials"] for r in sep.diagnostics["scans"])
+            for sep in (shipped, full)
+        ]
+        assert trials[0] < trials[1]
+
+    def test_single_mover_fixture(self, monkeypatch, single_mover_run):
+        trace = single_mover_run[0]
+        self.assert_same_as_full_scans(
+            monkeypatch, lambda: separate_movers(trace, max_movers=1, extent=12.0)
+        )
+
+    def test_reduced_scene1_at_seed_0(self, monkeypatch):
+        # perfbench's scene1-separate input and call at seed 0.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", WORKLOADS
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up by name.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        inputs = workloads.split_setup(None, None)
+        self.assert_same_as_full_scans(
+            monkeypatch, lambda: workloads.split_run(inputs)
+        )
 
 
 class TestPeelWindow:
