@@ -14,8 +14,8 @@ mover), one range-speed scan (``motion.g_curve`` on scene1 reduced as
 perfbench reduces it, 87 pulses by 2025 samples) and one cross-speed
 scan on the same trace (``motion.g_perp_curve`` through the reference
 point at the strongest g(u) peak's range speed), then the pipeline's
-coarse-to-fine searches of the same two curves (``motion._scan_extremum``
-as the detection calls it, and ``motion.estimate_cross_speed``), each on
+coarse-to-fine searches of the same two curves (``motion._detect``, the
+detection's search, and ``motion.estimate_cross_speed``), each on
 ``kernels._WORKERS`` threads and on one;
 one stationary-echo removal (``annihil.remove_stationary`` on the same
 reduced scene1, at the points ``annihil.locate_stationary`` finds in
@@ -191,18 +191,12 @@ def bench_scan(repeats):
     # The cross-speed scan at the range speed of the strongest g(u) peak,
     # through the reference point.
     u = motion.find_speed_peaks(*motion.g_curve(trace))[0][0]
-    grid = motion._default_speed_grid(trace, motion._U_STEP)
     scans = {
         "g_curve": lambda: motion.g_curve(trace),
         "g_perp_curve": lambda: motion.g_perp_curve(trace, trace.rho_o, u),
         # The pipeline's coarse-to-fine searches of the same curves: the
         # detection's search for the g(u) peak and the cross-speed estimate.
-        "g search": lambda: motion._scan_extremum(
-            lambda u_grid: motion.g_curve(trace, u_grid)[1],
-            grid,
-            "g",
-            height_factor=motion._PEAK_HEIGHT,
-        )[2],
+        "g search": lambda: motion._detect(trace)[2],
         "g_perp search": lambda: motion.estimate_cross_speed(trace, trace.rho_o, u)[1],
     }
     for name, scan in scans.items():

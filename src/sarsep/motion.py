@@ -177,12 +177,55 @@ def find_speed_peaks(
 
 
 #: Coarse-to-fine scans (``_scan_extremum``) evaluate every
-#: ``_COARSE_FACTOR``-th lattice point, then the points within
-#: +-``_COARSE_FACTOR`` of the ``_COARSE_CANDIDATES`` best coarse
+#: ``factor``-th lattice point, at most ``_COARSE_FACTOR``, then the
+#: points within +-``factor`` of the ``_COARSE_CANDIDATES`` best coarse
 #: extrema.  Factor 1 is the full scan, and is used on a lattice no
 #: longer than those fine windows.
 _COARSE_FACTOR = 4
 _COARSE_CANDIDATES = 3
+
+#: Spread of the straightened track's delays across the valid rows, in
+#: 1/B units, at which each scan's curve falls half way from its
+#: extremum: the half width at half height, in lattice steps, times the
+#: lattice's largest spread change per step.  For g, a Gaussian pulse
+#: envelope of standard deviation 1/B averaged over a linear spread
+#: halves at 5/B; its peaks measured 4.2-5.1/B on perfbench's reduced
+#: scene1 (seeds 0, 11, 73).  The g_perp dips measured 0.51-0.71/B there
+#: and on the near-range test mover.
+_HALF_SPREAD = {"g": 4.0, "g_perp": 0.5}
+
+
+def _coarse_factor(trace: TraceMatrix, rho, velocity, grid, kind: str) -> int:
+    """Coarse step, in lattice steps, of a ``kind`` scan over the lattice
+    ``grid`` of speeds, straightened at ``rho`` with ``velocity(speed)``.
+
+    One lattice step changes the spread of the straightened track's
+    delays across the valid rows by at most ``cells`` resolution cells
+    (1/B).  The curve falls half way at a spread of ``_HALF_SPREAD``
+    cells, so its peaks are at least 2 * ``_HALF_SPREAD`` / ``cells``
+    steps wide at half height, and a coarse step no wider leaves a
+    coarse sample above half height on every peak.  The step is capped
+    at ``_COARSE_FACTOR``; a trace without a recorded bandwidth is
+    scanned whole.
+    """
+    bandwidth = trace.meta.get("bandwidth")
+    if bandwidth is None or grid.size < 2:
+        return 1
+    # The trial velocities are linear in the speed.  A step's change of
+    # the delays varies slowly along the lattice; its spread is taken at
+    # both ends and in the middle, where the largest lie (g_perp's at an
+    # end, g's in the middle).
+    pairs = np.array([[0], [(grid.size - 1) // 2], [grid.size - 2]]) + [0, 1]
+    first = velocity(grid[0])
+    velocities = first + pairs[..., None, None] * (velocity(grid[1]) - first)
+    start, stop = trace.valid_rows
+    s = trace.s_times[start:stop]
+    delays = delta_tau_moving(trace.traj, s, rho, velocities, trace.rho_o)
+    cells = float(np.ptp(delays[:, 1] - delays[:, 0], axis=-1).max()) * bandwidth
+    width = 2.0 * _HALF_SPREAD[kind]
+    if cells * _COARSE_FACTOR <= width:
+        return _COARSE_FACTOR
+    return max(1, int(width / cells))
 
 
 def _lattice_maxima(score: np.ndarray, done: np.ndarray, border: bool) -> np.ndarray:
@@ -203,26 +246,28 @@ def _lattice_maxima(score: np.ndarray, done: np.ndarray, border: bool) -> np.nda
     return _local_maxima(ranks, 0.0)[0]
 
 
-def _scan_extremum(curve, grid, kind, sign=1.0, step=None, height_factor=None):
+def _scan_extremum(
+    curve, grid, kind, factor, sign=1.0, step=None, height_factor=None
+):
     """Strongest extremum of a scan over the lattice ``grid``, coarse to fine.
 
     ``curve(speeds)`` returns the scan's values at some lattice points;
     ``sign`` is +1 to find a maximum and -1 a minimum.  The search
-    evaluates every ``_COARSE_FACTOR``-th lattice point and the last
-    one; then, in one call, the missing points within
-    +-``_COARSE_FACTOR`` of the ``_COARSE_CANDIDATES`` strongest
-    extrema of that coarse curve; then the missing neighbours of the
-    strongest extremum among all evaluated points, until it has none.
-    The candidates are ranked only after the fine pass: a coarse sample
-    may sit on the flank of the strongest peak.  A lattice no longer
-    than the fine windows is evaluated whole, in one call (factor 1).
-    Extrema follow ``imaging._local_maxima``'s rule (ties go to the last
-    index) and may sit on either end of the lattice, unless
-    ``height_factor`` is given: then, as in ``find_speed_peaks``, the
-    extremum must lie off the ends and reach ``height_factor`` times the
-    median of the coarse curve.  A trial's value does not depend on the
-    other trials of its call, so each evaluated point reads as in the
-    full scan.
+    evaluates every ``factor``-th lattice point (``_coarse_factor``) and
+    the last one; then, in one call, the missing points within
+    +-``factor`` of the ``_COARSE_CANDIDATES`` strongest extrema of that
+    coarse curve; then the missing neighbours of the strongest extremum
+    among all evaluated points, until it has none.  The candidates are
+    ranked only after the fine pass: a coarse sample may sit on the
+    flank of the strongest peak.  A lattice no longer than the fine
+    windows is evaluated whole, in one call (factor 1).  Extrema follow
+    ``imaging._local_maxima``'s rule (ties go to the last index) and may
+    sit on either end of the lattice, unless ``height_factor`` is given:
+    then, as in ``find_speed_peaks``, the coarse candidates and the
+    extremum lie off the ends, and the extremum must reach
+    ``height_factor`` times the median of the coarse curve.  A trial's
+    value does not depend on the other trials of its call, so each
+    evaluated point reads as in the full scan.
 
     Returns (position, value, (speeds, values), record): the extremum
     refined by ``imaging._refine_peaks`` with ``step`` (default: the
@@ -232,7 +277,6 @@ def _scan_extremum(curve, grid, kind, sign=1.0, step=None, height_factor=None):
     ``on_border``, true when the extremum is an end of the lattice).
     """
     n = grid.size
-    factor = _COARSE_FACTOR
     if n <= _COARSE_CANDIDATES * (2 * factor + 1):
         factor = 1
     values = np.zeros(n)
@@ -248,16 +292,18 @@ def _scan_extremum(curve, grid, kind, sign=1.0, step=None, height_factor=None):
 
     coarse = np.unique(np.append(np.arange(0, n, factor), n - 1))
     evaluate(coarse)
+    border = height_factor is None
     windows = []
     if factor > 1:
-        top = _lattice_maxima(sign * values[coarse], done[coarse], True)
+        top = _lattice_maxima(sign * values[coarse], done[coarse], border)
         windows = [
             (max(c - factor, 0), min(c + factor, n - 1))
             for c in coarse[top[:_COARSE_CANDIDATES]]
         ]
+    if windows:
         evaluate(np.concatenate([np.arange(a, b + 1) for a, b in windows]))
     while True:
-        peaks = _lattice_maxima(sign * values, done, height_factor is None)
+        peaks = _lattice_maxima(sign * values, done, border)
         if not peaks.size or not evaluate(peaks[0] + np.array([-1, 1])):
             break
     best = int(peaks[0]) if peaks.size else None
@@ -320,21 +366,27 @@ def estimate_cross_speed(
     The grid (default as in ``g_perp_curve``) is searched coarse to fine
     (``_scan_extremum``); the curve returned holds the evaluated points.
     """
-    return _cross_speed(trace, rho_e, u, u_perp_grid, [])
+    u_perp, curve, _ = _cross_speed(trace, rho_e, u, u_perp_grid)
+    return u_perp, curve
 
 
-def _cross_speed(trace, rho_e, u, u_perp_grid, scans: list):
-    """``estimate_cross_speed``, appending the scan's record to ``scans``."""
+def _cross_speed(trace, rho_e, u, u_perp_grid=None):
+    """``estimate_cross_speed``'s search: (u_perp, curve, scan record)."""
     if u_perp_grid is None:
         u_perp_grid = _default_speed_grid(trace, _U_PERP_STEP)
+    grid = np.asarray(u_perp_grid, dtype=float)
+    frame = make_frame(trace.traj, trace.rho_o)
+    factor = _coarse_factor(
+        trace, rho_e, lambda u_perp: compose_velocity(frame, u, u_perp), grid, "g_perp"
+    )
     u_perp, _, curve, record = _scan_extremum(
-        lambda grid: g_perp_curve(trace, rho_e, u, grid)[1],
-        np.asarray(u_perp_grid, dtype=float),
+        lambda trial: g_perp_curve(trace, rho_e, u, trial)[1],
+        grid,
         "g_perp",
+        factor,
         sign=-1.0,
     )
-    scans.append(record)
-    return u_perp, curve
+    return u_perp, curve, record
 
 
 def estimate_location(trace: TraceMatrix, u_vec, extent: float = 80.0) -> np.ndarray:
@@ -413,19 +465,12 @@ def estimate_motion(
     scanned at that location, and it is located again at the composed
     velocity.  A given ``rho`` is kept and skips both images.
     """
-    return _estimate_motion(trace, u, g_score, [], u_vec, rho, u_perp_grid, extent)
-
-
-def _estimate_motion(
-    trace, u, g_score, scans: list, u_vec=None, rho=None, u_perp_grid=None, extent=80.0
-) -> VelocityEstimate:
-    """``estimate_motion``, appending its scan's record to ``scans``."""
     frame = make_frame(trace.traj, trace.rho_o)
     located = rho is None
     if located:
         first = trial_velocity(frame, u) if u_vec is None else u_vec
         rho = estimate_location(trace, first, extent=extent)
-    u_perp, _ = _cross_speed(trace, rho, u, u_perp_grid, scans)
+    u_perp, _ = estimate_cross_speed(trace, rho, u, u_perp_grid)
     if located:
         rho = estimate_location(
             trace, compose_velocity(frame, u, u_perp), extent=extent
@@ -466,15 +511,33 @@ class MoverSeparation:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _refine_speed(trace: TraceMatrix, u: float, scans: list) -> tuple[float, float]:
-    """Re-peak g(u) on a grid of +-2 m/s around a prior estimate,
-    appending the scan's record to ``scans``."""
+def _detect(trace: TraceMatrix):
+    """The detection's search for the strongest g(u) peak on the default
+    lattice: (u, score, curve, scan record), u and score None when no
+    interior peak reaches ``_PEAK_HEIGHT`` times the coarse curve's
+    median."""
+    grid = _default_speed_grid(trace, _U_STEP)
+    frame = make_frame(trace.traj, trace.rho_o)
+    factor = _coarse_factor(
+        trace, trace.rho_o, lambda u: trial_velocity(frame, u), grid, "g"
+    )
+    return _scan_extremum(
+        lambda trial: g_curve(trace, trial)[1],
+        grid,
+        "g",
+        factor,
+        height_factor=_PEAK_HEIGHT,
+    )
+
+
+def _refine_speed(trace: TraceMatrix, u: float):
+    """Re-peak g(u) on a grid of +-2 m/s around a prior estimate, in one
+    full scan: (u, score, scan record)."""
     grid = np.arange(u - 2.0, u + 2.0 + 0.5 * _U_STEP, _U_STEP)
     u, score, _, record = _scan_extremum(
-        lambda trial: g_curve(trace, trial)[1], grid, "g_refine", step=_U_STEP
+        lambda trial: g_curve(trace, trial)[1], grid, "g_refine", 1, step=_U_STEP
     )
-    scans.append(record)
-    return u, score
+    return u, score, record
 
 
 def _peel_span(trace: TraceMatrix) -> tuple[int, int]:
@@ -571,18 +634,24 @@ def separate_movers(
     estimates: list[VelocityEstimate] = []
     g_curves: list[tuple[np.ndarray, np.ndarray]] = []
     scans: list[dict] = []
+    frame = make_frame(trace.traj, trace.rho_o)
+
+    def estimate(part, u, score, first):
+        # estimate_motion from the velocity ``first``, keeping the record
+        # of its cross-speed scan.
+        rho = estimate_location(part, first, extent=extent)
+        u_perp, _, record = _cross_speed(part, rho, u)
+        scans.append(record)
+        rho = estimate_location(part, compose_velocity(frame, u, u_perp), extent)
+        return VelocityEstimate(u=u, u_perp=u_perp, rho=rho, g_score=score, frame=frame)
+
     for _ in range(max_movers):
-        u, score, curve, record = _scan_extremum(
-            lambda grid: g_curve(residual, grid)[1],
-            _default_speed_grid(residual, _U_STEP),
-            "g",
-            height_factor=_PEAK_HEIGHT,
-        )
+        u, score, curve, record = _detect(residual)
         g_curves.append(curve)
         scans.append(record)
         if u is None:
             break
-        scan = _estimate_motion(residual, u, score, scans, extent=extent)
+        scan = estimate(residual, u, score, trial_velocity(frame, u))
         delays = _track_delays(residual, scan.rho, scan.u_vec)
         max_shift_frac = max(max_shift_frac, float(np.max(np.abs(delays))) / gate)
         mover, peel = _peel(residual, scan)
@@ -595,11 +664,10 @@ def separate_movers(
         residual = residual.replace(data=residual.data - mover.data)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.
-        u, score = _refine_speed(mover, u, scans)
+        u, score, record = _refine_speed(mover, u)
+        scans.append(record)
         movers.append(mover)
-        estimates.append(
-            _estimate_motion(mover, u, score, scans, u_vec=scan.u_vec, extent=extent)
-        )
+        estimates.append(estimate(mover, u, score, scan.u_vec))
     return MoverSeparation(
         low=low,
         movers=tuple(movers),

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_scans_do_not_depend_on_the_worker_count(
     )
 
 
-def _search(values, sign=1.0, height_factor=None):
+def _search(values, sign=1.0, height_factor=None, factor=motion._COARSE_FACTOR):
     """``_scan_extremum`` on a synthetic curve over the lattice 0, 1, ...,
     with the size of each call it makes."""
     calls = []
@@ -173,27 +174,26 @@ def _search(values, sign=1.0, height_factor=None):
 
     grid = np.arange(values.size, dtype=float)
     found = motion._scan_extremum(
-        curve, grid, "test", sign=sign, height_factor=height_factor
+        curve, grid, "test", factor, sign=sign, height_factor=height_factor
     )
     return found, calls
 
 
 class TestScanExtremum:
-    def test_factor_one_is_the_full_scan(self, monkeypatch):
-        monkeypatch.setattr(motion, "_COARSE_FACTOR", 1)
+    def test_factor_one_is_the_full_scan(self):
         values = np.random.default_rng(5).random(101)
         grid = np.arange(values.size, dtype=float)
-        (u, value, (speeds, seen), record), calls = _search(values)
+        (u, value, (speeds, seen), record), calls = _search(values, factor=1)
         assert calls == [values.size] and record["trials"] == values.size
         np.testing.assert_array_equal(speeds, grid)
         np.testing.assert_array_equal(seen, values)
         i = int(np.argmax(values))
         assert value == values[i]
         assert u == _refine_peaks(values, (i,), (grid,), (1.0,))[0, 0]
-        (u, _, _, _), _ = _search(values, sign=-1.0)
+        (u, _, _, _), _ = _search(values, sign=-1.0, factor=1)
         i = int(np.argmin(values))
         assert u == _refine_peaks(-values, (i,), (grid,), (1.0,))[0, 0]
-        (u, value, _, _), _ = _search(values, height_factor=1.5)
+        (u, value, _, _), _ = _search(values, height_factor=1.5, factor=1)
         assert [(u, value)] == find_speed_peaks(grid, values, 1.5)[:1]
 
     def test_candidates_are_ranked_after_the_fine_pass(self):
@@ -220,6 +220,24 @@ class TestScanExtremum:
         # A detection takes interior peaks only, as find_speed_peaks does.
         (u, value, _, record), _ = _search(values, height_factor=1.0)
         assert u is value is None and not record["on_border"]
+
+    def test_a_detection_spends_no_fine_window_on_an_end(self):
+        # A narrow peak at 50 whose coarse points 48 and 52 read below
+        # the broad clutter peaks on coarse points 20 and 80, and a high
+        # last point: were the end a coarse candidate, the three fine
+        # windows would go to 120, 20 and 80 and miss the peak.
+        lattice = np.arange(121)
+        values = 1.0 + 0.01 * np.cos(lattice)
+        values += 9.0 * np.exp(-(((lattice - 50) / 1.5) ** 2))
+        values += 2.0 * np.exp(-(((lattice - 20) / 6.0) ** 2))
+        values += 1.9 * np.exp(-(((lattice - 80) / 6.0) ** 2))
+        values[-1] = 50.0
+        coarse = values[:: motion._COARSE_FACTOR]
+        assert np.sum(coarse > max(values[48], values[52])) == 3
+        (u, value, _, record), _ = _search(values, height_factor=2.0)
+        grid = np.arange(values.size, dtype=float)
+        assert [(u, value)] == find_speed_peaks(grid, values, 2.0)[:1]
+        assert round(u) == 50 and not record["on_border"]
 
     def test_a_flat_top_is_tie_broken_as_local_maxima_breaks_ties(self):
         # The top spans 30-32; 32 is a coarse point.
@@ -249,6 +267,25 @@ class TestScanExtremum:
         assert record["on_border"] == (index in (0, values.size - 1))
 
 
+class TestCoarseFactor:
+    def test_the_coarse_step_fits_inside_the_narrowest_peak(
+        self, mover_trace, near_frame
+    ):
+        # The near-range mover's g_perp dip is 3 lattice steps wide at half
+        # depth, its g(u) peak over 20; reduced scene1's dips are 85-110.
+        rho = np.zeros(3)
+        cross = partial(compose_velocity, near_frame, 2.0)
+        grid = motion._default_speed_grid(mover_trace, motion._U_PERP_STEP)
+        assert motion._coarse_factor(mover_trace, rho, cross, grid, "g_perp") == 1
+        along = partial(trial_velocity, near_frame)
+        grid = motion._default_speed_grid(mover_trace, motion._U_STEP)
+        factor = motion._coarse_factor(mover_trace, rho, along, grid, "g")
+        assert factor == motion._COARSE_FACTOR
+        # Without a bandwidth the scan is full.
+        stripped = mover_trace.replace(meta={})
+        assert motion._coarse_factor(stripped, rho, along, grid, "g") == 1
+
+
 class TestCrossSpeed:
     def test_minimum_sits_at_the_true_cross_speed(self, mover_trace):
         grid, values = g_perp_curve(
@@ -260,6 +297,13 @@ class TestCrossSpeed:
         u_perp, (grid, values) = estimate_cross_speed(
             mover_trace, np.zeros(3), 2.0, u_perp_grid=np.arange(0.0, 10.5, 0.5)
         )
+        assert u_perp == pytest.approx(5.0, abs=0.1)
+        assert grid.shape == values.shape
+
+    def test_the_default_grid_finds_a_dip_narrower_than_four_steps(
+        self, mover_trace
+    ):
+        u_perp, (grid, values) = estimate_cross_speed(mover_trace, np.zeros(3), 2.0)
         assert u_perp == pytest.approx(5.0, abs=0.1)
         assert grid.shape == values.shape
 
