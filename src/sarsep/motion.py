@@ -7,14 +7,15 @@ cross-range speed is then found at a fixed range speed by minimizing
 the residual of a second slow-time difference after straightening at
 the mover's location.  The pipeline's scans (detection, cross speed and
 the range-speed refinement) search their lattice coarse to fine
-(``_scan_extremum``): every 4th trial first, then the trials around
-the best coarse candidates, with the full scan's values and extremum
-wherever the coarse step brackets it.  The public ``g_curve`` and
-``g_perp_curve`` evaluate exactly the grid they are given.  The
-pipeline first removes the echoes of
-stationary points located in a preliminary image, then peels movers
-off one at a time with a low-rank/sparse split of one fast-time window
-around the straightened mover.
+(``_scan_extremum``): every k-th trial first, with k at most 4 and no
+wider than the narrowest peak the trace's geometry allows
+(``_coarse_factor``), then the trials around the best coarse
+candidates; every trial evaluated reads as in the full scan.  The
+public ``g_curve`` and ``g_perp_curve`` evaluate exactly the grid they
+are given.  The pipeline first removes the echoes of stationary points
+located in a preliminary image, then peels movers off one at a time
+with a low-rank/sparse split of one fast-time window around the
+straightened mover.
 """
 
 from __future__ import annotations
