@@ -262,9 +262,10 @@ def bench_peel(repeats, extent=20.0):
     with warnings.catch_warnings():
         # Its location images sample outside the gate, as the pipeline's do.
         warnings.filterwarnings("ignore", ".*outside the fast-time gate", RuntimeWarning)
-        scan = motion.estimate_motion(rest, u, score, extent=extent)
+        scan, _ = motion.estimate_motion(rest, u, score, extent=extent)
     t_numpy = median_time(lambda: motion._peel(rest, scan), repeats)
-    ((a, b),) = [w["columns"] for w in motion._peel(rest, scan)[1].diagnostics]
+    _, split, _ = motion._peel(rest, scan)
+    ((a, b),) = [w["columns"] for w in split.diagnostics]
     shape = f"{trace.n + 1}x{trace.m + 1}"
     print(f"peel {shape} window {b - a}   numpy   {t_numpy * 1e3:8.2f} ms")
 

@@ -46,6 +46,7 @@ from .imaging import (
 from .scene import Target
 from .signal import (
     TraceMatrix,
+    _require_compressed,
     _shift_spectra,
     fast_time_shift,
     next_fast_odd,
@@ -96,13 +97,6 @@ _MAX_CANDIDATES = 64
 _ZERO3 = np.zeros(3)
 
 
-def _require_compressed(trace: TraceMatrix):
-    if not trace.compressed:
-        raise ValueError(
-            "operation requires a range-compressed trace (differential delays)"
-        )
-
-
 def _track_delays(trace: TraceMatrix, rho_e, u_vec) -> np.ndarray:
     u_vec = _ZERO3 if u_vec is None else np.asarray(u_vec, dtype=float)
     return delta_tau_moving(trace.traj, trace.s_times, rho_e, u_vec, trace.rho_o)
@@ -115,14 +109,14 @@ def tt_forward(trace: TraceMatrix, rho_e, u_vec=None) -> TraceMatrix:
     echo that follows the track exactly becomes independent of slow
     time.  With rho_e = rho_o and zero velocity this is the identity.
     """
-    _require_compressed(trace)
+    _require_compressed(trace, "straightening")
     out = fast_time_shift(trace, _track_delays(trace, rho_e, u_vec))
     return out.replace(tag="transformed")
 
 
 def tt_inverse(trace: TraceMatrix, rho_e, u_vec=None) -> TraceMatrix:
     """Exact inverse of ``tt_forward`` for the same track."""
-    _require_compressed(trace)
+    _require_compressed(trace, "straightening")
     out = fast_time_shift(trace, -_track_delays(trace, rho_e, u_vec))
     return out.replace(tag="range-compressed")
 
@@ -278,7 +272,7 @@ def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
     """
     if not plan.stages:
         raise ValueError("annihilation plan has no stages")
-    _require_compressed(trace)
+    _require_compressed(trace, "annihilation")
     count, dt, ds = trace.axis.m + 1, trace.axis.dt, trace.aperture.ds
     valid = trace.valid_rows
     spectra = np.empty((trace.n + 1, count // 2 + 1), dtype=complex)
@@ -417,8 +411,7 @@ def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
     an image misses or misplaces points by many cells, and an echo
     removed at the wrong place adds energy instead.
     """
-    if not trace.compressed:
-        raise ValueError("locating stationary points needs a range-compressed trace")
+    _require_compressed(trace, "locating stationary points")
     if not {"nu0", "bandwidth"} <= trace.meta.keys():
         return np.zeros((0, 3))
     grid = _location_grid(trace, extent)
@@ -649,8 +642,7 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
     ``rest``; the two sum to the input.  With no points, ``stationary``
     is zero and ``rest`` is the input.
     """
-    if not trace.compressed:
-        raise ValueError("stationary removal needs a range-compressed trace")
+    _require_compressed(trace, "stationary removal")
     given = np.asarray(points, dtype=float).reshape(-1, 3)
     if not len(given):
         return _split_off(trace, trace.data, given)

@@ -283,12 +283,12 @@ def _cmd_estimate_motion(args):
     rho = None if args.rho_e == "auto" else _parse_vector(args.rho_e)
     perp_grid = _parse_range(args.u_perp_grid) if args.u_perp_grid else None
     estimates = [
-        estimate_motion(trace, u, score, rho=rho, u_perp_grid=perp_grid).to_dict()
+        estimate_motion(trace, u, score, rho=rho, u_perp_grid=perp_grid)[0]
         for u, score in peaks[:max_movers]
     ]
     report = {
         "peaks": [{"u_meters_per_second": u, "g_score": s} for u, s in peaks],
-        "estimates": estimates,
+        "estimates": [est.to_dict() for est in estimates],
         "g_median": float(np.median(values)),
     }
     Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
@@ -392,11 +392,9 @@ def _cmd_export(args):
     elif args.kind == "trace-pgm":
         trace = sario.read_trace(args.input)
         sario.write_pgm(out, np.abs(trace.data), args.floor_db)
-    elif args.kind == "image-pgm":
+    else:  # "image-pgm"; argparse's choices admit no other kind
         envelope, _ = sario.read_image(args.input)
         sario.write_pgm(out, envelope, args.floor_db)
-    else:
-        raise ValueError(f"unknown export kind: {args.kind!r}")
     return [args.input], [out]
 
 

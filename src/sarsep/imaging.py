@@ -29,7 +29,7 @@ import numpy as np
 
 from .geom import C_LIGHT, travel_time
 from .kernels import _in_chunks, backproject_block
-from .signal import AnalyticRows, TraceMatrix
+from .signal import AnalyticRows, TraceMatrix, _require_compressed
 
 __all__ = [
     "ImageGrid",
@@ -149,8 +149,7 @@ def image_points(
     distances |q_j - p| to the points p = rho - rho_o come from
     |q_j|^2 + |p|^2 - 2 q_j . p, one (rows x 3) @ (3 x block) product.
     """
-    if not trace.compressed:
-        raise ValueError("imaging expects range-compressed traces")
+    _require_compressed(trace, "imaging")
     u_vec = _ZERO3 if u_vec is None else np.asarray(u_vec, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows_up = AnalyticRows(trace).upsampled(_UPSAMPLE)

@@ -15,7 +15,10 @@ public ``g_curve`` and ``g_perp_curve`` evaluate exactly the grid they
 are given.  The pipeline first removes the echoes of stationary points
 located in a preliminary image, then peels movers off one at a time
 with a low-rank/sparse split of one fast-time window around the
-straightened mover.
+straightened mover.  Per mover it runs the detection (``g``),
+``estimate_motion`` (locate, cross-speed search ``g_perp``, relocate)
+on the remainder, the peel, the range-speed refinement (``g_refine``)
+and ``estimate_motion`` on the peeled trace.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .rpca import (
     _separate_spans,
     separate_windowed,
 )
-from .signal import AnalyticRows, TraceMatrix
+from .signal import AnalyticRows, TraceMatrix, _require_compressed
 
 __all__ = [
     "VelocityEstimate",
@@ -115,8 +118,7 @@ def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     trial's rows in the same order whatever the batch holds, so the
     curve does not depend on the chunks or the batches.
     """
-    if not trace.compressed:
-        raise ValueError("speed scans expect range-compressed traces")
+    _require_compressed(trace, "a speed scan")
     start, stop = trace.valid_rows
     s = trace.s_times[start:stop]
     rows = AnalyticRows(trace)
@@ -458,25 +460,29 @@ def estimate_motion(
     rho=None,
     u_perp_grid: np.ndarray | None = None,
     extent: float = 80.0,
-) -> VelocityEstimate:
+) -> tuple[VelocityEstimate, list[dict]]:
     """One mover's state at range speed u: locate, cross speed, relocate.
 
     The mover is located in an image compensated with ``u_vec``
     (default ``trial_velocity(frame, u)``), its cross-range speed is
     scanned at that location, and it is located again at the composed
     velocity.  A given ``rho`` is kept and skips both images.
+
+    Returns the estimate and the ``_scan_extremum`` records of the scans
+    it ran, in order: one, the cross-speed search (``g_perp``).
     """
     frame = make_frame(trace.traj, trace.rho_o)
     located = rho is None
     if located:
         first = trial_velocity(frame, u) if u_vec is None else u_vec
         rho = estimate_location(trace, first, extent=extent)
-    u_perp, _ = estimate_cross_speed(trace, rho, u, u_perp_grid)
+    u_perp, _, record = _cross_speed(trace, rho, u, u_perp_grid)
     if located:
         rho = estimate_location(
             trace, compose_velocity(frame, u, u_perp), extent=extent
         )
-    return VelocityEstimate(u=u, u_perp=u_perp, rho=rho, g_score=g_score, frame=frame)
+    est = VelocityEstimate(u=u, u_perp=u_perp, rho=rho, g_score=g_score, frame=frame)
+    return est, [record]
 
 
 @dataclass(frozen=True)
@@ -499,9 +505,10 @@ class MoverSeparation:
     (u_grid, values) at the lattice points its coarse-to-fine scan
     evaluated, sorted by u.  ``diagnostics["scans"]`` holds one
     ``_scan_extremum`` record per scan, in order: per round the
-    detection (``g``), the cross speed at the first location
-    (``g_perp``), then, after the peel, the range-speed refinement
-    (``g_refine``) and the cross speed on the peeled trace (``g_perp``).
+    detection (``g``), the cross-speed search of ``estimate_motion`` on
+    the remainder (``g_perp``), then, after the peel, the range-speed
+    refinement (``g_refine``) and the cross-speed search of
+    ``estimate_motion`` on the peeled trace (``g_perp``).
     ``low``, the movers and ``residual`` sum to the input.
     """
 
@@ -572,18 +579,24 @@ def _wrapped_samples(trace: TraceMatrix, delays, columns) -> int:
 
 def _peel(
     trace: TraceMatrix, scan: VelocityEstimate
-) -> tuple[TraceMatrix, SeparationResult]:
-    """The trace of the mover at ``scan``, and the split it came from.
+) -> tuple[TraceMatrix, SeparationResult, float]:
+    """The trace of the mover at ``scan``, the split it came from, and
+    the straightening's largest shift as a fraction of the gate.
 
     The trace is straightened along the mover's track and one window
     around t = 0 (``_peel_span``) is split by principal component
     pursuit.  Its low-rank part, zero outside the window, is the
-    straightened mover; it is taken back to scene coordinates.
+    straightened mover; it is taken back to scene coordinates.  The
+    split's one window record counts its ``wrapped_samples``.
     """
+    delays = _track_delays(trace, scan.rho, scan.u_vec)
     straightened = tt_forward(trace, scan.rho, scan.u_vec)
     a, b = _peel_span(straightened)
     split = _separate_spans(straightened, WindowLayout(b - a, 0), [(a, b)])
-    return tt_inverse(split.low, scan.rho, scan.u_vec), split
+    (window,) = split.diagnostics
+    window["wrapped_samples"] = _wrapped_samples(trace, delays, window["columns"])
+    shift_frac = float(np.max(np.abs(delays))) / (trace.m * trace.axis.dt)
+    return tt_inverse(split.low, scan.rho, scan.u_vec), split, shift_frac
 
 
 def separate_movers(
@@ -620,7 +633,6 @@ def separate_movers(
     points = locate_stationary(trace, extent=extent)
     splits: list[list] = []
     feasibility = max_shift_frac = 0.0
-    gate = trace.m * trace.axis.dt
     if len(points):
         removal = remove_stationary(trace, points)
         low, residual = removal.stationary, removal.rest
@@ -635,40 +647,29 @@ def separate_movers(
     estimates: list[VelocityEstimate] = []
     g_curves: list[tuple[np.ndarray, np.ndarray]] = []
     scans: list[dict] = []
-    frame = make_frame(trace.traj, trace.rho_o)
-
-    def estimate(part, u, score, first):
-        # estimate_motion from the velocity ``first``, keeping the record
-        # of its cross-speed scan.
-        rho = estimate_location(part, first, extent=extent)
-        u_perp, _, record = _cross_speed(part, rho, u)
-        scans.append(record)
-        rho = estimate_location(part, compose_velocity(frame, u, u_perp), extent)
-        return VelocityEstimate(u=u, u_perp=u_perp, rho=rho, g_score=score, frame=frame)
-
     for _ in range(max_movers):
         u, score, curve, record = _detect(residual)
         g_curves.append(curve)
         scans.append(record)
         if u is None:
             break
-        scan = estimate(residual, u, score, trial_velocity(frame, u))
-        delays = _track_delays(residual, scan.rho, scan.u_vec)
-        max_shift_frac = max(max_shift_frac, float(np.max(np.abs(delays))) / gate)
-        mover, peel = _peel(residual, scan)
-        (window,) = peel.diagnostics
-        window["wrapped_samples"] = _wrapped_samples(
-            residual, delays, window["columns"]
-        )
+        scan, records = estimate_motion(residual, u, score, extent=extent)
+        scans += records
+        mover, peel, shift_frac = _peel(residual, scan)
         splits.append(peel.diagnostics)
         feasibility = max(feasibility, peel.feasibility)
+        max_shift_frac = max(max_shift_frac, shift_frac)
         residual = residual.replace(data=residual.data - mover.data)
         # Refine on the peeled trace: the other movers are gone, so the
         # curves peak where this mover actually is.
         u, score, record = _refine_speed(mover, u)
         scans.append(record)
+        estimate, records = estimate_motion(
+            mover, u, score, u_vec=scan.u_vec, extent=extent
+        )
+        scans += records
         movers.append(mover)
-        estimates.append(estimate(mover, u, score, scan.u_vec))
+        estimates.append(estimate)
     return MoverSeparation(
         low=low,
         movers=tuple(movers),

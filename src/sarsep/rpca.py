@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import TraceMatrix
+from .signal import TraceMatrix, _require_compressed
 
 #: Windows span this many 1/bandwidth units of fast time by default.
 _WINDOW_SPAN_FACTOR = 16.0
@@ -248,8 +248,7 @@ def separate_windowed(
         Passed to ``pcp_solve``; eta defaults per window to
         1/sqrt(max(rows, window length)).
     """
-    if not trace.compressed:
-        raise ValueError("separation expects range-compressed traces")
+    _require_compressed(trace, "separation")
     if layout is None:
         layout = _default_layout(trace)
     return _separate_spans(

@@ -198,6 +198,13 @@ class TraceMatrix:
         return dataclasses.replace(self, **changes)
 
 
+def _require_compressed(trace: TraceMatrix, what: str) -> None:
+    """Reject a ``raw`` trace: ``what`` reads fast time as the
+    differential delay."""
+    if not trace.compressed:
+        raise ValueError(f"{what} requires a range-compressed trace")
+
+
 def phase_ramp(
     delays, count: int, dt: float, k0: int = 0, bins: int | None = None
 ) -> np.ndarray:

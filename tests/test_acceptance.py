@@ -55,7 +55,6 @@ from sarsep.scene import Radar, SceneSpec, Target, simulate, simulate_split
 from sarsep.signal import range_expand
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*far-field expansions degrade.*:RuntimeWarning",
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
 )
 

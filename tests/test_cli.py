@@ -21,7 +21,6 @@ from sarsep.rpca import WindowLayout
 from sarsep.scene import Target, simulate
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*far-field expansions degrade.*:RuntimeWarning",
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
 )
 

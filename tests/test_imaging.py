@@ -33,7 +33,6 @@ from sarsep.kernels import backproject_block
 from sarsep.scene import Radar, Target, simulate
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*far-field expansions degrade.*:RuntimeWarning",
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
 )
 

@@ -34,7 +34,6 @@ from sarsep.scene import Radar, Target, simulate
 from sarsep.signal import AnalyticRows, FastTimeAxis
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*far-field expansions degrade.*:RuntimeWarning",
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
 )
 
@@ -371,6 +370,43 @@ class TestVelocityEstimate:
         }
 
 
+SCAN_RECORD_KEYS = {"kind", "trials", "coarse_factor", "fine_windows", "on_border"}
+
+
+class TestEstimateMotion:
+    """The one locate -> cross speed -> relocate step, against its
+    parts called in that order."""
+
+    def test_the_located_step_records_its_cross_speed_search(
+        self, mover_trace, near_frame
+    ):
+        est, scans = motion.estimate_motion(mover_trace, 2.0, 1.0, extent=4.0)
+        rho = estimate_location(mover_trace, trial_velocity(near_frame, 2.0), 4.0)
+        u_perp, _ = estimate_cross_speed(mover_trace, rho, 2.0)
+        rho = estimate_location(
+            mover_trace, compose_velocity(near_frame, 2.0, u_perp), 4.0
+        )
+        assert (est.u, est.u_perp, est.g_score) == (2.0, u_perp, 1.0)
+        np.testing.assert_array_equal(est.rho, rho)
+        (record,) = scans
+        assert record.keys() == SCAN_RECORD_KEYS
+        assert record["kind"] == "g_perp"
+
+    def test_a_given_location_is_kept(self, mover_trace):
+        rho = np.array([0.3, -0.2, 0.0])
+        grid = np.arange(0.0, 10.5, 0.5)
+        est, scans = motion.estimate_motion(
+            mover_trace, 2.0, 1.0, rho=rho, u_perp_grid=grid
+        )
+        u_perp, (evaluated, _) = estimate_cross_speed(mover_trace, rho, 2.0, grid)
+        assert est.u_perp == u_perp
+        np.testing.assert_array_equal(est.rho, rho)
+        (record,) = scans
+        assert record.keys() == SCAN_RECORD_KEYS
+        assert record["kind"] == "g_perp"
+        assert record["trials"] == evaluated.size
+
+
 @pytest.fixture(scope="module")
 def single_mover_run(near_frame):
     """``separate_movers`` on six near-range points and one mover.
@@ -420,10 +456,7 @@ class TestSeparateMovers:
         }
         scans = sep.diagnostics["scans"]
         assert [r["kind"] for r in scans] == ["g", "g_perp", "g_refine", "g_perp"]
-        assert all(
-            r.keys() == {"kind", "trials", "coarse_factor", "fine_windows", "on_border"}
-            for r in scans
-        )
+        assert all(r.keys() == SCAN_RECORD_KEYS for r in scans)
         u_grid, values = sep.diagnostics["g_curves"][0]
         assert u_grid.size == values.size == scans[0]["trials"]
         assert np.all(np.diff(u_grid) > 0.0)
@@ -457,6 +490,34 @@ class TestSeparateMovers:
         trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=16))
         with pytest.raises(ValueError, match="max_movers"):
             separate_movers(trace, max_movers=-1)
+
+    def test_each_mover_runs_the_one_motion_step_twice(
+        self, monkeypatch, single_mover_run
+    ):
+        calls = []
+        original = motion.estimate_motion
+
+        def counted(trace, *args, **kwargs):
+            result = original(trace, *args, **kwargs)
+            calls.append((trace, kwargs.get("u_vec"), result))
+            return result
+
+        monkeypatch.setattr(motion, "estimate_motion", counted)
+        sep = separate_movers(single_mover_run[0], max_movers=2, extent=12.0)
+        assert len(sep.movers) == 2
+        assert len(calls) == 2 * len(sep.movers)
+        for mover, first, refined in zip(sep.movers, calls[::2], calls[1::2]):
+            # The refinement runs on the peeled mover, from the first
+            # round's velocity.
+            assert refined[0] is mover
+            assert first[1] is None
+            assert refined[1] is first[2][0].u_vec
+        refined_estimates = [est for _, _, (est, _) in calls[1::2]]
+        assert all(a is b for a, b in zip(refined_estimates, sep.estimates))
+        returned = [r for _, _, (_, records) in calls for r in records]
+        g_perp = [r for r in sep.diagnostics["scans"] if r["kind"] == "g_perp"]
+        assert len(returned) == len(g_perp)
+        assert all(a is b for a, b in zip(returned, g_perp))
 
     def test_the_preliminary_image_is_formed_once(self, single_mover_run):
         # The near-range image locates no points, so the windowed split

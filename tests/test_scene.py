@@ -58,6 +58,13 @@ class TestSceneSpec:
         assert len(scene.stationary_targets) == 1
         assert len(scene.moving_targets) == 1
 
+    def test_warns_beyond_the_far_field_radius(self, flat_scene_builder):
+        limit = flat_scene_builder([]).frame.range_L / 20.0
+        # Warnings are errors here, so a scene just inside the limit is quiet.
+        flat_scene_builder([(0.0, 0.99 * limit, 0.0)])
+        with pytest.warns(RuntimeWarning, match="far-field"):
+            flat_scene_builder([(0.0, 1.01 * limit, 0.0)])
+
 
 class TestTargetDeltaTau:
     def test_matches_the_geometry_module(self, flat_scene_builder):
