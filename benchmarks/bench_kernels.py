@@ -1,10 +1,11 @@
 """Numpy micro-timings of sarsep's hot loops.
 
 Runs each hot loop on a desk-scale workload and reports the median
-wall time per call: echo accumulation (``kernels.accumulate_echoes``),
-one model covariance of acceptance 8(b)'s single mover
-(``ranklab.theoretical_covariance``, 1025 x 1025, a 2 m/s range mover
-in the rank studies' frame) and the numeric rank of that covariance
+wall time per call: echo accumulation (``kernels.accumulate_echoes``,
+on ``kernels._WORKERS`` threads and on one), one model covariance of
+acceptance 8(b)'s single mover (``ranklab.theoretical_covariance``,
+1025 x 1025, a 2 m/s range mover in the rank studies' frame) and the
+numeric rank of that covariance
 (``ranklab.numeric_rank``, solved as two half-order blocks because the
 matrix is symmetric Toeplitz), backprojection sampling
 (``kernels.backproject_block``) on one block of the size ``imaging``
@@ -124,8 +125,12 @@ def bench_echoes(repeats):
             work["half_support"],
         )
 
-    t_numpy = median_time(run, repeats)
-    print(f"accumulate_echoes  numpy   {t_numpy * 1e3:8.2f} ms")
+    n_rows, n_t = work["shape"]
+    for workers, t_numpy in pooled_and_alone(run, repeats):
+        print(
+            f"accumulate_echoes {n_rows}x{n_t}, {workers} worker(s)"
+            f"   numpy   {t_numpy * 1e3:8.2f} ms"
+        )
 
 
 def bench_backproject(repeats):

@@ -8,11 +8,10 @@ one.  ``annihilate`` composes its stages on the row spectra: the
 slow-time difference commutes with the per-row FFT and consecutive
 shifts add their delays, so a plan costs one FFT round trip and one
 phase ramp per stage.  It runs in place on one array of the valid rows'
-spectra, in chunks of ``kernels._ROW_CHUNK`` rows spread over the
-workers by ``kernels._in_row_chunks``.  The slow-time difference of the
-complex spectra is taken on their float64 view and multiplied by 1/ds,
-which equals numpy's complex division by ds bit for bit, so the output
-does not depend on the chunk size or the number of workers.
+spectra, in blocks of rows (see ``sarsep.kernels``).  The slow-time
+difference of the complex spectra is taken on their float64 view and
+multiplied by 1/ds, which equals numpy's complex division by ds bit for
+bit, so the output does not depend on the block size.
 
 ``locate_stationary`` and ``remove_stationary`` use the same
 straightening to take out the echoes of stationary points found in a
@@ -134,10 +133,10 @@ def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
     spectra).  A true division of the float view by ds would round
     differently.
 
-    The new rows run in chunks over ``kernels._in_row_chunks``.  A chunk
-    reads the old row after it and, for order 2, the one before it,
-    which other chunks may already have rewritten, so those rows are
-    copied before any chunk runs.
+    The new rows run in blocks of ``kernels._ROW_CHUNK`` on
+    ``kernels._in_blocks``.  A block reads the old row after it and,
+    for order 2, the one before it, which other blocks may already have
+    rewritten, so those rows are copied before any block runs.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -149,13 +148,13 @@ def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
     lo, hi = start + order - 1, stop - 1
     complex_rows = np.iscomplexobj(d)
     rows = d.view(float) if complex_rows else d
-    chunk = kernels._ROW_CHUNK
-    firsts = np.arange(lo, hi, chunk)
-    after = rows[np.minimum(firsts + chunk, hi)]
+    size = kernels._ROW_CHUNK
+    firsts = np.arange(lo, hi, size)
+    after = rows[np.minimum(firsts + size, hi)]
     before = rows[firsts - 1] if order == 2 else None
 
     def part(a, b):
-        k, r0, r1 = a // chunk, lo + a, lo + b
+        k, r0, r1 = a // size, lo + a, lo + b
         if order == 1:
             # In place: numpy reads each row before it is rewritten.
             np.subtract(rows[r0 + 1 : r1], rows[r0 : r1 - 1], out=rows[r0 : r1 - 1])
@@ -168,7 +167,7 @@ def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
         else:
             rows[r0:r1] /= ds**order
 
-    kernels._in_row_chunks(part, hi - lo)
+    kernels._in_blocks(part, hi - lo, size)
     return lo, hi
 
 
@@ -264,11 +263,8 @@ def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
     phase ramps into it and differences it in place
     (``_row_difference``, with the reciprocal of ds), and the last
     ramp's inverse FFT is written straight into the output rows.  Each
-    pass runs in chunks of ``kernels._ROW_CHUNK`` rows on every worker
-    (``kernels._in_row_chunks``), so the only other temporaries are a
-    chunk's phase ramp or difference per worker.  Every row takes the
-    operations of a whole-array pass, so the output does not depend on
-    the chunk size or the number of workers.
+    pass runs in blocks of rows (see ``sarsep.kernels``), so the only
+    other temporaries are a block's phase ramp or difference per worker.
     """
     if not plan.stages:
         raise ValueError("annihilation plan has no stages")

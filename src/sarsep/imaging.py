@@ -6,16 +6,13 @@ upsampling of the analytic traces followed by 4-tap cubic
 interpolation, and the image envelope is the magnitude of the sum of
 the analytic traces.
 
-Pixels are imaged in blocks of ``_BLOCK`` points.  The blocks are
-independent, and ``kernels._in_chunks`` runs one contiguous run of them
-per CPU, on threads that each ``image_points`` call starts and joins
-before it returns.  Each run writes its own slice of the output, so
-every thread holds one block's per-sample arrays (a few 10^4 entries
-each) at a time.  A block's distances come from one rank-3 product: with
-q_j = r(s_j) - s_j u - rho_o per pulse and p = rho - rho_o per point,
-|q_j - p|^2 = |q_j|^2 + |p|^2 - 2 q_j . p.  Measuring both from
-``rho_o`` keeps the rounding of the cancellation at the scale of the
-range, however far the scene lies from the origin.
+Pixels are imaged in blocks of ``_BLOCK`` points on
+``kernels._in_blocks`` (see ``sarsep.kernels``), each block writing
+its own slice of the output.  A block's distances come from one rank-3
+product: with q_j = r(s_j) - s_j u - rho_o per pulse and p = rho -
+rho_o per point, |q_j - p|^2 = |q_j|^2 + |p|^2 - 2 q_j . p.  Measuring
+both from ``rho_o`` keeps the rounding of the cancellation at the scale
+of the range, however far the scene lies from the origin.
 ``kernels.backproject_block`` then samples only the (pulse, pixel)
 pairs that fall inside the gate.
 """
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import C_LIGHT, travel_time
-from .kernels import _in_chunks, backproject_block
+from .kernels import _in_blocks, backproject_block
 from .signal import AnalyticRows, TraceMatrix, _require_compressed
 
 __all__ = [
@@ -144,7 +141,7 @@ def image_points(
     complex sums and the count of (point, row) samples outside the gate.
 
     The points go through ``kernels.backproject_block`` ``_BLOCK`` at a
-    time, one contiguous run of blocks per CPU.  Per pulse,
+    time.  Per pulse,
     q_j = r(s_j) - s_j u_vec - rho_o is formed once; per block, the
     distances |q_j - p| to the points p = rho - rho_o come from
     |q_j|^2 + |p|^2 - 2 q_j . p, one (rows x 3) @ (3 x block) product.
@@ -163,25 +160,19 @@ def image_points(
     q_m2 = -2.0 * q
     centered = points - trace.rho_o
     p_sq = np.einsum("ij,ij->i", centered, centered)
-    count = points.shape[0]
-    values = np.empty(count, dtype=complex)
+    values = np.empty(points.shape[0], dtype=complex)
 
-    def part(first, last):
-        missed = 0
-        for a in range(first * _BLOCK, min(last * _BLOCK, count), _BLOCK):
-            b = a + _BLOCK
-            dtau = q_m2 @ centered[a:b].T
-            dtau += q_sq
-            dtau += p_sq[a:b]
-            np.sqrt(dtau, out=dtau)
-            dtau *= 2.0 / C_LIGHT
-            dtau -= tau_ref[:, None]
-            acc, missed_block = backproject_block(rows_up, t0, dt_up, dtau)
-            values[a:b] = acc
-            missed += int(missed_block.sum())
-        return missed
+    def part(a, b):
+        dtau = q_m2 @ centered[a:b].T
+        dtau += q_sq
+        dtau += p_sq[a:b]
+        np.sqrt(dtau, out=dtau)
+        dtau *= 2.0 / C_LIGHT
+        dtau -= tau_ref[:, None]
+        values[a:b], missed = backproject_block(rows_up, t0, dt_up, dtau)
+        return int(missed.sum())
 
-    return values, sum(_in_chunks(part, -(-count // _BLOCK)))
+    return values, sum(_in_blocks(part, points.shape[0], _BLOCK))
 
 
 def image_compensated(trace: TraceMatrix, grid: ImageGrid, u_vec) -> SarImage:

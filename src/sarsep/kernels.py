@@ -1,8 +1,8 @@
-"""Hot loops: echo accumulation and backprojection sampling, and the
-chunked parallel runs of the scans and images.
+"""Hot loops: echo accumulation, backprojection sampling, and the one
+block runner that spreads every blocked loop over the CPUs.
 
 Both kernels are vectorized numpy.  ``accumulate_echoes`` sums every
-(row, target) echo in chunks of rows and takes its carrier by angle
+(row, target) echo in blocks of rows and takes its carrier by angle
 addition from one cos/sin table that all echoes of a call share and
 one cos/sin per echo, so its only per-sample transcendental is the
 envelope's ``exp``; on the preset scenes it matches a direct
@@ -13,21 +13,31 @@ block and one sum over its rows.
 ``benchmarks/bench_kernels.py`` times both kernels on desk-scale
 inputs.
 
-``_in_chunks`` runs the speed scans' trial velocities and the
-backprojection images' pixel blocks in contiguous chunks, one per CPU
-of the process's affinity mask, on at most ``_MAX_WORKERS`` threads.
-Through ``_in_row_chunks`` it also runs, in chunks of ``_ROW_CHUNK``
-rows, the in-place spectral shifts of ``signal.fractional_shift`` and
-``annihil.annihilate`` and the in-place slow-time differences of
-``annihil._row_difference``.  Each call starts its own threads and
-joins them before it returns.  numpy releases the GIL inside its FFTs
-and array loops, so the chunks run in parallel.  Each chunk writes
-only its own outputs, so results do not depend on the number of CPUs.
+``_in_blocks`` runs each loop of the pipeline over independent blocks,
+every block writing only its own outputs.  The loops and their blocks:
+
+- ``accumulate_echoes``: as many rows as keep each temporary within
+  ``_ECHO_CHUNK`` values;
+- ``signal._shift_spectra`` (the spectral shifts of
+  ``signal.fractional_shift`` and ``annihil.annihilate``) and
+  ``annihil._row_difference``: ``_ROW_CHUNK`` rows;
+- ``motion._scan``: ``motion._SCAN_BATCH`` trial velocities;
+- ``imaging.image_points``: ``imaging._BLOCK`` pixels.
+
+Each worker, one per CPU of the process's affinity mask up to
+``_MAX_WORKERS``, takes a contiguous run of blocks.  The calling thread
+runs the first run and a pool opened for the call runs the others,
+joined before the call returns; a call with one worker or one block
+runs in the calling thread and opens no pool.  numpy releases the GIL
+inside its FFTs and array loops, so the runs overlap.  The blocks
+depend on their size alone, not on the number of workers, so neither
+do the results.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -37,71 +47,61 @@ HAS_NUMBA = False
 
 __all__ = ["accumulate_echoes", "backproject_block"]
 
-#: Most threads a chunked call uses.  Each thread holds one image block
-#: or one scan batch at a time, so the cap bounds the working set
-#: however many CPUs there are: four 256-point blocks hold as many
-#: samples as one thread's 1024-point block.
+#: Most threads a call of ``_in_blocks`` uses.  Each thread holds one
+#: image block or one scan batch at a time, so the cap bounds the
+#: working set however many CPUs there are: four 256-point blocks hold
+#: as many samples as one thread's 1024-point block.
 _MAX_WORKERS = 4
 
 #: Most values in each temporary array of ``accumulate_echoes``'s row
-#: chunks (1 MB of float64).
+#: blocks (1 MB of float64).
 _ECHO_CHUNK = 1 << 17
 
-#: Rows per chunk of ``_in_row_chunks``: a spectral shift's phase ramp
-#: holds this many rows (3 MB on example2's 11907-sample rows).  Over
-#: perfbench annihil-rank's four filters on two CPUs, 16 rows took 6-10%
-#: longer than 32 and 64 rows 2-5% less; 32 still cuts example2's 117
-#: rows into four chunks, one per thread at the cap.
+#: Rows per block of the spectral shifts and slow-time differences: a
+#: spectral shift's phase ramp holds this many rows (3 MB on example2's
+#: 11907-sample rows).  Over perfbench annihil-rank's four filters on
+#: two CPUs, 16 rows took 6-10% longer than 32 and 64 rows 2-5% less;
+#: 32 still cuts example2's 117 rows into four blocks, one per thread
+#: at the cap.
 _ROW_CHUNK = 32
 
-#: Threads that run a chunked call, the caller included: one per CPU the
-#: process may run on, up to ``_MAX_WORKERS``.
+#: Threads that run a call of ``_in_blocks``, the caller included: one
+#: per CPU the process may run on, up to ``_MAX_WORKERS``.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 else:
     _WORKERS = min(os.cpu_count() or 1, _MAX_WORKERS)
 
 
-def _in_chunks(part, count: int) -> list:
-    """``[part(a, b), ...]`` over one contiguous chunk [a, b) of
-    range(count) per worker, in chunk order.
+def _in_blocks(part, count: int, size: int) -> list:
+    """``[part(a, b), ...]`` over the blocks [k size, min((k + 1) size,
+    count)) of range(count), in block order.
 
-    The calling thread runs the first chunk and a pool opened for this
-    call runs the others; with one worker, ``part(0, count)`` runs in
-    the calling thread alone.  The pool joins every chunk before the
-    call returns, so no thread outlives it; then the first failed
-    chunk's exception is raised.
+    Each worker takes a contiguous run of blocks; the calling thread
+    runs the first run and a pool opened for this call runs the others.
+    With one worker or one block everything runs in the calling thread
+    and no pool opens.  The pool joins every run before the call
+    returns, so no thread outlives it; then the first failed run's
+    exception is raised.
     """
-    chunks = max(1, min(_WORKERS, count))
-    if chunks == 1:
-        return [part(0, count)]
-    from concurrent.futures import ThreadPoolExecutor
+    blocks = -(-count // size)
 
-    bounds = [count * k // chunks for k in range(chunks + 1)]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(chunks - 1, thread_name_prefix="sarsep") as pool:
-        futures = [pool.submit(part, a, b) for a, b in spans[1:]]
-        first = part(*spans[0])
-    return [first] + [future.result() for future in futures]
-
-
-def _in_row_chunks(part, rows: int) -> list:
-    """``[part(r0, r1), ...]`` over the chunks [k c, min((k + 1) c,
-    rows)) of range(rows), c = ``_ROW_CHUNK``, in row order.
-
-    ``_in_chunks`` gives each worker a contiguous run of chunks.  The
-    chunks do not depend on the number of workers, so neither does the
-    work done on any row.
-    """
-    size = _ROW_CHUNK
-
-    def run(a, b):
+    def run(first, last):
         return [
-            part(r0, min(r0 + size, rows))
-            for r0 in range(a * size, min(b * size, rows), size)
+            part(a, min(a + size, count))
+            for a in range(first * size, min(last * size, count), size)
         ]
 
-    return [out for run_out in _in_chunks(run, -(-rows // size)) for out in run_out]
+    runs = min(_WORKERS, blocks)
+    if runs <= 1:
+        return run(0, blocks)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [blocks * k // runs for k in range(runs + 1)]
+    with ThreadPoolExecutor(runs - 1, thread_name_prefix="sarsep") as pool:
+        futures = [pool.submit(run, *span) for span in zip(bounds[1:-1], bounds[2:])]
+        first = run(bounds[0], bounds[1])
+    return first + [out for future in futures for out in future.result()]
 
 
 def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
@@ -126,12 +126,11 @@ def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
     about 2e-12 of the trace's peak, and lie closer than it to the sum
     evaluated in long double.
 
-    Rows run in chunks whose temporaries hold at most ``_ECHO_CHUNK``
-    values each.  In a chunk every echo spans the longest echo's
-    samples, those past its own last sample weighted zero, and
-    ``np.bincount`` sums the echoes per sample in (row, target) order,
-    so targets that overlap within a row add in the order of a loop
-    over the pairs.
+    Rows run in blocks on ``_in_blocks`` (see the module docstring).  In
+    a block every echo spans the longest echo's samples, those past its
+    own last sample weighted zero, and ``np.bincount`` sums the echoes
+    per sample in (row, target) order, so targets that overlap within a
+    row add in the order of a loop over the pairs.
     """
     tau = np.asarray(tau, dtype=float)
     amps = np.asarray(amps, dtype=float)
@@ -163,8 +162,16 @@ def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
     starts = (np.arange(n_rows)[:, None] * n_t + first.astype(np.int64)).reshape(-1, 1)
     step = max(1, _ECHO_CHUNK // max(n_targets * width, n_t))
     scale = -0.5 * bandwidth**2
-    for r0 in range(0, n_rows, step):
-        r1 = min(r0 + step, n_rows)
+    # Each thread keeps its last block's sum, the block's last
+    # allocation, until its next block has made its own.  Without it the
+    # block's freed arrays left the top of the heap free, glibc returned
+    # it to the system after every block, and the next block faulted it
+    # in again: a first example2 simulation in a process took 170-190 ms
+    # against 90-100 ms with a loop over the blocks (one worker, 2-vCPU
+    # Xeon VM).
+    kept = {}
+
+    def part(r0, r1):
         pairs = slice(r0 * n_targets, r1 * n_targets)
         ref = center[pairs]
         td = lag_rows[ref]
@@ -181,6 +188,9 @@ def accumulate_echoes(out, tau, t0, dt, nu0, bandwidth, amps, half_support):
         size = (r1 - r0) * n_t
         summed = np.bincount(index.ravel(), vals.ravel(), minlength=size)
         out[r0:r1] += summed[:size].reshape(r1 - r0, n_t)
+        kept[threading.get_ident()] = summed
+
+    _in_blocks(part, n_rows, step)
     return out
 
 

@@ -48,7 +48,7 @@ from .imaging import (
     image_compensated,
     peak_extract,
 )
-from .kernels import _in_chunks
+from .kernels import _in_blocks
 from .rpca import (
     SeparationResult,
     WindowLayout,
@@ -109,14 +109,13 @@ def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     """``score`` of the analytic valid rows straightened along each
     track rho + s u_vec, for u_vec in ``velocities``.
 
-    The trials are independent: ``kernels._in_chunks`` gives each CPU a
-    contiguous run of them, on threads that this call starts and joins
-    before it returns.  Each thread takes ``_SCAN_BATCH`` trials at a
-    time, with one ``delta_tau_moving`` call, one phase ramp and one
-    FFT call per batch.  ``score`` maps the batch's shifted rows, shape
-    (trials, rows, samples), to one value per trial, and reduces each
-    trial's rows in the same order whatever the batch holds, so the
-    curve does not depend on the chunks or the batches.
+    The trials run in batches of ``_SCAN_BATCH`` on
+    ``kernels._in_blocks`` (see ``sarsep.kernels``), with one
+    ``delta_tau_moving`` call, one phase ramp and one FFT call per
+    batch.  ``score`` maps the batch's shifted rows, shape (trials,
+    rows, samples), to one value per trial, and reduces each trial's
+    rows in the same order whatever the batch holds, so the curve does
+    not depend on the batches.
     """
     _require_compressed(trace, "a speed scan")
     start, stop = trace.valid_rows
@@ -125,15 +124,12 @@ def _scan(trace: TraceMatrix, rho, velocities, score) -> np.ndarray:
     velocities = np.reshape(velocities, (-1, 1, 3))
 
     def part(a, b):
-        curve = np.empty(b - a)
-        for i in range(a, b, _SCAN_BATCH):
-            j = min(i + _SCAN_BATCH, b)
-            batch = velocities[i:j]
-            delays = delta_tau_moving(trace.traj, s, rho, batch, trace.rho_o)
-            curve[i - a : j - a] = score(rows.shifted(delays))
-        return curve
+        delays = delta_tau_moving(trace.traj, s, rho, velocities[a:b], trace.rho_o)
+        return score(rows.shifted(delays))
 
-    return np.concatenate(_in_chunks(part, len(velocities)))
+    return np.concatenate(
+        _in_blocks(part, len(velocities), _SCAN_BATCH) or [np.empty(0)]
+    )
 
 
 def g_curve(

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .geom import Aperture, Trajectory, travel_time
-from .kernels import _in_row_chunks
 
 #: Gate padding on each side of the delay extremes, in units of 1/bandwidth.
 GATE_PAD_FACTOR = 6.0
@@ -237,11 +237,11 @@ def _shift_spectra(spectra, delays, count: int, dt: float, rows=None, out=None):
     Row j of ``spectra`` (``count`` samples' ``count // 2 + 1`` bins) is
     multiplied by the phase ramp of ``delays[j]``.  With ``rows``, it is
     first set to the real FFT of ``rows[j]``; with ``out``, ``out[j]``
-    receives the shifted row's inverse real FFT.  The rows run in chunks
-    of ``kernels._ROW_CHUNK`` over ``kernels._in_row_chunks``, so the
-    only temporaries are one chunk's phase ramp per worker.  Every row
-    takes the same operations as in one whole-array pass, so the result
-    does not depend on the chunk size or the number of workers.
+    receives the shifted row's inverse real FFT.  The rows run in blocks
+    of ``kernels._ROW_CHUNK`` on ``kernels._in_blocks`` (see
+    ``sarsep.kernels``), so the only temporaries are one block's phase
+    ramp per worker.  Every row takes the same operations as in one
+    whole-array pass, so the result does not depend on the block size.
     """
 
     def part(r0, r1):
@@ -252,7 +252,7 @@ def _shift_spectra(spectra, delays, count: int, dt: float, rows=None, out=None):
         if out is not None:
             np.fft.irfft(block, n=count, axis=1, out=out[r0:r1])
 
-    _in_row_chunks(part, len(spectra))
+    kernels._in_blocks(part, len(spectra), kernels._ROW_CHUNK)
 
 
 def fractional_shift(rows: np.ndarray, delays, dt: float) -> np.ndarray:
@@ -260,9 +260,9 @@ def fractional_shift(rows: np.ndarray, delays, dt: float) -> np.ndarray:
 
     Implemented as a phase ramp on the real FFT, which is exact for
     band-limited rows and circular at the gate edges.  ``delays``
-    broadcast against the rows.  The rows are shifted in chunks, on
-    every worker (``_shift_spectra``): the spectra are the only
-    temporary of the rows' size.
+    broadcast against the rows.  The rows are shifted in blocks
+    (``_shift_spectra``): the spectra are the only temporary of the
+    rows' size.
     """
     rows = np.asarray(rows, dtype=float)
     count = rows.shape[-1]

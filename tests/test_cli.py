@@ -16,6 +16,7 @@ from sarsep import io as sario
 from sarsep.cli import main
 from sarsep.geom import compose_velocity, make_frame
 from sarsep.motion import VelocityEstimate
+from sarsep.presets import list_presets, preset_scene
 from sarsep.ranklab import rank_study
 from sarsep.rpca import WindowLayout
 from sarsep.scene import Target, simulate
@@ -402,6 +403,36 @@ class TestEstimateMotion:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "--u-grid=nope",
+            "--u-grid=-2:0:2",
+            "--rho-e=1.0",
+            "--rho-e=1,2,3,4",
+        ],
+        ids=[
+            "malformed-u-grid", "zero-step", "one-component-rho", "four-component-rho"
+        ],
+    )
+    def test_malformed_speeds_and_locations_are_usage_errors(
+        self, mixture, tmp_path, option
+    ):
+        rc = main(
+            [
+                "estimate-motion",
+                str(mixture),
+                option,
+                "--report",
+                str(tmp_path / "motion.json"),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSeparateMovers:
     def test_pipeline_outputs_and_reconstruction(self, mixture, tmp_path):
         prefix = tmp_path / "sep"
@@ -573,6 +604,23 @@ class TestRank:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_a_sweep_or_values_is_required(self, tmp_path):
+        out = tmp_path / "ranks.csv"
+        rc = main(
+            [
+                "rank",
+                "--mode",
+                "single-mover",
+                "--out",
+                str(out),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRun:
     def test_configured_pipeline_end_to_end(self, tmp_path):
         out_dir = tmp_path / "run"
@@ -643,6 +691,30 @@ class TestRun:
         rc = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
         assert rc == 2
         assert not out_dir.exists()
+
+
+    def test_a_preset_name_is_a_scene(self, tmp_path):
+        out_dir = tmp_path / "run"
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"scene": "example1", "max_movers": 0}))
+        rc = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+        assert rc == 0
+        mixture = sario.read_trace(out_dir / "mixture.trc")
+        expected = simulate(preset_scene("example1"))
+        np.testing.assert_array_equal(mixture.data, expected.data)
+
+    def test_an_unknown_preset_is_a_usage_error_naming_the_presets(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"scene": "scene9"}))
+        out_dir = tmp_path / "run"
+        rc = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert "unknown preset 'scene9'" in err
+        assert all(name in err for name in list_presets())
 
 
 class TestExport:

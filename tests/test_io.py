@@ -119,6 +119,13 @@ class TestTraceFiles:
             == second.with_name("b.trc.json").read_bytes()
         )
 
+    def test_numpy_meta_values_round_trip_as_json(self, tmp_path, circular_trace):
+        meta = {**circular_trace.meta, "scale": np.float32(2.5), "rows": np.arange(3)}
+        path = write_trace(tmp_path / "echo", circular_trace.replace(meta=meta))
+        again = read_trace(path).meta
+        assert again["scale"] == 2.5 and type(again["scale"]) is float
+        assert again["rows"] == [0, 1, 2]
+
     def test_truncated_payload_is_detected(self, tmp_path, circular_trace):
         path = write_trace(tmp_path / "echo", circular_trace)
         payload = path.read_bytes()

@@ -17,13 +17,8 @@ from sarsep import imaging, kernels
 from sarsep.annihil import AnnihilationPlan, annihilate
 from sarsep.geom import Aperture
 from sarsep.imaging import _BLOCK, ImageGrid, image_points
-from sarsep.kernels import (
-    _in_chunks,
-    _in_row_chunks,
-    accumulate_echoes,
-    backproject_block,
-)
-from sarsep.motion import g_curve
+from sarsep.kernels import _in_blocks, accumulate_echoes, backproject_block
+from sarsep.motion import g_curve, g_perp_curve
 from sarsep.presets import preset_scene
 from sarsep.scene import simulate
 from sarsep.signal import pulse
@@ -93,6 +88,16 @@ class TestAccumulateEchoes:
         np.testing.assert_array_equal(out[~touched], base[~touched])
         peak = np.abs(expected).max()
         assert np.abs(out - base - expected).max() <= 1e-11 * peak
+
+    def test_row_blocks_on_any_workers_give_the_same_bits(self, monkeypatch):
+        tau, amps = self.case()
+        whole = self.accumulate(np.zeros((6, self.N_T)), tau, amps)
+        # One row per block: each row spans about 5 x 1235 echo samples.
+        monkeypatch.setattr(kernels, "_ECHO_CHUNK", 8000)
+        for workers in (1, 3):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            out = self.accumulate(np.zeros((6, self.N_T)), tau, amps)
+            np.testing.assert_array_equal(out, whole)
 
 
 class TestBackprojectBlock:
@@ -259,26 +264,42 @@ class TestMatchesTheParentKernel:
 
 
 class TestInChunks:
-    def test_chunks_cover_the_range_in_order(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_WORKERS", 3)
-        assert _in_chunks(lambda a, b: (a, b), 10) == [(0, 3), (3, 6), (6, 10)]
-        assert _in_chunks(lambda a, b: (a, b), 2) == [(0, 1), (1, 2)]
-        assert _in_chunks(lambda a, b: (a, b), 0) == [(0, 0)]
+    @staticmethod
+    def span(a, b):
+        return (a, b)
 
-    def test_row_chunks_cover_the_rows_in_order(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_ROW_CHUNK", 3)
+    def test_chunks_cover_the_range_in_order(self, monkeypatch):
         for workers in (1, 3):
             monkeypatch.setattr(kernels, "_WORKERS", workers)
-            assert _in_row_chunks(lambda a, b: (a, b), 10) == [
-                (0, 3), (3, 6), (6, 9), (9, 10)
-            ]
-            assert _in_row_chunks(lambda a, b: (a, b), 2) == [(0, 2)]
-            assert _in_row_chunks(lambda a, b: (a, b), 0) == []
+            for size in (1, 3, 7):
+                expected = [(a, min(a + size, 10)) for a in range(0, 10, size)]
+                assert _in_blocks(self.span, 10, size) == expected
+            assert _in_blocks(self.span, 0, 3) == []
+
+    def test_row_chunks_cover_the_rows_in_order(self, monkeypatch):
+        # The blocks depend on the size alone, never on the workers.
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            assert _in_blocks(self.span, 10, 3) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+            assert _in_blocks(self.span, 2, 3) == [(0, 2)]
 
     def test_one_worker_runs_one_chunk_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(kernels, "_WORKERS", 1)
         caller = threading.current_thread()
-        assert _in_chunks(lambda a, b: (a, b, threading.current_thread()), 7) == [
+        assert _in_blocks(lambda a, b: (a, b, threading.current_thread()), 7, 3) == [
+            (0, 3, caller), (3, 6, caller), (6, 7, caller)
+        ]
+
+    def test_one_block_runs_in_the_caller_and_opens_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block call opened a pool")
+
+        monkeypatch.setattr(kernels, "_WORKERS", 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        caller = threading.current_thread()
+        assert _in_blocks(lambda a, b: (a, b, threading.current_thread()), 7, 8) == [
             (0, 7, caller)
         ]
 
@@ -294,8 +315,8 @@ class TestInChunks:
             return a
 
         with pytest.raises(ValueError, match=f"chunk at {3 * failing}"):
-            _in_chunks(part, 9)
-        # The call returns only after every other chunk has finished.
+            _in_blocks(part, 9, 3)
+        # The call returns only after every other run has finished.
         assert sorted(finished) == sorted({0, 3, 6} - {3 * failing})
 
     def test_a_nested_call_runs_inline_and_does_not_hang(self, monkeypatch):
@@ -305,13 +326,13 @@ class TestInChunks:
             return (a, b, threading.current_thread())
 
         def outer(a, b):
-            return threading.current_thread(), _in_chunks(inner, 4)
+            return threading.current_thread(), _in_blocks(inner, 4, 2)
 
         result = []
-        caller = threading.Thread(target=lambda: result.append(_in_chunks(outer, 2)))
+        caller = threading.Thread(target=lambda: result.append(_in_blocks(outer, 2, 1)))
         caller.start()
         caller.join(timeout=60.0)
-        assert not caller.is_alive(), "nested _in_chunks call hung"
+        assert not caller.is_alive(), "nested _in_blocks call hung"
         (first, first_inner), (worker, worker_inner) = result[0]
         assert first is caller and worker is not caller
         # Each nested call opens its own pool, on either thread.
@@ -327,6 +348,15 @@ class TestInChunks:
         annihilate(trace, AnnihilationPlan.for_points([(1.0, 2.0, 0.0)]))
         alive = [t.name for t in threading.enumerate() if t.name.startswith("sarsep")]
         assert alive == []
+
+    def test_an_empty_speed_grid_gives_empty_curves(self):
+        trace = simulate(near_scene([(1.0, 2.0, 0.0)], n=32))
+        for grid, values in (
+            g_curve(trace, np.array([])),
+            g_perp_curve(trace, np.zeros(3), 1.0, np.array([])),
+        ):
+            assert grid.shape == values.shape == (0,)
+            assert values.dtype == float
 
 
 @pytest.mark.skipif(
@@ -382,10 +412,10 @@ def test_a_forked_child_starts_its_own_pool():
 import os
 from sarsep import kernels
 kernels._WORKERS = 2
-assert kernels._in_chunks(lambda a, b: b - a, 10) == [5, 5]
+assert kernels._in_blocks(lambda a, b: b - a, 10, 5) == [5, 5]
 pid = os.fork()
 if pid == 0:
-    os._exit(0 if kernels._in_chunks(lambda a, b: b - a, 10) == [5, 5] else 1)
+    os._exit(0 if kernels._in_blocks(lambda a, b: b - a, 10, 5) == [5, 5] else 1)
 _, status = os.waitpid(pid, 0)
 print(os.waitstatus_to_exitcode(status))
 """
