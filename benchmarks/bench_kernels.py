@@ -25,11 +25,14 @@ example2's 30-stage plan, one stage per stationary point, and
 acceptance 3's 1857-pulse dense-aperture mover trace at the stage 2.5 m
 off the target in cross-range), each on ``kernels._WORKERS`` threads and
 on one, one peel of the first mover
-(``motion._peel``: straighten, split one 617-sample window, take the
-mover back; on what that removal leaves of the reduced scene1, at the
-pipeline's first-round estimate) and one singular-value-thresholding
-step of principal component pursuit (``rpca._svd_threshold``) on a
-window of the shape the peel splits (87 pulses by 617 samples).
+(``motion._peel``: straighten on a gate widened by as much as the
+window would read past its edges, so it never reads around the circle,
+split one 617-sample window, take the mover back; on what that removal
+leaves of the reduced scene1, at the pipeline's first-round estimate,
+where the window stays inside the gate) and one
+singular-value-thresholding step of principal component pursuit
+(``rpca._svd_threshold``) on a window of the shape the peel splits (87
+pulses by 617 samples).
 
 Usage::
 

@@ -536,18 +536,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    # JSONDecodeError and LinAlgError are ValueErrors, so they come first.
     try:
         inputs, outputs = args.handler(args)
     except (OSError, json.JSONDecodeError) as exc:
-        # Checked before ValueError: JSONDecodeError is a ValueError too.
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _record_manifest(args, inputs, outputs, time.perf_counter() - started)
     return 0
 

@@ -56,7 +56,7 @@ from .rpca import (
     _separate_spans,
     separate_windowed,
 )
-from .signal import AnalyticRows, TraceMatrix, _require_compressed
+from .signal import AnalyticRows, TraceMatrix, _require_compressed, _widen_gate
 
 __all__ = [
     "VelocityEstimate",
@@ -492,9 +492,7 @@ class MoverSeparation:
     ``diagnostics["windows"]`` holds the per-window solver records of
     each split, in order: the stand-in split's windows, if it ran, then
     one record per peel, whose ``columns`` give the peel's window in
-    gate coordinates and whose ``wrapped_samples`` counts the (row,
-    column) samples of that window that the straightening read around
-    the gate's circle.  ``diagnostics["feasibility"]`` is the worst
+    gate coordinates.  ``diagnostics["feasibility"]`` is the worst
     split's feasibility and ``diagnostics["max_shift_frac"]`` the
     largest straightening shift of a peel as a fraction of the gate.
     ``diagnostics["g_curves"]`` holds each round's detection curve as
@@ -558,21 +556,6 @@ def _peel_span(trace: TraceMatrix) -> tuple[int, int]:
     return start, start + length
 
 
-def _wrapped_samples(trace: TraceMatrix, delays, columns) -> int:
-    """(row, column) samples of a straightened window taken from beyond
-    the gate.
-
-    Straightening advances valid row j by ``delays[j]``, so column c of
-    the window ``columns`` = [a, b) reads the input at fractional sample
-    c + delays[j] / dt.  A sample below 0 or above m is read around the
-    circle from the gate's other end.
-    """
-    start, stop = trace.valid_rows
-    a, b = columns
-    source = np.arange(a, b) + np.asarray(delays)[start:stop, None] / trace.axis.dt
-    return int(np.count_nonzero((source < 0.0) | (source > trace.m)))
-
-
 def _peel(
     trace: TraceMatrix, scan: VelocityEstimate
 ) -> tuple[TraceMatrix, SeparationResult, float]:
@@ -581,18 +564,28 @@ def _peel(
 
     The trace is straightened along the mover's track and one window
     around t = 0 (``_peel_span``) is split by principal component
-    pursuit.  Its low-rank part, zero outside the window, is the
-    straightened mover; it is taken back to scene coordinates.  The
-    split's one window record counts its ``wrapped_samples``.
+    pursuit.  Where the straightening would read the window from beyond
+    the gate, the gate is first widened with zeros by that margin
+    (``signal._widen_gate``).  The split's low-rank part, zero outside
+    the window, is the straightened mover; it is taken back to scene
+    coordinates and cropped to the trace's gate.  The split's window
+    record gives the window's columns in the trace's gate.
     """
     delays = _track_delays(trace, scan.rho, scan.u_vec)
-    straightened = tt_forward(trace, scan.rho, scan.u_vec)
-    a, b = _peel_span(straightened)
-    split = _separate_spans(straightened, WindowLayout(b - a, 0), [(a, b)])
+    a, b = _peel_span(trace)
+    reach = delays[slice(*trace.valid_rows)] / trace.axis.dt
+    wide = _widen_gate(trace, max(-a - reach.min(), b - 1 + reach.max() - trace.m))
+    offset = (wide.m - trace.m) // 2
+    straightened = tt_forward(wide, scan.rho, scan.u_vec)
+    split = _separate_spans(
+        straightened, WindowLayout(b - a, 0), [(a + offset, b + offset)]
+    )
     (window,) = split.diagnostics
-    window["wrapped_samples"] = _wrapped_samples(trace, delays, window["columns"])
+    window["columns"] = [a, b]
+    mover = tt_inverse(split.low, scan.rho, scan.u_vec)
+    gate = np.ascontiguousarray(mover.data[:, offset : offset + trace.m + 1])
     shift_frac = float(np.max(np.abs(delays))) / (trace.m * trace.axis.dt)
-    return tt_inverse(split.low, scan.rho, scan.u_vec), split, shift_frac
+    return mover.replace(data=gate, axis=trace.axis), split, shift_frac
 
 
 def separate_movers(
@@ -611,12 +604,14 @@ def separate_movers(
     is straightened along the mover's track, which brings the mover to
     t = 0, and one window of ``rpca.choose_window``'s length around
     t = 0 is split by principal component pursuit (the whole gate, if it
-    is no longer than one window).  The low-rank part of that window is
-    the straightened mover; the sparse part holds whatever clutter the
-    removal missed, and the columns outside the window stay in the
-    remainder unchanged.  No windowed split runs between the removal
-    and the peels: with the stationary echoes gone it would only move
-    mover energy into its low-rank part.
+    is no longer than one window).  Where the straightening would read
+    the window from beyond the gate, the gate is widened with zeros
+    first, so it never reads around the circle.  The low-rank part of
+    that window is the straightened mover; the sparse part holds
+    whatever clutter the removal missed, and the columns outside the
+    window stay in the remainder unchanged.  No windowed split runs
+    between the removal and the peels: with the stationary echoes gone
+    it would only move mover energy into its low-rank part.
     Where the preliminary image locates no stationary points (see
     ``annihil.locate_stationary``), the split of
     ``rpca.separate_windowed`` stands in for the removal.  The speeds

@@ -14,16 +14,10 @@ Spectral shifts are circular on the gate: content advanced past one
 edge re-enters at the other.  A shift and its negation are exact
 inverses, and slow-time differences commute with them, so
 ``annihil.annihilate`` and the round trip ``tt_forward`` -> ... ->
-``tt_inverse`` are exact at any shift.  The readers that do not come
-back are safe on their own terms: ``range_expand`` widens its gate,
-since its output is read by absolute delay; ``annihil._PointWindow``
-reads rows by integer offset; and the speed scans' scores do not
-change under a circular shift.  The peel (``motion._peel``) splits only
-one window of ``rpca.choose_window``'s length around t = 0, so it sees
-wrapped columns only if a straightening shift exceeds the window's
-distance to the gate edge, (gate - window)/2 for a centred window;
-``separate_movers`` records its largest shift as a fraction of the gate
-in ``diagnostics["max_shift_frac"]``.
+``tt_inverse`` are exact at any shift.  ``range_expand`` and the peel
+(``motion._peel``), whose shifted rows are read as they stand, first
+widen the gate with zeros by as much as they would read past either
+edge (``_widen_gate``), so they never read around the circle.
 """
 
 from __future__ import annotations
@@ -343,6 +337,21 @@ def fast_time_shift(trace: TraceMatrix, shifts) -> TraceMatrix:
     return trace.replace(data=data)
 
 
+def _widen_gate(trace: TraceMatrix, margin: float) -> TraceMatrix:
+    """``trace`` with at least ``margin`` zero samples added at each end
+    of its gate, which keeps its centre, its step and an odd 7-smooth
+    sample count; a margin of 0 or less returns ``trace`` itself."""
+    if margin <= 0:
+        return trace
+    count = trace.axis.m + 1
+    wide = next_fast_odd(count + 2 * math.ceil(margin))
+    offset = (wide - count) // 2
+    data = np.zeros((trace.aperture.n + 1, wide))
+    data[:, offset : offset + count] = trace.data
+    axis = dataclasses.replace(trace.axis, m=wide - 1)
+    return trace.replace(data=data, axis=axis)
+
+
 def range_compress(trace: TraceMatrix, new_center: float | None = None) -> TraceMatrix:
     """Re-center every trace on the reference point's travel time.
 
@@ -366,9 +375,9 @@ def range_expand(trace: TraceMatrix) -> TraceMatrix:
     """Undo range compression, restoring absolute-delay rows.
 
     The new gate is centered on the old center plus the mean reference
-    delay.  It is widened (odd 7-smooth sample count again) before
-    shifting so that content pushed outward by the per-row reference
-    delays cannot wrap around the gate edges.
+    delay.  It is widened (``_widen_gate``) by the largest per-row
+    shift, plus two samples, before shifting, so that content pushed
+    outward cannot wrap around the gate edges.
     """
     if not trace.compressed:
         raise ValueError("trace is not range-compressed")
@@ -378,13 +387,7 @@ def range_expand(trace: TraceMatrix) -> TraceMatrix:
     # residual shift after re-centering is small (geometry variation only).
     delays = new_center - (trace.axis.t_center + tau_ref)
     dt = trace.axis.dt
-    spread = int(np.ceil(float(np.max(np.abs(delays))) / dt)) + 2
-    old_count = trace.axis.m + 1
-    new_count = next_fast_odd(old_count + 2 * spread)
-    offset = (new_count - 1) // 2 - trace.axis.m // 2
-    wide = np.zeros((trace.aperture.n + 1, new_count), dtype=float)
-    wide[:, offset : offset + old_count] = trace.data
-    data = fractional_shift(wide, delays, dt)
-    axis = FastTimeAxis(m=new_count - 1, dt=dt, t_center=new_center)
+    wide = _widen_gate(trace, math.ceil(float(np.max(np.abs(delays))) / dt) + 2)
+    data = fractional_shift(wide.data, delays, dt)
+    axis = dataclasses.replace(wide.axis, t_center=new_center)
     return trace.replace(data=data, axis=axis, tag="raw")
-

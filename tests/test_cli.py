@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import flat_scene, near_scene, near_traj
 
+from sarsep import cli
 from sarsep import io as sario
 from sarsep.cli import main
 from sarsep.geom import compose_velocity, make_frame
@@ -829,6 +830,34 @@ class TestManifestAndErrors:
             == output["sha256"]
         )
 
+    @staticmethod
+    def rank_args(tmp_path):
+        return [
+            "rank",
+            "--mode",
+            "single-stationary",
+            "--values",
+            "0.5",
+            "--out",
+            str(tmp_path / "r.csv"),
+            "--out-dir",
+            str(tmp_path),
+        ]
+
+    def test_a_manifest_that_is_not_a_list_is_started_afresh(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"command": "rank"}')
+        assert main(self.rank_args(tmp_path)) == 0
+        entries = json.loads((tmp_path / "manifest.json").read_text())
+        assert [entry["command"] for entry in entries] == ["rank"]
+
+    def test_a_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "rank_study", fail)
+        assert main(self.rank_args(tmp_path)) == 3
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_input_maps_to_io_exit(self, tmp_path):
         rc = main(
             [
@@ -855,6 +884,7 @@ NO_SCIPY_RUN = """
 import json, sys
 sys.modules["scipy"] = None
 from sarsep import annihil, motion
+from sarsep import cli
 from sarsep import io as sario
 from sarsep.cli import main
 trace, out = sario.read_trace(sys.argv[1]), sys.argv[2]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sarsep.geom import (
     C_LIGHT,
+    _unit,
     Aperture,
     CircularTrajectory,
     LinearTrajectory,
@@ -91,6 +92,13 @@ class TestCircularTrajectory:
                 center=np.zeros(2), radius=1.0, height=1.0, angular_rate=0.0
             )
 
+    @pytest.mark.parametrize("radius", [0.0, -5.0])
+    def test_rejects_nonpositive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            CircularTrajectory(
+                center=np.zeros(2), radius=radius, height=1.0, angular_rate=0.1
+            )
+
 
 class TestAperture:
     def test_times_are_symmetric(self):
@@ -100,6 +108,11 @@ class TestAperture:
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError, match="even"):
             Aperture(n=5, ds=0.1)
+
+    @pytest.mark.parametrize("ds", [0.0, -0.1])
+    def test_rejects_nonpositive_step(self, ds):
+        with pytest.raises(ValueError, match="ds"):
+            Aperture(n=4, ds=ds)
 
 
 class TestTravelTime:
@@ -175,6 +188,21 @@ class TestViewFrame:
         with pytest.raises(ValueError, match="plane"):
             make_frame(gotcha_traj(), np.array([0.0, 0.0, 1.0]))
 
+    def test_rejects_a_reference_that_is_not_a_3_vector(self):
+        with pytest.raises(ValueError, match="3-vector"):
+            make_frame(gotcha_traj(), np.zeros(2))
+
+    def test_rejects_a_reference_at_the_platform(self):
+        traj = LinearTrajectory(
+            center=np.zeros(3), tangent=np.array([0.0, 1.0, 0.0]), speed=1.0
+        )
+        with pytest.raises(ValueError, match="coincides with the platform"):
+            make_frame(traj, np.zeros(3))
+
+    def test_a_zero_vector_has_no_direction(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            _unit(np.zeros(3))
+
 
 class TestVelocityDecomposition:
     @given(
@@ -194,6 +222,22 @@ class TestVelocityDecomposition:
         frame = make_frame(gotcha_traj(), np.zeros(3))
         with pytest.raises(ValueError):
             decompose_velocity(frame, np.array([1.0, 1.0, 1.0]))
+
+    def test_decompose_rejects_a_velocity_that_is_not_a_3_vector(self):
+        frame = make_frame(gotcha_traj(), np.zeros(3))
+        with pytest.raises(ValueError, match="3-vector"):
+            decompose_velocity(frame, np.array([1.0, 1.0]))
+
+    def test_compose_rejects_a_platform_flying_at_the_reference(self):
+        # The ground line of sight and the flight tangent are parallel.
+        traj = LinearTrajectory(
+            center=np.array([100.0, 0.0, 10.0]),
+            tangent=np.array([1.0, 0.0, 0.0]),
+            speed=1.0,
+        )
+        frame = make_frame(traj, np.zeros(3))
+        with pytest.raises(ValueError, match="degenerate frame"):
+            compose_velocity(frame, 1.0, 0.0)
 
     def test_platform_like_velocity_has_zero_range_speed(self):
         frame = make_frame(gotcha_traj(), np.zeros(3))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from conftest import compressed_trace, flat_scene, near_scene, near_traj
 
-from sarsep import kernels, motion
+from sarsep import annihil, kernels, motion
+from sarsep.annihil import tt_forward, tt_inverse
 from sarsep.geom import (
     LinearTrajectory,
     compose_velocity,
@@ -29,9 +30,9 @@ from sarsep.motion import (
     separate_movers,
     trial_velocity,
 )
-from sarsep.rpca import choose_window
+from sarsep.rpca import WindowLayout, _separate_spans, choose_window
 from sarsep.scene import Radar, Target, simulate
-from sarsep.signal import AnalyticRows, FastTimeAxis
+from sarsep.signal import AnalyticRows, FastTimeAxis, fractional_shift, next_fast_odd
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*outside the fast-time gate and contributed zero.*:RuntimeWarning",
@@ -604,31 +605,74 @@ class TestPeelWindow:
         for peel in sep.diagnostics["windows"]:
             assert [w["columns"] for w in peel] == [[0, n_cols]]
 
-    @pytest.mark.parametrize(
-        "shift, wrapped",
-        # Row 0 reads 0.4 of the 2025-sample gate ahead, so its columns
-        # 1215 .. 1308 read past the gate's end; 0.1 keeps every column
-        # of the window inside.
-        [(0.4, 1309 - 1215), (0.1, 0)],
-        ids=["wraps", "stays-inside"],
-    )
-    def test_the_peel_counts_the_samples_it_wraps(self, shift, wrapped):
+    @staticmethod
+    def peel_with_delays(monkeypatch, shift):
+        """``motion._peel`` of noise on a 2025-sample gate whose track
+        advances row 0 by ``shift`` of the gate and the invalid last
+        row half a gate back, with the straightened trace and the spans
+        it split.  The window is columns 704 .. 1321."""
         dt = 1.0 / (2.5 * Radar().nu0)
-        trace = compressed_trace(np.zeros((9, 2025)), valid_rows=(0, 8)).replace(
-            axis=FastTimeAxis(m=2024, dt=dt, t_center=0.0)
-        )
+        data = np.random.default_rng(5).standard_normal((9, 2025))
+        trace = compressed_trace(
+            data, meta={"bandwidth": Radar().bandwidth}, valid_rows=(0, 8)
+        ).replace(axis=FastTimeAxis(m=2024, dt=dt, t_center=0.0))
         delays = np.zeros(9)
         delays[0] = shift * 2025 * dt
-        # Half a gate back on the invalid last row counts for nothing.
         delays[8] = -0.5 * 2025 * dt
-        assert motion._wrapped_samples(trace, delays, (692, 1309)) == wrapped
+        monkeypatch.setattr(annihil, "_track_delays", lambda *args: delays)
+        monkeypatch.setattr(motion, "_track_delays", lambda *args: delays)
+        seen = []
 
-    def test_each_peel_records_its_wrapped_samples(self, single_mover_run):
-        # This gate is split whole, so any shift reads around the circle.
-        trace, sep, _ = single_mover_run
-        ((window,),) = sep.diagnostics["windows"][-len(sep.movers) :]
-        start, stop = trace.valid_rows
-        assert 0 < window["wrapped_samples"] < (stop - start) * (trace.m + 1)
+        def record(straightened, layout, spans):
+            seen.append((straightened, spans))
+            return _separate_spans(straightened, layout, spans)
+
+        monkeypatch.setattr(motion, "_separate_spans", record)
+        frame = make_frame(trace.traj, trace.rho_o)
+        scan = VelocityEstimate(
+            u=0.0, u_perp=0.0, rho=np.zeros(3), g_score=1.0, frame=frame
+        )
+        peeled = motion._peel(trace, scan)
+        ((straightened, spans),) = seen
+        return trace, scan, delays, peeled, straightened, spans
+
+    def test_a_window_inside_the_gate_peels_the_unwidened_trace(self, monkeypatch):
+        # 0.1 of the gate keeps every column of row 0's window inside.
+        trace, scan, _, peeled, straightened, spans = self.peel_with_delays(
+            monkeypatch, 0.1
+        )
+        mover, split, _ = peeled
+        assert straightened.axis == trace.axis and spans == [(704, 1321)]
+        before = tt_forward(trace, scan.rho, scan.u_vec)
+        np.testing.assert_array_equal(straightened.data, before.data)
+        before = _separate_spans(before, WindowLayout(617, 0), [(704, 1321)])
+        np.testing.assert_array_equal(split.low.data, before.low.data)
+        np.testing.assert_array_equal(split.sparse.data, before.sparse.data)
+        before = tt_inverse(before.low, scan.rho, scan.u_vec)
+        np.testing.assert_array_equal(mover.data, before.data)
+
+    def test_a_window_past_the_gate_edge_reads_zeros(self, monkeypatch):
+        # Row 0 reads 810 samples ahead, so its window columns 1215 ..
+        # 1320 read up to 106 samples past the gate's end; the invalid
+        # last row counts for nothing.
+        trace, _, delays, peeled, straightened, spans = self.peel_with_delays(
+            monkeypatch, 0.4
+        )
+        mover, split, _ = peeled
+        assert straightened.m + 1 == next_fast_odd(2025 + 2 * 106)
+        offset = (straightened.m - trace.m) // 2
+        assert spans == [(704 + offset, 1321 + offset)]
+        padded = np.pad(trace.data, ((0, 0), (810, 810)))
+        expected = fractional_shift(padded, delays, trace.axis.dt)
+        np.testing.assert_allclose(
+            straightened.data[:8, 704 + offset : 1321 + offset],
+            expected[:8, 810 + 704 : 810 + 1321],
+            rtol=0.0,
+            atol=1e-12,
+        )
+        # The record keeps the gate's columns, and the mover its gate.
+        assert split.diagnostics[0]["columns"] == [704, 1321]
+        assert mover.axis == trace.axis and mover.data.shape == trace.data.shape
 
     @pytest.mark.parametrize(
         "zero_column, expected", [(1000, (692, 1309)), (10, (0, 617)), (3000, (1408, 2025))]

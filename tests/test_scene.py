@@ -33,6 +33,18 @@ class TestRadar:
         with pytest.raises(ValueError, match="Nyquist"):
             Radar(dt=1.0e-9)
 
+    @pytest.mark.parametrize(
+        "settings", [{"nu0": 0.0}, {"bandwidth": -1.0e6}], ids=["nu0", "bandwidth"]
+    )
+    def test_rejects_a_nonpositive_carrier_or_bandwidth(self, settings):
+        with pytest.raises(ValueError, match="nu0 and bandwidth must be positive"):
+            Radar(**settings)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0e-12])
+    def test_rejects_a_nonpositive_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            Radar(dt=dt)
+
 
 class TestTarget:
     def test_rejects_out_of_plane(self):
@@ -40,6 +52,15 @@ class TestTarget:
             Target(rho=np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="plane"):
             Target(rho=np.zeros(3), velocity=np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [{"rho": np.zeros(2)}, {"rho": np.zeros(3), "velocity": np.zeros(4)}],
+        ids=["rho", "velocity"],
+    )
+    def test_rejects_vectors_of_the_wrong_shape(self, vectors):
+        with pytest.raises(ValueError, match="3-vectors"):
+            Target(**vectors)
 
     def test_moving_flag(self):
         still = Target(rho=np.array([1.0, 2.0, 0.0]))
@@ -57,6 +78,11 @@ class TestSceneSpec:
         )
         assert len(scene.stationary_targets) == 1
         assert len(scene.moving_targets) == 1
+
+    def test_rejects_a_target_not_slower_than_the_platform(self, flat_scene_builder):
+        speed = flat_scene_builder([]).traj.speed
+        with pytest.raises(ValueError, match="not below the platform speed"):
+            flat_scene_builder([Target(rho=np.zeros(3), velocity=(speed, 0.0, 0.0))])
 
     def test_warns_beyond_the_far_field_radius(self, flat_scene_builder):
         limit = flat_scene_builder([]).frame.range_L / 20.0

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
+from sarsep.geom import travel_time
 from sarsep.scene import Radar, simulate
 from sarsep.signal import (
     GATE_PAD_FACTOR,
@@ -18,6 +19,7 @@ from sarsep.signal import (
     next_fast_odd,
     phase_ramp,
     pulse,
+    _widen_gate,
     range_compress,
     range_expand,
 )
@@ -66,6 +68,11 @@ class TestFastTimeAxis:
     def test_rejects_odd_m(self):
         with pytest.raises(ValueError, match="even"):
             FastTimeAxis(m=5, dt=0.1, t_center=0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_rejects_a_nonpositive_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            FastTimeAxis(m=4, dt=dt, t_center=0.0)
 
 
 class TestMakeGate:
@@ -291,12 +298,53 @@ class TestGateConversions:
         scene = flat_scene_builder([(0.0, 0.0, 0.0)], n=8)
         trace = simulate(scene)
         raw = range_expand(trace)
-        from sarsep.geom import travel_time
-
         for j in (0, 4, 8):
             peak_t = raw.t_times[np.argmax(np.abs(raw.data[j]))]
             tau = float(travel_time(scene.traj, raw.s_times[j], np.zeros(3)))
             assert abs(peak_t - tau) <= raw.axis.dt
+
+
+    @pytest.mark.parametrize("margin", [0, -3.5])
+    def test_no_margin_keeps_the_trace(self, flat_scene_builder, margin):
+        trace = small_trace(flat_scene_builder)
+        assert _widen_gate(trace, margin) is trace
+
+    def test_a_widened_gate_keeps_each_sample_at_its_time(self, flat_scene_builder):
+        trace = small_trace(flat_scene_builder)
+        wide = _widen_gate(trace, 40.5)
+        assert wide.m + 1 == next_fast_odd(trace.m + 1 + 2 * 41)
+        offset = (wide.m - trace.m) // 2
+        cols = slice(offset, offset + trace.m + 1)
+        np.testing.assert_array_equal(wide.t_times[cols], trace.t_times)
+        np.testing.assert_array_equal(wide.data[:, cols], trace.data)
+        assert not wide.data[:, :offset].any() and not wide.data[:, cols.stop :].any()
+
+    @pytest.mark.parametrize(
+        "targets", [((0.0, 0.0, 0.0),), ((0.0, 0.0, 0.0), (3.0, -2.0, 0.0))]
+    )
+    def test_expand_equals_the_inline_widening(self, flat_scene_builder, targets):
+        trace = small_trace(flat_scene_builder, targets=targets)
+        raw, expected = range_expand(trace), inline_range_expand(trace)
+        assert raw.axis == expected.axis
+        np.testing.assert_array_equal(raw.data, expected.data)
+
+
+def inline_range_expand(trace):
+    """``range_expand`` with its gate widened inline: the reference for
+    its widening through ``_widen_gate``."""
+    tau_ref = travel_time(trace.traj, trace.s_times, trace.rho_o)
+    new_center = trace.axis.t_center + float(np.mean(tau_ref))
+    delays = new_center - (trace.axis.t_center + tau_ref)
+    dt = trace.axis.dt
+    spread = int(np.ceil(float(np.max(np.abs(delays))) / dt)) + 2
+    old_count = trace.axis.m + 1
+    new_count = next_fast_odd(old_count + 2 * spread)
+    offset = (new_count - 1) // 2 - trace.axis.m // 2
+    wide = np.zeros((trace.aperture.n + 1, new_count), dtype=float)
+    wide[:, offset : offset + old_count] = trace.data
+    data = fractional_shift(wide, delays, dt)
+    axis = FastTimeAxis(m=new_count - 1, dt=dt, t_center=new_center)
+    return trace.replace(data=data, axis=axis, tag="raw")
 
 
 @given(center_step=st.integers(-3, 3))
