@@ -36,7 +36,6 @@ from .geom import (
     make_frame,
 )
 from .imaging import (
-    _bandwidth,
     _local_maxima,
     _location_grid,
     _peak_positions,
@@ -376,17 +375,14 @@ def cross_range_cell(trace: TraceMatrix) -> float:
     """-3 dB cross-range width 0.886 lambda0 L / (2a) of a plain image.
 
     L is the range from the aperture center to the reference point and
-    a the chord of the aperture; the carrier comes from the trace
-    metadata.
+    a the chord of the aperture; lambda0 is the trace's carrier
+    wavelength.
     """
-    nu0 = trace.meta.get("nu0")
-    if nu0 is None:
-        raise ValueError("trace metadata lacks a carrier frequency nu0")
     s = trace.s_times
     ends = trace.traj.position(s[[0, -1]])
     chord = float(np.linalg.norm(ends[1] - ends[0]))
     range_L = make_frame(trace.traj, trace.rho_o).range_L
-    return 0.886 * (C_LIGHT / float(nu0)) * range_L / (2.0 * chord)
+    return 0.886 * (C_LIGHT / trace.nu0) * range_L / (2.0 * chord)
 
 
 def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
@@ -401,15 +397,12 @@ def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
     straightened rows hold no echo once the stronger ones are gone.
     Pixels whose delays leave the gate simply sum fewer samples.
 
-    Returns no points when the trace does not record its carrier and
-    bandwidth, or when the cross-range cell (``cross_range_cell``) spans
-    fewer than two pixels, as in wide-angle, near-range geometries: such
-    an image misses or misplaces points by many cells, and an echo
-    removed at the wrong place adds energy instead.
+    Returns no points when the cross-range cell (``cross_range_cell``)
+    spans fewer than two pixels, as in wide-angle, near-range
+    geometries: such an image misses or misplaces points by many cells,
+    and an echo removed at the wrong place adds energy instead.
     """
     _require_compressed(trace, "locating stationary points")
-    if not {"nu0", "bandwidth"} <= trace.meta.keys():
-        return np.zeros((0, 3))
     grid = _location_grid(trace, extent)
     if cross_range_cell(trace) < 2.0 * grid.spacing:
         return np.zeros((0, 3))
@@ -643,7 +636,7 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
     if not len(given):
         return _split_off(trace, trace.data, given)
     points = given.copy()
-    half = int(np.ceil(REMOVAL_HALF_WINDOW / (_bandwidth(trace) * trace.axis.dt)))
+    half = int(np.ceil(REMOVAL_HALF_WINDOW / (trace.bandwidth * trace.axis.dt)))
     cross = make_frame(trace.traj, trace.rho_o).cross_dir
     span = REFINE_SPAN * cross_range_cell(trace)
     floor = 10.0 ** (REMOVAL_FLOOR_DB / 20.0)

@@ -71,8 +71,11 @@ class ImageGrid:
         object.__setattr__(self, "center", center)
         if center.shape != (3,) or center[2] != 0.0:
             raise ValueError("grid center must be a 3-vector in the z = 0 plane")
-        if self.spacing <= 0.0 or self.extent_x <= 0.0 or self.extent_y <= 0.0:
-            raise ValueError("extents and spacing must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("grid center must be finite")
+        sizes = (self.spacing, self.extent_x, self.extent_y)
+        if not all(0.0 < size < np.inf for size in sizes):
+            raise ValueError("extents and spacing must be positive and finite")
 
     @property
     def x_axis(self) -> np.ndarray:
@@ -98,17 +101,10 @@ class ImageGrid:
         return out
 
 
-def _bandwidth(trace: TraceMatrix) -> float:
-    bandwidth = trace.meta.get("bandwidth")
-    if bandwidth is None:
-        raise ValueError("trace metadata lacks a bandwidth")
-    return float(bandwidth)
-
-
 def _location_grid(trace: TraceMatrix, extent: float) -> ImageGrid:
     """Square box of side ``extent`` around the reference point at c/2B
-    spacing, with B the bandwidth recorded in the trace metadata."""
-    spacing = C_LIGHT / (2.0 * _bandwidth(trace))
+    spacing, with B the trace's bandwidth."""
+    spacing = C_LIGHT / (2.0 * trace.bandwidth)
     return ImageGrid(
         center=trace.rho_o, extent_x=extent, extent_y=extent, spacing=spacing
     )

@@ -2,8 +2,9 @@
 
 A trace is stored as raw little-endian float64 samples in ``name.trc``
 (row-major, one row per pulse) next to a ``name.trc.json`` sidecar
-holding the axes, geometry, provenance tag, and metadata.  Writing the
-same trace twice produces byte-identical files.
+holding the axes, geometry, provenance tag, and metadata; the
+metadata carries the radar band (``nu0`` and ``bandwidth``, in Hz).
+Writing the same trace twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -129,19 +130,9 @@ def _trc_paths(path) -> tuple[Path, Path]:
     return path, path.with_name(path.name + ".json")
 
 
-def _jsonable_meta(meta: dict) -> dict:
-    out = {}
-    for key, value in meta.items():
-        if isinstance(value, np.generic):
-            value = value.item()
-        elif isinstance(value, np.ndarray):
-            value = value.tolist()
-        out[str(key)] = value
-    return out
-
-
 def write_trace(path, trace: TraceMatrix) -> Path:
-    """Write ``trace`` to ``path`` (.trc payload plus .trc.json sidecar)."""
+    """Write ``trace`` to ``path`` (.trc payload plus .trc.json sidecar,
+    whose ``meta`` also holds the trace's ``nu0`` and ``bandwidth``)."""
     data_path, meta_path = _trc_paths(path)
     sidecar = {
         "n": trace.aperture.n,
@@ -155,18 +146,25 @@ def write_trace(path, trace: TraceMatrix) -> Path:
         "trajectory": trajectory_to_dict(trace.traj),
         "rho_o_meters": np.asarray(trace.rho_o).tolist(),
         "seed": trace.seed,
-        "meta": _jsonable_meta(trace.meta),
+        "meta": {**trace.meta, "nu0": trace.nu0, "bandwidth": trace.bandwidth},
     }
     data_path.parent.mkdir(parents=True, exist_ok=True)
     np.ascontiguousarray(trace.data, dtype="<f8").tofile(data_path)
-    meta_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    # numpy scalars and arrays in ``meta`` are written as JSON numbers and lists.
+    text = json.dumps(sidecar, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    meta_path.write_text(text + "\n")
     return data_path
 
 
 def read_trace(path) -> TraceMatrix:
-    """Read a trace written by ``write_trace``."""
+    """Read a trace written by ``write_trace``; raises ``ValueError`` when
+    the sidecar's ``meta`` records no ``nu0`` or ``bandwidth``."""
     data_path, meta_path = _trc_paths(path)
     sidecar = json.loads(meta_path.read_text())
+    meta = dict(sidecar.get("meta", {}))
+    for key in ("nu0", "bandwidth"):
+        if meta.get(key) is None:
+            raise ValueError(f"{meta_path} records no {key} in its meta")
     aperture = Aperture(n=int(sidecar["n"]), ds=float(sidecar["delta_s_seconds"]))
     axis = FastTimeAxis(
         m=int(sidecar["m"]),
@@ -185,9 +183,11 @@ def read_trace(path) -> TraceMatrix:
         axis=axis,
         traj=trajectory_from_dict(sidecar["trajectory"]),
         rho_o=np.asarray(sidecar["rho_o_meters"], dtype=float),
+        nu0=meta.pop("nu0"),
+        bandwidth=meta.pop("bandwidth"),
         tag=sidecar["provenance"],
         valid_rows=tuple(sidecar["valid_rows"]),
-        meta=dict(sidecar.get("meta", {})),
+        meta=meta,
         seed=sidecar.get("seed"),
     )
 

@@ -52,8 +52,8 @@ from .kernels import _in_blocks
 from .rpca import (
     SeparationResult,
     WindowLayout,
-    _default_layout,
     _separate_spans,
+    choose_window,
     separate_windowed,
 )
 from .signal import AnalyticRows, TraceMatrix, _require_compressed, _widen_gate
@@ -204,11 +204,9 @@ def _coarse_factor(trace: TraceMatrix, rho, velocity, grid, kind: str) -> int:
     cells, so its peaks are at least 2 * ``_HALF_SPREAD`` / ``cells``
     steps wide at half height, and a coarse step no wider leaves a
     coarse sample above half height on every peak.  The step is capped
-    at ``_COARSE_FACTOR``; a trace without a recorded bandwidth is
-    scanned whole.
+    at ``_COARSE_FACTOR``; a lattice of one point is scanned whole.
     """
-    bandwidth = trace.meta.get("bandwidth")
-    if bandwidth is None or grid.size < 2:
+    if grid.size < 2:
         return 1
     # The trial velocities are linear in the speed.  A step's change of
     # the delays varies slowly along the lattice; its spread is taken at
@@ -220,7 +218,8 @@ def _coarse_factor(trace: TraceMatrix, rho, velocity, grid, kind: str) -> int:
     start, stop = trace.valid_rows
     s = trace.s_times[start:stop]
     delays = delta_tau_moving(trace.traj, s, rho, velocities, trace.rho_o)
-    cells = float(np.ptp(delays[:, 1] - delays[:, 0], axis=-1).max()) * bandwidth
+    spread = float(np.ptp(delays[:, 1] - delays[:, 0], axis=-1).max())
+    cells = spread * trace.bandwidth
     width = 2.0 * _HALF_SPREAD[kind]
     if cells * _COARSE_FACTOR <= width:
         return _COARSE_FACTOR
@@ -392,11 +391,10 @@ def estimate_location(trace: TraceMatrix, u_vec, extent: float = 80.0) -> np.nda
     """Mover location from the peak of a motion-compensated image.
 
     The image covers a square box of side ``extent`` around the
-    reference point at c/2B spacing, with B the bandwidth recorded in
-    the trace metadata; its strongest pixel is the location.  Warns when
-    the peak stands less than 3 dB above the median envelope, a sign
-    that the compensation velocity is wrong or the trace holds no
-    localized scatterer.
+    reference point at c/2B spacing, with B the trace's bandwidth; its
+    strongest pixel is the location.  Warns when the peak stands less
+    than 3 dB above the median envelope, a sign that the compensation
+    velocity is wrong or the trace holds no localized scatterer.
     """
     img = image_compensated(trace, _location_grid(trace, extent), u_vec)
     position, peak_value = peak_extract(img)
@@ -495,6 +493,10 @@ class MoverSeparation:
     gate coordinates.  ``diagnostics["feasibility"]`` is the worst
     split's feasibility and ``diagnostics["max_shift_frac"]`` the
     largest straightening shift of a peel as a fraction of the gate.
+    ``diagnostics["stationary_candidates"]`` counts the stationary points
+    ``annihil.locate_stationary`` listed, 0 when the stand-in split ran;
+    a count of ``annihil._MAX_CANDIDATES`` means that cap may have cut
+    the list.
     ``diagnostics["g_curves"]`` holds each round's detection curve as
     (u_grid, values) at the lattice points its coarse-to-fine scan
     evaluated, sorted by u.  ``diagnostics["scans"]`` holds one
@@ -550,7 +552,7 @@ def _peel_span(trace: TraceMatrix) -> tuple[int, int]:
     straightened mover sits, and moved inward to lie inside the gate; a
     gate no longer than one window is taken whole.
     """
-    length = _default_layout(trace).length
+    length = choose_window(trace.m + 1, trace.bandwidth, trace.axis.dt).length
     centre = int(np.argmin(np.abs(trace.t_times)))
     start = min(max(centre - length // 2, 0), trace.m + 1 - length)
     return start, start + length
@@ -667,6 +669,7 @@ def separate_movers(
         estimates=tuple(estimates),
         residual=residual,
         diagnostics={
+            "stationary_candidates": len(points),
             "windows": splits,
             "g_curves": g_curves,
             "scans": scans,

@@ -105,7 +105,8 @@ def pcp_solve(
     ------
     ValueError
         If the input contains non-finite entries or is not 2-D, if
-        ``eta`` is not positive, or if ``max_iter`` is below 1.
+        ``eta`` or ``tol`` is not positive, or if ``max_iter`` is
+        below 1.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -114,6 +115,8 @@ def pcp_solve(
         raise ValueError("pcp_solve input contains non-finite entries")
     if eta is not None and not eta > 0.0:
         raise ValueError(f"pcp_solve needs a positive eta, got {eta}")
+    if not tol > 0.0:
+        raise ValueError(f"pcp_solve needs a positive tol, got {tol}")
     if max_iter < 1:
         raise ValueError(f"pcp_solve needs max_iter >= 1, got {max_iter}")
     if eta is None:
@@ -241,27 +244,17 @@ def separate_windowed(
     trace : TraceMatrix
         Range-compressed (or transformed) traces.
     layout : WindowLayout, optional
-        Defaults to ``choose_window`` using the bandwidth recorded in
-        the trace metadata; a trace without that record needs an
-        explicit layout.
+        Defaults to ``choose_window`` for the trace's bandwidth.
     eta, tol, max_iter :
         Passed to ``pcp_solve``; eta defaults per window to
         1/sqrt(max(rows, window length)).
     """
     _require_compressed(trace, "separation")
     if layout is None:
-        layout = _default_layout(trace)
+        layout = choose_window(trace.m + 1, trace.bandwidth, trace.axis.dt)
     return _separate_spans(
         trace, layout, layout.spans(trace.m + 1), eta, tol, max_iter
     )
-
-
-def _default_layout(trace: TraceMatrix) -> WindowLayout:
-    """``choose_window`` for the bandwidth recorded in the trace metadata."""
-    bandwidth = trace.meta.get("bandwidth")
-    if bandwidth is None:
-        raise ValueError("trace metadata lacks a bandwidth; pass an explicit layout")
-    return choose_window(trace.m + 1, bandwidth, trace.axis.dt)
 
 
 def _separate_spans(

@@ -238,11 +238,11 @@ def _simulated(scene: SceneSpec, axis, data, seed) -> TraceMatrix:
         axis=axis,
         traj=scene.traj,
         rho_o=scene.rho_o,
+        nu0=scene.radar.nu0,
+        bandwidth=scene.radar.bandwidth,
         tag="range-compressed",
         meta={
             "kind": "simulated",
-            "nu0": scene.radar.nu0,
-            "bandwidth": scene.radar.bandwidth,
             "targets": len(scene.targets),
             "movers": len(scene.moving_targets),
         },

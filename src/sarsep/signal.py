@@ -127,10 +127,12 @@ class TraceMatrix:
     """Matrix of echo traces, one row per slow time.
 
     data[j, i] holds the echo at slow time s_j = (j - n/2) ds and fast
-    time t_i on the gate.  ``tag`` records the processing state; see the
-    module docstring for the fast-time coordinate convention.
-    ``valid_rows`` is the half-open row range untouched by slow-time
-    differencing; rows outside it are zero.
+    time t_i on the gate.  ``nu0`` and ``bandwidth`` (Hz, positive and
+    finite) are the radar band every resolution scale is taken from.
+    ``tag`` records the processing state; see the module docstring for
+    the fast-time coordinate convention.  ``valid_rows`` is the
+    half-open row range untouched by slow-time differencing; rows
+    outside it are zero.  ``meta`` is provenance no computation reads.
     """
 
     data: np.ndarray
@@ -138,6 +140,8 @@ class TraceMatrix:
     axis: FastTimeAxis
     traj: Trajectory
     rho_o: np.ndarray
+    nu0: float
+    bandwidth: float
     tag: str = "raw"
     valid_rows: tuple[int, int] = None  # type: ignore[assignment]
     meta: dict = field(default_factory=dict)
@@ -147,6 +151,11 @@ class TraceMatrix:
         data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rho_o", np.asarray(self.rho_o, dtype=float))
+        for name in ("nu0", "bandwidth"):
+            value = float(getattr(self, name))
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.tag not in TRACE_TAGS:
             raise ValueError(f"unknown trace tag {self.tag!r}")
         if data.shape != (self.aperture.n + 1, self.axis.m + 1):
@@ -272,13 +281,14 @@ class AnalyticRows:
     """Analytic signals of a trace's valid rows, held as spectra.
 
     ``spectra`` holds each valid row's one-sided spectrum with bins
-    k >= 1 doubled.  When the trace metadata records nu0 and the
-    bandwidth B, ``shifted`` keeps only the ``bins`` bins of nu0 +- 2B
-    from bin ``k_lo`` on: its output is the analytic row at ``bins``
-    times across the gate, times (count/bins) exp(-2 pi i k_lo n/bins) at
-    sample n.  Magnitudes of row sums are unchanged and the scans run
-    several times faster.  Otherwise ``k_lo`` is 0 and ``bins`` spans
-    the whole one-sided spectrum.
+    k >= 1 doubled.  ``shifted`` keeps only the ``bins`` bins of the
+    trace's band nu0 +- 2B from bin ``k_lo`` on: its output is the
+    analytic row at ``bins`` times across the gate, times (count/bins)
+    exp(-2 pi i k_lo n/bins) at sample n.  Magnitudes of row sums are
+    unchanged and the scans run several times faster.  When that band
+    does not fit inside the gate's spectrum (a sample rate below about
+    2 (nu0 + 2B)), ``k_lo`` is 0 and ``bins`` spans the whole one-sided
+    spectrum.
     """
 
     def __init__(self, trace: TraceMatrix):
@@ -286,13 +296,11 @@ class AnalyticRows:
         self.spectra = np.fft.rfft(trace.valid_data, axis=1)
         self.spectra[:, 1:] *= 2.0
         self.k_lo, self.bins = 0, self.spectra.shape[1]
-        nu0, bandwidth = trace.meta.get("nu0"), trace.meta.get("bandwidth")
-        if nu0 is not None and bandwidth is not None:
-            df = 1.0 / (self.count * self.dt)
-            keep = next_fast_odd(max(3, int(np.ceil(4.0 * bandwidth / df))))
-            k_lo = int(round(nu0 / df)) - keep // 2
-            if keep < self.count and k_lo >= 1 and k_lo + keep <= self.bins:
-                self.k_lo, self.bins = k_lo, keep
+        df = 1.0 / (self.count * self.dt)
+        keep = next_fast_odd(max(3, int(np.ceil(4.0 * trace.bandwidth / df))))
+        k_lo = int(round(trace.nu0 / df)) - keep // 2
+        if keep < self.count and k_lo >= 1 and k_lo + keep <= self.bins:
+            self.k_lo, self.bins = k_lo, keep
 
     def shifted(self, delays) -> np.ndarray:
         """Rows advanced by per-row ``delays``: out_j(t) = in_j(t + delays_j).

@@ -93,19 +93,22 @@ def near_scene(targets, n=64, rho_o=np.zeros(3)):
     )
 
 
-def compressed_trace(data, meta=None, valid_rows=None):
-    """Compressed trace holding ``data`` on the far flight line."""
+def compressed_trace(data, valid_rows=None):
+    """Compressed trace holding ``data`` on the far flight line, in the
+    default radar's band."""
     data = np.asarray(data, dtype=float)
     n, m = data.shape[0] - 1, data.shape[1] - 1
+    radar = Radar()
     return TraceMatrix(
         data=data,
         aperture=Aperture(n=n, ds=0.015),
-        axis=FastTimeAxis(m=m, dt=Radar().dt, t_center=0.0),
+        axis=FastTimeAxis(m=m, dt=radar.dt, t_center=0.0),
         traj=_track([1.0e4, 0.0, 0.0]),
         rho_o=np.zeros(3),
+        nu0=radar.nu0,
+        bandwidth=radar.bandwidth,
         tag="range-compressed",
         valid_rows=valid_rows,
-        meta=meta or {},
     )
 
 

@@ -541,7 +541,7 @@ def test_criterion_9_property_battery():
             spikes[row, rng.integers(0, cols)] = rng.choice([-3.0, 3.0])
         total = background + spikes
         sep = separate_windowed(
-            compressed_trace(total, meta={"bandwidth": Radar().bandwidth}),
+            compressed_trace(total),
             layout=WindowLayout(length=48, overlap=8),
         )
         feas = np.linalg.norm(sep.low.data + sep.sparse.data - total) / np.linalg.norm(

@@ -515,29 +515,17 @@ class TestStationaryRemoval:
         assert cross_range_cell(trace) < 0.05
         assert locate_stationary(trace, extent=8.0).shape == (0, 3)
 
-    @pytest.mark.parametrize("key", ["nu0", "bandwidth"])
-    def test_a_trace_without_band_metadata_yields_no_points(
-        self, flat_scene_builder, key
-    ):
-        trace = simulate(flat_scene_builder([tuple(self.POINT)], n=64))
-        meta = {k: v for k, v in trace.meta.items() if k != key}
-        assert len(locate_stationary(trace, extent=8.0))
-        assert locate_stationary(trace.replace(meta=meta), extent=8.0).shape == (0, 3)
-
-    def test_the_cross_range_cell_needs_the_carrier(self, flat_scene_builder):
-        trace = simulate(flat_scene_builder([tuple(self.POINT)]))
-        with pytest.raises(ValueError, match="carrier frequency nu0"):
-            cross_range_cell(trace.replace(meta={}))
-
     def test_requires_a_compressed_trace_and_bandwidth(self, flat_scene_builder):
         trace = simulate(flat_scene_builder([tuple(self.POINT)]))
         with pytest.raises(ValueError, match="range-compressed"):
             remove_stationary(trace.replace(tag="raw"), [self.POINT])
-        with pytest.raises(ValueError, match="bandwidth"):
-            remove_stationary(trace.replace(meta={}), [self.POINT])
+        # The bandwidth is a trace field, checked when the trace is made,
+        # so no trace reaches the removal without one.
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            trace.replace(bandwidth=0.0)
 
     def test_removing_no_points_is_the_identity(self, flat_scene_builder):
-        trace = simulate(flat_scene_builder([tuple(self.POINT)])).replace(meta={})
+        trace = simulate(flat_scene_builder([tuple(self.POINT)]))
         out = remove_stationary(trace, [])
         assert np.all(out.stationary.data == 0.0)
         np.testing.assert_array_equal(out.rest.data, trace.data)

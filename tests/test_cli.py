@@ -305,8 +305,20 @@ class TestRpca:
 
     @pytest.mark.parametrize(
         "options",
-        [["--overlap", "4"], ["--max-iter", "0"], ["--eta", "-1"]],
-        ids=["overlap-without-window-len", "max-iter-0", "negative-eta"],
+        [
+            ["--overlap", "4"],
+            ["--max-iter", "0"],
+            ["--eta", "-1"],
+            ["--tol", "-1"],
+            ["--tol", "nan"],
+        ],
+        ids=[
+            "overlap-without-window-len",
+            "max-iter-0",
+            "negative-eta",
+            "negative-tol",
+            "nan-tol",
+        ],
     )
     def test_invalid_settings_are_usage_errors(self, mixture, tmp_path, options):
         low, sparse = tmp_path / "low.trc", tmp_path / "sparse.trc"
@@ -526,6 +538,22 @@ class TestImage:
             ]
         )
         assert rc == 2
+
+    def test_a_non_finite_grid_is_a_usage_error(self, mixture, tmp_path):
+        rc = main(
+            [
+                "image",
+                str(mixture),
+                "--grid",
+                "infx10:0.24",
+                "--out",
+                str(tmp_path / "img.bin"),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRank:
@@ -857,6 +885,20 @@ class TestManifestAndErrors:
         monkeypatch.setattr(cli, "rank_study", fail)
         assert main(self.rank_args(tmp_path)) == 3
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("key", ["nu0", "bandwidth"])
+    def test_a_trace_without_its_band_is_a_usage_error(self, mixture, tmp_path, key):
+        trace = tmp_path / "bare.trc"
+        trace.write_bytes(mixture.read_bytes())
+        sidecar = json.loads(Path(f"{mixture}.json").read_text())
+        del sidecar["meta"][key]
+        Path(f"{trace}.json").write_text(json.dumps(sidecar))
+        out = tmp_path / "out"
+        rc = main(
+            ["compress", str(trace), "--out", str(out / "x.trc"), "--out-dir", str(out)]
+        )
+        assert rc == 2
+        assert not out.exists()
 
     def test_missing_input_maps_to_io_exit(self, tmp_path):
         rc = main(

@@ -72,6 +72,21 @@ class TestImageGrid:
         with pytest.raises(ValueError, match="positive"):
             ImageGrid(center=np.zeros(3), extent_x=1.0, extent_y=1.0, spacing=0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["extent_x", "extent_y", "spacing"])
+    def test_rejects_non_finite_sizes(self, field, value):
+        sizes = {"extent_x": 1.0, "extent_y": 1.0, "spacing": 0.1, field: value}
+        with pytest.raises(ValueError, match="positive and finite"):
+            ImageGrid(center=np.zeros(3), **sizes)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_a_non_finite_center(self, value):
+        with pytest.raises(ValueError, match="center must be finite"):
+            ImageGrid(
+                center=np.array([value, 0.0, 0.0]), extent_x=1.0, extent_y=1.0,
+                spacing=0.1,
+            )
+
 
 class TestImaging:
     def test_peak_sits_on_the_target(self, near_trace):

@@ -106,8 +106,11 @@ class TestTraceFiles:
         assert again.valid_rows == circular_trace.valid_rows
         assert again.seed == 3
         np.testing.assert_array_equal(again.rho_o, circular_trace.rho_o)
-        assert again.meta["kind"] == "simulated"
-        assert again.meta["nu0"] == circular_trace.meta["nu0"]
+        assert again.meta == circular_trace.meta
+        assert (again.nu0, again.bandwidth) == (
+            circular_trace.nu0,
+            circular_trace.bandwidth,
+        )
         assert again.traj.origin_angle == 0.3
 
     def test_rewrites_are_byte_identical(self, tmp_path, circular_trace):
@@ -125,6 +128,31 @@ class TestTraceFiles:
         again = read_trace(path).meta
         assert again["scale"] == 2.5 and type(again["scale"]) is float
         assert again["rows"] == [0, 1, 2]
+
+    def test_the_band_is_written_into_the_sidecar_meta(self, tmp_path, circular_trace):
+        path = write_trace(tmp_path / "echo", circular_trace)
+        sidecar = json.loads(path.with_name("echo.trc.json").read_text())
+        assert sidecar["meta"] == {
+            **circular_trace.meta,
+            "nu0": circular_trace.nu0,
+            "bandwidth": circular_trace.bandwidth,
+        }
+
+    @pytest.mark.parametrize("key", ["nu0", "bandwidth"])
+    @pytest.mark.parametrize("value", ["absent", None])
+    def test_a_sidecar_without_the_band_is_rejected(
+        self, tmp_path, circular_trace, key, value
+    ):
+        path = write_trace(tmp_path / "echo", circular_trace)
+        sidecar_path = path.with_name("echo.trc.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        if value == "absent":
+            del sidecar["meta"][key]
+        else:
+            sidecar["meta"][key] = value
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=f"records no {key}"):
+            read_trace(path)
 
     def test_truncated_payload_is_detected(self, tmp_path, circular_trace):
         path = write_trace(tmp_path / "echo", circular_trace)

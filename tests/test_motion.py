@@ -84,7 +84,6 @@ class TestGCurve:
         )
         radar = Radar(dt=1.0 / (2.1 * Radar().nu0))
         trace = simulate(dataclasses.replace(near_scene([mover]), radar=radar))
-        assert {"nu0", "bandwidth"} <= trace.meta.keys()
         rows = AnalyticRows(trace)
         assert rows.k_lo == 0 and rows.bins == rows.count // 2 + 1
         peaks = find_speed_peaks(
@@ -281,9 +280,8 @@ class TestCoarseFactor:
         grid = motion._default_speed_grid(mover_trace, motion._U_STEP)
         factor = motion._coarse_factor(mover_trace, rho, along, grid, "g")
         assert factor == motion._COARSE_FACTOR
-        # Without a bandwidth the scan is full.
-        stripped = mover_trace.replace(meta={})
-        assert motion._coarse_factor(stripped, rho, along, grid, "g") == 1
+        # A lattice of one point is scanned whole.
+        assert motion._coarse_factor(mover_trace, rho, along, grid[:1], "g") == 1
 
 
 class TestCrossSpeed:
@@ -318,12 +316,6 @@ class TestEstimateLocation:
         loc = estimate_location(trace, np.zeros(3), extent=16.0)
         np.testing.assert_allclose(loc[:2], [2.0, 4.0], atol=0.25)
         assert loc[2] == 0.0
-
-    def test_missing_bandwidth_needs_explicit_spacing(self):
-        trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=8))
-        stripped = trace.replace(meta={})
-        with pytest.raises(ValueError, match="bandwidth"):
-            estimate_location(stripped, np.zeros(3))
 
     def test_flat_envelope_warns(self):
         trace = simulate(near_scene([(1.0, 0.0, 0.0)], n=8))
@@ -449,6 +441,7 @@ class TestSeparateMovers:
         assert abs(est.u_perp) <= 1.0
         np.testing.assert_allclose(est.rho[:2], [0.0, 0.0], atol=0.5)
         assert set(sep.diagnostics) == {
+            "stationary_candidates",
             "windows",
             "g_curves",
             "scans",
@@ -462,6 +455,8 @@ class TestSeparateMovers:
         assert u_grid.size == values.size == scans[0]["trials"]
         assert np.all(np.diff(u_grid) > 0.0)
         assert 0.0 < sep.diagnostics["max_shift_frac"] < 1.0
+        # The near-range image locates no points: the stand-in split ran.
+        assert sep.diagnostics["stationary_candidates"] == 0
         mix_energy = float(np.sum(trace.data**2))
         resid_energy = float(np.sum(sep.residual.data**2))
         assert resid_energy <= 0.05 * mix_energy
@@ -519,6 +514,16 @@ class TestSeparateMovers:
         g_perp = [r for r in sep.diagnostics["scans"] if r["kind"] == "g_perp"]
         assert len(returned) == len(g_perp)
         assert all(a is b for a, b in zip(returned, g_perp))
+
+    def test_the_located_candidates_are_counted(self, monkeypatch):
+        targets = [(1.0, 0.0, 0.0), (-2.0, 1.5, 0.0), (0.5, -2.5, 0.0)]
+        trace = simulate(flat_scene(targets, n=64))
+        sep = separate_movers(trace, max_movers=0, extent=12.0)
+        assert sep.diagnostics["stationary_candidates"] >= len(targets)
+        # Below the flat scene's point count the cap cuts the list.
+        monkeypatch.setattr(annihil, "_MAX_CANDIDATES", 2)
+        capped = separate_movers(trace, max_movers=0, extent=12.0)
+        assert capped.diagnostics["stationary_candidates"] == 2
 
     def test_the_preliminary_image_is_formed_once(self, single_mover_run):
         # The near-range image locates no points, so the windowed split
@@ -585,7 +590,7 @@ class TestPeelWindow:
             flat_scene([(-6.0, 1.0, 0.0), (6.0, -1.0, 0.0), mover], n=64)
         )
         n_cols = trace.m + 1
-        length = choose_window(n_cols, trace.meta["bandwidth"], trace.axis.dt).length
+        length = choose_window(n_cols, trace.bandwidth, trace.axis.dt).length
         assert 3 * length < n_cols
         sep = separate_movers(trace, max_movers=1, extent=16.0)
         # The removal route runs no split of its own: the one record is the peel.
@@ -599,7 +604,7 @@ class TestPeelWindow:
     def test_a_short_gate_is_split_whole(self):
         trace = simulate(flat_scene([(1.0, 0.0, 0.0)], n=64))
         n_cols = trace.m + 1
-        assert choose_window(n_cols, trace.meta["bandwidth"], trace.axis.dt).length == n_cols
+        assert choose_window(n_cols, trace.bandwidth, trace.axis.dt).length == n_cols
         sep = separate_movers(trace, extent=12.0)
         assert sep.movers
         for peel in sep.diagnostics["windows"]:
@@ -613,9 +618,9 @@ class TestPeelWindow:
         it split.  The window is columns 704 .. 1321."""
         dt = 1.0 / (2.5 * Radar().nu0)
         data = np.random.default_rng(5).standard_normal((9, 2025))
-        trace = compressed_trace(
-            data, meta={"bandwidth": Radar().bandwidth}, valid_rows=(0, 8)
-        ).replace(axis=FastTimeAxis(m=2024, dt=dt, t_center=0.0))
+        trace = compressed_trace(data, valid_rows=(0, 8)).replace(
+            axis=FastTimeAxis(m=2024, dt=dt, t_center=0.0)
+        )
         delays = np.zeros(9)
         delays[0] = shift * 2025 * dt
         delays[8] = -0.5 * 2025 * dt
@@ -680,7 +685,5 @@ class TestPeelWindow:
     def test_the_window_is_moved_inside_the_gate(self, zero_column, expected):
         dt = 1.0 / (2.5 * Radar().nu0)
         axis = FastTimeAxis(m=2024, dt=dt, t_center=(1012 - zero_column) * dt)
-        trace = compressed_trace(
-            np.zeros((9, 2025)), meta={"bandwidth": Radar().bandwidth}
-        ).replace(axis=axis)
+        trace = compressed_trace(np.zeros((9, 2025))).replace(axis=axis)
         assert motion._peel_span(trace) == expected

@@ -102,6 +102,9 @@ class TestPcpSolve:
         for max_iter in (0, -3):
             with pytest.raises(ValueError, match="max_iter"):
                 pcp_solve(np.ones((4, 6)), max_iter=max_iter)
+        for tol in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="positive tol"):
+                pcp_solve(np.ones((4, 6)), tol=tol)
 
     def test_iteration_cap_warns_and_flags(self):
         rng = np.random.default_rng(3)
@@ -221,18 +224,9 @@ class TestSeparateWindowed:
     def test_default_layout_comes_from_the_metadata(self):
         background, spikes = self.background_and_spikes()
         radar = Radar()
-        trace = compressed_trace(
-            background + spikes, meta={"bandwidth": radar.bandwidth}
-        )
-        res = separate_windowed(trace)
-        expected = choose_window(trace.m + 1, radar.bandwidth, radar.dt)
+        res = separate_windowed(compressed_trace(background + spikes))
+        expected = choose_window(background.shape[1], radar.bandwidth, radar.dt)
         assert res.layout == expected
-
-    def test_missing_bandwidth_needs_an_explicit_layout(self):
-        background, spikes = self.background_and_spikes()
-        trace = compressed_trace(background + spikes)
-        with pytest.raises(ValueError, match="bandwidth"):
-            separate_windowed(trace)
 
     def test_rejects_raw_traces(self):
         background, spikes = self.background_and_spikes()

@@ -113,8 +113,8 @@ class TestSimulate:
         assert trace.tag == "range-compressed"
         assert trace.data.shape == (117, trace.m + 1)
         assert trace.meta["kind"] == "simulated"
-        assert trace.meta["nu0"] == gotcha_scene.radar.nu0
-        assert trace.meta["bandwidth"] == gotcha_scene.radar.bandwidth
+        assert trace.nu0 == gotcha_scene.radar.nu0
+        assert trace.bandwidth == gotcha_scene.radar.bandwidth
         assert trace.meta["targets"] == 1
         assert trace.meta["movers"] == 0
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import flat_scene
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import hilbert
@@ -118,6 +119,22 @@ class TestTraceMatrix:
         trimmed = trace.replace(valid_rows=(1, trace.n))
         np.testing.assert_array_equal(trimmed.valid_data, trace.data[1 : trace.n])
 
+    def test_carries_the_radar_band(self, flat_scene_builder):
+        trace = small_trace(flat_scene_builder)
+        radar = Radar()
+        assert (trace.nu0, trace.bandwidth) == (radar.nu0, radar.bandwidth)
+        assert trace.replace(data=2.0 * trace.data).bandwidth == radar.bandwidth
+        assert type(trace.replace(nu0=10**10).nu0) is float
+
+    @pytest.mark.parametrize("key", ["nu0", "bandwidth"])
+    @pytest.mark.parametrize("value", [0.0, -1.0e9, np.nan, np.inf])
+    def test_rejects_a_band_that_is_not_positive_and_finite(
+        self, flat_scene_builder, key, value
+    ):
+        trace = small_trace(flat_scene_builder)
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            trace.replace(**{key: value})
+
 
 class TestFractionalShift:
     def test_integer_shift_matches_roll(self):
@@ -205,7 +222,9 @@ class TestAnalyticRows:
         return np.linspace(-3.3, 2.7, stop - start) * trace.axis.dt
 
     def test_full_band_rows_are_the_hilbert_analytic_signal(self, flat_scene_builder):
-        trace = self.band_limited_trace(flat_scene_builder).replace(meta={})
+        # A band of nu0 +- 2 nu0 does not fit the gate's spectrum.
+        trace = self.band_limited_trace(flat_scene_builder)
+        trace = trace.replace(bandwidth=trace.nu0)
         rows = AnalyticRows(trace)
         assert rows.k_lo == 0 and rows.bins == (trace.m + 1) // 2 + 1
         expected = hilbert(trace.valid_data, axis=1)
@@ -256,7 +275,7 @@ class TestAnalyticRows:
     @pytest.mark.parametrize("band", [True, False])
     def test_stacked_delays_shift_like_one_call_each(self, flat_scene_builder, band):
         trace = self.band_limited_trace(flat_scene_builder)
-        rows = AnalyticRows(trace if band else trace.replace(meta={}))
+        rows = AnalyticRows(trace if band else trace.replace(bandwidth=trace.nu0))
         assert (rows.k_lo > 0) == band
         delays = self.delays(trace)
         stacked = np.stack([delays, -0.5 * delays, delays[::-1]])
@@ -350,8 +369,6 @@ def inline_range_expand(trace):
 @given(center_step=st.integers(-3, 3))
 def test_compress_round_trip_property(center_step):
     """Expand then re-compress restores the rows at any grid-aligned center."""
-    from tests.conftest import flat_scene
-
     scene = flat_scene([(0.0, 0.0, 0.0)], n=8)
     trace = simulate(scene)
     raw = range_expand(trace)

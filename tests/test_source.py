@@ -82,3 +82,42 @@ def test_package_imports_only_names_its_modules_define():
                 f"{node.module}.{a.name}" for a in node.names if a.name not in defined
             ]
     assert missing == []
+
+
+def meta_reads(source: str) -> list[int]:
+    """Lines that read a ``.meta`` attribute other than to copy it whole
+    into a dict display (``{**trace.meta, ...}``), the one way provenance
+    passes to a derived trace."""
+    tree = ast.parse(source)
+    copied = {
+        id(value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if key is None
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "meta"
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in copied
+    )
+
+
+def test_the_check_sees_a_meta_read():
+    source = (
+        "a = {**t.meta, 'part': 'low'}\n"
+        "b = t.meta.get('bandwidth')\n"
+        "c = 'nu0' in t.meta\n"
+        "d = dict(t.meta)\n"
+    )
+    assert meta_reads(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_reads_trace_metadata(path):
+    # The band is a field of the trace; meta is provenance that is only
+    # passed on and written out.
+    assert meta_reads(path.read_text()) == []
