@@ -28,7 +28,6 @@ from .geom import (
     ViewFrame,
     compose_velocity,
     decompose_velocity,
-    delta_tau,
     delta_tau_moving,
     make_frame,
     travel_time,

@@ -381,7 +381,7 @@ def cross_range_cell(trace: TraceMatrix) -> float:
     s = trace.s_times
     ends = trace.traj.position(s[[0, -1]])
     chord = float(np.linalg.norm(ends[1] - ends[0]))
-    range_L = make_frame(trace.traj, trace.rho_o).range_L
+    range_L = trace.frame.range_L
     return 0.886 * (C_LIGHT / trace.nu0) * range_L / (2.0 * chord)
 
 
@@ -637,7 +637,7 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
         return _split_off(trace, trace.data, given)
     points = given.copy()
     half = int(np.ceil(REMOVAL_HALF_WINDOW / (trace.bandwidth * trace.axis.dt)))
-    cross = make_frame(trace.traj, trace.rho_o).cross_dir
+    cross = trace.frame.cross_dir
     span = REFINE_SPAN * cross_range_cell(trace)
     floor = 10.0 ** (REMOVAL_FLOOR_DB / 20.0)
     rest = trace.data.copy()

@@ -267,6 +267,7 @@ def _cmd_rpca(args):
             "window_overlap": result.layout.overlap,
             "feasibility": result.feasibility,
             "windows": result.diagnostics,
+            "stationary_candidates": len(points),
             "stationary_points_meters": removal.points.tolist(),
         }
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")

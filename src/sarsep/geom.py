@@ -20,11 +20,17 @@ __all__ = [
     "ViewFrame",
     "make_frame",
     "travel_time",
-    "delta_tau",
     "delta_tau_moving",
     "decompose_velocity",
     "compose_velocity",
 ]
+
+
+def _require_finite(**values) -> None:
+    """Reject a non-finite value by name: NaN passes every comparison."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -46,6 +52,7 @@ class LinearTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "tangent", np.asarray(self.tangent, dtype=float))
+        _require_finite(center=self.center, tangent=self.tangent, speed=self.speed)
         if abs(np.linalg.norm(self.tangent) - 1.0) > 1e-12:
             raise ValueError("tangent must be a unit vector")
         if self.speed <= 0.0:
@@ -76,6 +83,8 @@ class CircularTrajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        _require_finite(center=self.center, radius=self.radius, height=self.height)
+        _require_finite(angular_rate=self.angular_rate, origin_angle=self.origin_angle)
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
         if self.angular_rate == 0.0:
@@ -118,6 +127,7 @@ class Aperture:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 2:
             raise ValueError("n must be an even integer >= 2")
+        _require_finite(ds=self.ds)
         if self.ds <= 0.0:
             raise ValueError("ds must be positive")
 
@@ -142,11 +152,6 @@ def travel_time(traj: Trajectory, s, rho) -> np.ndarray:
     r = traj.position(s)
     d = np.linalg.norm(r - np.asarray(rho, dtype=float), axis=-1)
     return 2.0 * d / C_LIGHT
-
-
-def delta_tau(traj: Trajectory, s, rho, rho_o) -> np.ndarray:
-    """Differential delay tau(s, rho) - tau(s, rho_o)."""
-    return travel_time(traj, s, rho) - travel_time(traj, s, rho_o)
 
 
 def delta_tau_moving(traj: Trajectory, s: np.ndarray, rho0, u_vec, rho_o) -> np.ndarray:
@@ -235,15 +240,18 @@ def decompose_velocity(frame: ViewFrame, u_vec) -> tuple[float, float]:
     return u, u_perp
 
 
-def compose_velocity(frame: ViewFrame, u: float, u_perp: float) -> np.ndarray:
-    """In-plane velocity with the given range and cross-range speeds.
+def compose_velocity(frame: ViewFrame, u, u_perp) -> np.ndarray:
+    """In-plane velocities with the given range and cross-range speeds.
 
     Solves b_u . b_m = u and b_u . b_t = u_perp + u * (m_hat . t_hat) for the
     two horizontal components; the exact inverse of decompose_velocity.
+    The speeds broadcast; the result has their shape plus a last axis of
+    3.  Each velocity is its own 2x2 solve, bit for bit the scalar call.
     """
+    u, u_perp = np.broadcast_arrays(u, u_perp)
     A = np.stack([frame.b_m, frame.b_t])
-    rhs = np.array([u, u_perp + u * float(frame.m_hat @ frame.t_hat)])
     if abs(np.linalg.det(A)) < 1e-14:
         raise ValueError("degenerate frame: b_m and b_t are parallel")
-    b_u = np.linalg.solve(A, rhs)
-    return np.array([b_u[0], b_u[1], 0.0])
+    rhs = np.stack([u, u_perp + u * float(frame.m_hat @ frame.t_hat)], axis=-1)
+    b_u = np.linalg.solve(np.broadcast_to(A, rhs.shape + (2,)), rhs[..., None])
+    return np.concatenate([b_u[..., 0], np.zeros(u.shape + (1,))], axis=-1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import C_LIGHT, travel_time
+from .geom import C_LIGHT, _require_finite, travel_time
 from .kernels import _in_blocks, backproject_block
 from .signal import AnalyticRows, TraceMatrix, _require_compressed
 
@@ -71,8 +71,7 @@ class ImageGrid:
         object.__setattr__(self, "center", center)
         if center.shape != (3,) or center[2] != 0.0:
             raise ValueError("grid center must be a 3-vector in the z = 0 plane")
-        if not np.all(np.isfinite(center)):
-            raise ValueError("grid center must be finite")
+        _require_finite(center=center)
         sizes = (self.spacing, self.extent_x, self.extent_y)
         if not all(0.0 < size < np.inf for size in sizes):
             raise ValueError("extents and spacing must be positive and finite")

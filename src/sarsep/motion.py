@@ -35,12 +35,7 @@ from .annihil import (
     tt_forward,
     tt_inverse,
 )
-from .geom import (
-    ViewFrame,
-    compose_velocity,
-    delta_tau_moving,
-    make_frame,
-)
+from .geom import ViewFrame, compose_velocity, delta_tau_moving
 from .imaging import (
     _local_maxima,
     _location_grid,
@@ -72,18 +67,20 @@ __all__ = [
 ]
 
 
-def trial_velocity(frame: ViewFrame, u: float) -> np.ndarray:
-    """In-plane trial velocity with range speed u and zero cross speed.
+def trial_velocity(frame: ViewFrame, u) -> np.ndarray:
+    """In-plane trial velocities with range speeds u and zero cross speed.
 
     The vector u * (b_m, 0) / |b_m|^2 projects onto the line of sight
     with speed exactly u, so straightening with it cancels a mover's
-    range-speed slope regardless of the mover's cross motion.
+    range-speed slope regardless of the mover's cross motion.  The
+    result has u's shape plus a last axis of 3.
     """
     b_m = frame.b_m
     scale = float(b_m @ b_m)
     if scale == 0.0:
         raise ValueError("line of sight is vertical; range speed is unobservable")
-    return np.array([u * b_m[0] / scale, u * b_m[1] / scale, 0.0])
+    u = np.asarray(u, dtype=float)
+    return np.stack([u * b_m[0] / scale, u * b_m[1] / scale, np.zeros_like(u)], -1)
 
 
 #: Trial-speed steps of the range-speed and cross-speed scans, m/s.
@@ -137,17 +134,17 @@ def g_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-alignment score g(u) over a grid of trial range speeds.
 
-    For each trial u the rows are straightened at the scene reference
-    with velocity ``trial_velocity(u)`` and the magnitudes are summed
-    across rows; g(u) is the maximum of that fast-time profile.  A
-    mover with range speed u0 aligns (and peaks) near u = u0.  The
-    default grid spans +-the platform speed in steps of 0.25 m/s.
+    The rows are straightened at the scene reference with the trial
+    velocities ``trial_velocity(frame, u_grid)``, one call for the grid,
+    and for each trial u the magnitudes are summed across rows; g(u) is
+    the maximum of that fast-time profile.  A mover with range speed u0
+    aligns (and peaks) near u = u0.  The default grid spans +-the
+    platform speed in steps of 0.25 m/s.
     """
     if u_grid is None:
         u_grid = _default_speed_grid(trace, _U_STEP)
     u_grid = np.asarray(u_grid, dtype=float)
-    frame = make_frame(trace.traj, trace.rho_o)
-    velocities = [trial_velocity(frame, u) for u in u_grid]
+    velocities = trial_velocity(trace.frame, u_grid)
     return u_grid, _scan(
         trace, trace.rho_o, velocities, lambda z: np.abs(z).sum(axis=-2).max(axis=-1)
     )
@@ -194,31 +191,24 @@ _COARSE_CANDIDATES = 3
 _HALF_SPREAD = {"g": 4.0, "g_perp": 0.5}
 
 
-def _coarse_factor(trace: TraceMatrix, rho, velocity, grid, kind: str) -> int:
-    """Coarse step, in lattice steps, of a ``kind`` scan over the lattice
-    ``grid`` of speeds, straightened at ``rho`` with ``velocity(speed)``.
+def _coarse_factor(trace: TraceMatrix, rho, velocities, kind: str) -> int:
+    """Coarse step, in lattice steps, of a ``kind`` scan straightened at
+    ``rho`` with the lattice's trial ``velocities``, shape (trials, 3).
 
-    One lattice step changes the spread of the straightened track's
-    delays across the valid rows by at most ``cells`` resolution cells
-    (1/B).  The curve falls half way at a spread of ``_HALF_SPREAD``
-    cells, so its peaks are at least 2 * ``_HALF_SPREAD`` / ``cells``
-    steps wide at half height, and a coarse step no wider leaves a
-    coarse sample above half height on every peak.  The step is capped
-    at ``_COARSE_FACTOR``; a lattice of one point is scanned whole.
+    From one lattice step to the next, measured at every step, the
+    spread of the straightened track's delays across the valid rows
+    changes by at most ``cells`` resolution cells (1/B).  The curve
+    falls half way at a spread of ``_HALF_SPREAD`` cells, so its peaks
+    are at least 2 * ``_HALF_SPREAD`` / ``cells`` steps wide at half
+    height, and a coarse step no wider leaves a coarse sample above half
+    height on every peak.  The step is capped at ``_COARSE_FACTOR``; a
+    lattice of one point is scanned whole.
     """
-    if grid.size < 2:
+    if len(velocities) < 2:
         return 1
-    # The trial velocities are linear in the speed.  A step's change of
-    # the delays varies slowly along the lattice; its spread is taken at
-    # both ends and in the middle, where the largest lie (g_perp's at an
-    # end, g's in the middle).
-    pairs = np.array([[0], [(grid.size - 1) // 2], [grid.size - 2]]) + [0, 1]
-    first = velocity(grid[0])
-    velocities = first + pairs[..., None, None] * (velocity(grid[1]) - first)
-    start, stop = trace.valid_rows
-    s = trace.s_times[start:stop]
-    delays = delta_tau_moving(trace.traj, s, rho, velocities, trace.rho_o)
-    spread = float(np.ptp(delays[:, 1] - delays[:, 0], axis=-1).max())
+    s = trace.s_times[slice(*trace.valid_rows)]
+    delays = delta_tau_moving(trace.traj, s, rho, velocities[:, None], trace.rho_o)
+    spread = float(np.ptp(np.diff(delays, axis=0), axis=-1).max())
     cells = spread * trace.bandwidth
     width = 2.0 * _HALF_SPREAD[kind]
     if cells * _COARSE_FACTOR <= width:
@@ -334,7 +324,8 @@ def g_perp_curve(
     """Misalignment score over trial cross-range speeds at fixed u.
 
     The trace is straightened at rho_e with the composed trial
-    velocity; the remaining slow-time curvature is scored by the total
+    velocities, built for the whole grid in one ``compose_velocity``
+    call; the remaining slow-time curvature is scored by the total
     magnitude of the second slow-time difference, which is smallest
     when the trial matches the mover's cross-range speed.  The default
     grid spans +-the platform speed in steps of 0.5 m/s.
@@ -342,9 +333,7 @@ def g_perp_curve(
     if u_perp_grid is None:
         u_perp_grid = _default_speed_grid(trace, _U_PERP_STEP)
     u_perp_grid = np.asarray(u_perp_grid, dtype=float)
-    frame = make_frame(trace.traj, trace.rho_o)
-    velocities = [compose_velocity(frame, u, u_perp) for u_perp in u_perp_grid]
-    rho_e = np.asarray(rho_e, dtype=float)
+    velocities = compose_velocity(trace.frame, u, u_perp_grid)
     return u_perp_grid, _scan(
         trace,
         rho_e,
@@ -373,10 +362,8 @@ def _cross_speed(trace, rho_e, u, u_perp_grid=None):
     if u_perp_grid is None:
         u_perp_grid = _default_speed_grid(trace, _U_PERP_STEP)
     grid = np.asarray(u_perp_grid, dtype=float)
-    frame = make_frame(trace.traj, trace.rho_o)
-    factor = _coarse_factor(
-        trace, rho_e, lambda u_perp: compose_velocity(frame, u, u_perp), grid, "g_perp"
-    )
+    velocities = compose_velocity(trace.frame, u, grid)
+    factor = _coarse_factor(trace, rho_e, velocities, "g_perp")
     u_perp, _, curve, record = _scan_extremum(
         lambda trial: g_perp_curve(trace, rho_e, u, trial)[1],
         grid,
@@ -465,7 +452,7 @@ def estimate_motion(
     Returns the estimate and the ``_scan_extremum`` records of the scans
     it ran, in order: one, the cross-speed search (``g_perp``).
     """
-    frame = make_frame(trace.traj, trace.rho_o)
+    frame = trace.frame
     located = rho is None
     if located:
         first = trial_velocity(frame, u) if u_vec is None else u_vec
@@ -521,10 +508,7 @@ def _detect(trace: TraceMatrix):
     interior peak reaches ``_PEAK_HEIGHT`` times the coarse curve's
     median."""
     grid = _default_speed_grid(trace, _U_STEP)
-    frame = make_frame(trace.traj, trace.rho_o)
-    factor = _coarse_factor(
-        trace, trace.rho_o, lambda u: trial_velocity(frame, u), grid, "g"
-    )
+    factor = _coarse_factor(trace, trace.rho_o, trial_velocity(trace.frame, grid), "g")
     return _scan_extremum(
         lambda trial: g_curve(trace, trial)[1],
         grid,

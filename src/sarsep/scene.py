@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Aperture, Trajectory, delta_tau_moving, make_frame
+from .geom import Aperture, Trajectory, _require_finite, delta_tau_moving, make_frame
 from .kernels import accumulate_echoes
 from .signal import GATE_PAD_FACTOR, FastTimeAxis, TraceMatrix, make_gate
 
@@ -49,6 +49,7 @@ class Radar:
     dt: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        _require_finite(nu0=self.nu0, bandwidth=self.bandwidth)
         if self.nu0 <= 0.0 or self.bandwidth <= 0.0:
             raise ValueError("nu0 and bandwidth must be positive")
         if self.bandwidth > self.nu0 / 4.0:
@@ -59,6 +60,7 @@ class Radar:
             )
         if self.dt is None:
             object.__setattr__(self, "dt", 1.0 / (5.0 * self.nu0))
+        _require_finite(dt=self.dt)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.dt > 1.0 / (2.0 * (self.nu0 + self.bandwidth / 2.0)):
@@ -84,6 +86,7 @@ class Target:
         object.__setattr__(self, "velocity", vel)
         if rho.shape != (3,) or vel.shape != (3,):
             raise ValueError("rho and velocity must be 3-vectors")
+        _require_finite(rho=rho, velocity=vel, amplitude=self.amplitude)
         if rho[2] != 0.0 or vel[2] != 0.0:
             raise ValueError("targets live in the z = 0 plane")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .geom import Aperture, Trajectory, travel_time
+from .geom import Aperture, Trajectory, _require_finite, make_frame, travel_time
 
 #: Gate padding on each side of the delay extremes, in units of 1/bandwidth.
 GATE_PAD_FACTOR = 6.0
@@ -96,6 +96,7 @@ class FastTimeAxis:
     def __post_init__(self):
         if self.m % 2 != 0 or self.m < 2:
             raise ValueError("m must be an even integer >= 2")
+        _require_finite(dt=self.dt, t_center=self.t_center)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
 
@@ -191,6 +192,10 @@ class TraceMatrix:
     @property
     def t_times(self) -> np.ndarray:
         return self.axis.times
+
+    @property
+    def frame(self):
+        return make_frame(self.traj, self.rho_o)
 
     @property
     def valid_data(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from conftest import flat_scene, near_scene, near_traj
 
 from sarsep import cli
 from sarsep import io as sario
+from sarsep.annihil import locate_stationary
 from sarsep.cli import main
 from sarsep.geom import compose_velocity, make_frame
 from sarsep.motion import VelocityEstimate
@@ -132,6 +133,28 @@ class TestSimulate:
         trace = sario.read_trace(out)
         assert trace.aperture.n == 116
         assert trace.meta["targets"] == 1
+
+    def test_a_non_finite_carrier_is_a_usage_error(self, tmp_path, capsys):
+        # JSON's NaN literal reaches Radar through scene_from_dict.
+        spec = {"scene": sario.scene_to_dict(flat_scene([]))}
+        spec["scene"]["radar"]["nu0_hz"] = float("nan")
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "nan.trc"
+        rc = main(
+            [
+                "simulate",
+                "--config",
+                str(config),
+                "--out",
+                str(out),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "nu0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompress:
@@ -294,13 +317,34 @@ class TestRpca:
             ]
         )
         assert rc == 0
-        found = np.array(json.loads(report.read_text())["stationary_points_meters"])
+        summary = json.loads(report.read_text())
+        found = np.array(summary["stationary_points_meters"])
         assert found.shape == (2, 3)
         miss = np.linalg.norm(found[:, None, :] - points[None], axis=-1).min(axis=0)
         assert np.all(miss <= 0.05), miss
+        located = locate_stationary(sario.read_trace(trace))
+        assert summary["stationary_candidates"] == len(located) >= 2
         total = sario.read_trace(trace).data
         parts = sario.read_trace(low).data + sario.read_trace(sparse).data
         np.testing.assert_allclose(parts, total, atol=1.0e-6 * np.abs(total).max())
+        # A filtered trace is split without a removal.
+        again = tmp_path / "again"
+        rc = main(
+            [
+                "rpca",
+                str(low),
+                "--out-low",
+                str(again / "low.trc"),
+                "--out-sparse",
+                str(again / "sparse.trc"),
+                "--report",
+                str(report),
+                "--out-dir",
+                str(again),
+            ]
+        )
+        assert rc == 0
+        assert json.loads(report.read_text())["stationary_candidates"] == 0
 
 
     @pytest.mark.parametrize(
@@ -928,6 +972,7 @@ sys.modules["scipy"] = None
 from sarsep import annihil, motion
 from sarsep import cli
 from sarsep import io as sario
+from sarsep.annihil import locate_stationary
 from sarsep.cli import main
 trace, out = sario.read_trace(sys.argv[1]), sys.argv[2]
 assert len(annihil.locate_stationary(trace, extent=12.0))

@@ -13,7 +13,6 @@ from sarsep.geom import (
     LinearTrajectory,
     compose_velocity,
     decompose_velocity,
-    delta_tau,
     delta_tau_moving,
     make_frame,
     travel_time,
@@ -59,6 +58,20 @@ class TestLinearTrajectory:
                 center=np.zeros(3), tangent=np.array([0.0, 2.0, 0.0]), speed=1.0
             )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("center", (0.0, np.nan, 0.0)),
+            ("tangent", (np.nan, 1.0, 0.0)),
+            ("speed", np.nan),
+            ("speed", np.inf),
+        ],
+    )
+    def test_rejects_a_non_finite_field(self, name, value):
+        fields = {"center": np.zeros(3), "tangent": (0.0, 1.0, 0.0), "speed": 1.0}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LinearTrajectory(**{**fields, name: value})
+
     def test_rejects_nonpositive_speed(self):
         with pytest.raises(ValueError, match="speed"):
             LinearTrajectory(
@@ -92,6 +105,17 @@ class TestCircularTrajectory:
                 center=np.zeros(2), radius=1.0, height=1.0, angular_rate=0.0
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name", ["center", "radius", "height", "angular_rate", "origin_angle"]
+    )
+    def test_rejects_a_non_finite_field(self, name, value):
+        fields = {"center": np.zeros(2), "radius": 1.0, "height": 1.0}
+        fields.update(angular_rate=0.1, origin_angle=0.0)
+        fields[name] = np.full(2, value) if name == "center" else value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CircularTrajectory(**fields)
+
     @pytest.mark.parametrize("radius", [0.0, -5.0])
     def test_rejects_nonpositive_radius(self, radius):
         with pytest.raises(ValueError, match="radius"):
@@ -112,6 +136,11 @@ class TestAperture:
     @pytest.mark.parametrize("ds", [0.0, -0.1])
     def test_rejects_nonpositive_step(self, ds):
         with pytest.raises(ValueError, match="ds"):
+            Aperture(n=4, ds=ds)
+
+    @pytest.mark.parametrize("ds", [np.nan, np.inf])
+    def test_rejects_a_non_finite_step(self, ds):
+        with pytest.raises(ValueError, match="ds must be finite"):
             Aperture(n=4, ds=ds)
 
 
@@ -139,17 +168,21 @@ class TestDeltaTau:
         s = np.array([-0.4, 0.1, 0.6])
         expected = travel_time(traj, s, rho) - travel_time(traj, s, np.zeros(3))
         np.testing.assert_allclose(
-            delta_tau(traj, s, rho, np.zeros(3)), expected, rtol=1e-15
+            delta_tau_moving(traj, s, rho, np.zeros(3), np.zeros(3)),
+            expected,
+            rtol=1e-15,
         )
 
     def test_moving_with_zero_velocity_matches_stationary(self):
+        # Bit for bit, over a 2-D slow-time array and an off-origin
+        # reference point.
         traj = gotcha_traj()
         rho = np.array([3.0, -4.0, 0.0])
-        s = np.array([-0.4, 0.1, 0.6])
-        np.testing.assert_allclose(
-            delta_tau_moving(traj, s, rho, np.zeros(3), np.zeros(3)),
-            delta_tau(traj, s, rho, np.zeros(3)),
-            rtol=1e-15,
+        rho_o = np.array([-2.0, 1.5, 0.0])
+        s = np.array([[-0.4, 0.1, 0.6], [-0.05, 0.0, 0.35]])
+        expected = travel_time(traj, s, rho) - travel_time(traj, s, rho_o)
+        np.testing.assert_array_equal(
+            delta_tau_moving(traj, s, rho, np.zeros(3), rho_o), expected
         )
 
     def test_moving_tracks_the_drifting_position(self):
@@ -157,7 +190,9 @@ class TestDeltaTau:
         rho = np.array([1.0, 2.0, 0.0])
         u = np.array([3.0, -1.0, 0.0])
         s = np.array([0.25])
-        expected = delta_tau(traj, s, rho + s[0] * u, np.zeros(3))
+        expected = travel_time(traj, s, rho + s[0] * u) - travel_time(
+            traj, s, np.zeros(3)
+        )
         np.testing.assert_allclose(
             delta_tau_moving(traj, s, rho, u, np.zeros(3)), expected, rtol=1e-15
         )
@@ -238,6 +273,29 @@ class TestVelocityDecomposition:
         frame = make_frame(traj, np.zeros(3))
         with pytest.raises(ValueError, match="degenerate frame"):
             compose_velocity(frame, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "u, u_perp",
+        [
+            (np.linspace(-70.0, 70.0, 281), np.linspace(30.0, -30.0, 281)),
+            (2.0, np.arange(-70.0, 70.25, 0.5)),
+            (np.array([[1.5, -3.0], [0.25, 9.0]]), 4.0),
+        ],
+    )
+    def test_an_array_call_equals_the_scalar_calls(self, u, u_perp):
+        frame = make_frame(gotcha_traj(), np.array([2.0, -7.0, 0.0]))
+        u, u_perp = np.broadcast_arrays(u, u_perp)
+        velocities = compose_velocity(frame, u, u_perp)
+        assert velocities.shape == u.shape + (3,)
+        for index in np.ndindex(u.shape):
+            scalar = compose_velocity(frame, float(u[index]), float(u_perp[index]))
+            np.testing.assert_array_equal(velocities[index], scalar)
+
+    def test_zero_dimensional_speeds_give_one_vector(self):
+        frame = make_frame(gotcha_traj(), np.zeros(3))
+        velocity = compose_velocity(frame, np.array(1.5), np.array(-2.0))
+        assert velocity.shape == (3,)
+        np.testing.assert_array_equal(velocity, compose_velocity(frame, 1.5, -2.0))
 
     def test_platform_like_velocity_has_zero_range_speed(self):
         frame = make_frame(gotcha_traj(), np.zeros(3))

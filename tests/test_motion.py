@@ -3,7 +3,6 @@
 import dataclasses
 import importlib.util
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ from sarsep.geom import (
     LinearTrajectory,
     compose_velocity,
     decompose_velocity,
+    delta_tau_moving,
     make_frame,
 )
 from sarsep.imaging import _local_maxima, _refine_peaks
@@ -51,6 +51,19 @@ def mover_trace(near_frame):
     return simulate(near_scene([mover]))
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench's workloads module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class TestTrialVelocity:
     def test_range_speed_is_exact_and_cross_speed_zero(self, near_frame):
         for u in (-3.0, 0.5, 12.0):
@@ -59,6 +72,15 @@ class TestTrialVelocity:
             u_chk, u_perp_chk = decompose_velocity(near_frame, u_vec)
             assert u_chk == pytest.approx(u, abs=1e-12)
             assert u_perp_chk == pytest.approx(0.0, abs=1e-12)
+
+    def test_an_array_call_equals_the_scalar_calls(self, near_frame):
+        speeds = np.array([[-3.0, 0.5, 12.0], [0.0, -0.25, 70.0]])
+        velocities = trial_velocity(near_frame, speeds)
+        assert velocities.shape == (2, 3, 3)
+        for index in np.ndindex(speeds.shape):
+            scalar = trial_velocity(near_frame, float(speeds[index]))
+            np.testing.assert_array_equal(velocities[index], scalar)
+        assert trial_velocity(near_frame, np.array(0.5)).shape == (3,)
 
     def test_vertical_line_of_sight_is_rejected(self):
         overhead = LinearTrajectory(
@@ -273,15 +295,58 @@ class TestCoarseFactor:
         # The near-range mover's g_perp dip is 3 lattice steps wide at half
         # depth, its g(u) peak over 20; reduced scene1's dips are 85-110.
         rho = np.zeros(3)
-        cross = partial(compose_velocity, near_frame, 2.0)
         grid = motion._default_speed_grid(mover_trace, motion._U_PERP_STEP)
-        assert motion._coarse_factor(mover_trace, rho, cross, grid, "g_perp") == 1
-        along = partial(trial_velocity, near_frame)
+        cross = compose_velocity(near_frame, 2.0, grid)
+        assert motion._coarse_factor(mover_trace, rho, cross, "g_perp") == 1
         grid = motion._default_speed_grid(mover_trace, motion._U_STEP)
-        factor = motion._coarse_factor(mover_trace, rho, along, grid, "g")
+        along = trial_velocity(near_frame, grid)
+        factor = motion._coarse_factor(mover_trace, rho, along, "g")
         assert factor == motion._COARSE_FACTOR
         # A lattice of one point is scanned whole.
-        assert motion._coarse_factor(mover_trace, rho, along, grid[:1], "g") == 1
+        assert motion._coarse_factor(mover_trace, rho, along[:1], "g") == 1
+
+    @staticmethod
+    def brute_force(trace, rho, velocities, kind):
+        """``_coarse_factor`` by a loop over every lattice step."""
+        s = trace.s_times[slice(*trace.valid_rows)]
+        widest = 0.0
+        for a, b in zip(velocities[:-1], velocities[1:]):
+            change = delta_tau_moving(
+                trace.traj, s, rho, b, trace.rho_o
+            ) - delta_tau_moving(trace.traj, s, rho, a, trace.rho_o)
+            widest = max(widest, float(change.max() - change.min()))
+        cells = widest * trace.bandwidth
+        width = 2.0 * motion._HALF_SPREAD[kind]
+        if cells * motion._COARSE_FACTOR <= width:
+            return motion._COARSE_FACTOR
+        return max(1, int(width / cells))
+
+    def test_every_step_matches_a_loop(self, mover_trace, near_frame, monkeypatch):
+        # The near-range mover at its true location and speeds, and
+        # perfbench's scene1-separate input at each of its movers'.
+        workloads = _perfbench_workloads(monkeypatch)
+        inputs = workloads.split_setup(None, None)
+        scenes = [
+            (mover_trace, near_frame, [(np.zeros(3), 2.0)]),
+            (
+                inputs.mixture,
+                inputs.scene.frame,
+                [
+                    (t.rho, decompose_velocity(inputs.scene.frame, t.velocity)[0])
+                    for t in inputs.scene.moving_targets
+                ],
+            ),
+        ]
+        cases = []
+        for trace, frame, movers in scenes:
+            grid = motion._default_speed_grid(trace, motion._U_STEP)
+            cases.append((trace, trace.rho_o, trial_velocity(frame, grid), "g"))
+            grid = motion._default_speed_grid(trace, motion._U_PERP_STEP)
+            for rho, u in movers:
+                cases.append((trace, rho, compose_velocity(frame, u, grid), "g_perp"))
+        factors = [motion._coarse_factor(*case) for case in cases]
+        assert factors == [self.brute_force(*case) for case in cases]
+        assert factors[:2] == [4, 1]
 
 
 class TestCrossSpeed:
@@ -531,9 +596,6 @@ class TestSeparateMovers:
         assert single_mover_run[2] == [12.0]
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
 def _separation_arrays(sep):
     """Every number of a separation except its scan records and curves."""
     yield sep.low.data
@@ -569,13 +631,7 @@ class TestCoarseToFineOracle:
 
     def test_reduced_scene1_at_seed_0(self, monkeypatch):
         # perfbench's scene1-separate input and call at seed 0.
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", WORKLOADS
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        # Its dataclasses look their module up by name.
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+        workloads = _perfbench_workloads(monkeypatch)
         inputs = workloads.split_setup(None, None)
         self.assert_same_as_full_scans(
             monkeypatch, lambda: workloads.split_run(inputs)

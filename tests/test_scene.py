@@ -45,6 +45,12 @@ class TestRadar:
         with pytest.raises(ValueError, match="dt must be positive"):
             Radar(dt=dt)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["nu0", "bandwidth", "dt"])
+    def test_rejects_a_non_finite_setting(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Radar(**{name: value})
+
 
 class TestTarget:
     def test_rejects_out_of_plane(self):
@@ -78,6 +84,20 @@ class TestSceneSpec:
         )
         assert len(scene.stationary_targets) == 1
         assert len(scene.moving_targets) == 1
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rho", (np.nan, 0.0, 0.0)),
+            ("velocity", (0.0, np.inf, 0.0)),
+            ("amplitude", np.nan),
+            ("amplitude", -np.inf),
+        ],
+    )
+    def test_rejects_a_non_finite_field(self, name, value):
+        fields = {"rho": np.zeros(3), name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Target(**fields)
 
     def test_rejects_a_target_not_slower_than_the_platform(self, flat_scene_builder):
         speed = flat_scene_builder([]).traj.speed

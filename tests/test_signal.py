@@ -1,5 +1,7 @@
 """Pulse model, fast-time grids, shifts, and gate conversions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import flat_scene
@@ -7,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
-from sarsep.geom import travel_time
+from sarsep.geom import make_frame, travel_time
 from sarsep.scene import Radar, simulate
 from sarsep.signal import (
     GATE_PAD_FACTOR,
@@ -75,6 +77,13 @@ class TestFastTimeAxis:
         with pytest.raises(ValueError, match="dt must be positive"):
             FastTimeAxis(m=4, dt=dt, t_center=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["dt", "t_center"])
+    def test_rejects_a_non_finite_step_or_center(self, name, value):
+        fields = {"m": 4, "dt": 0.1, "t_center": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FastTimeAxis(**fields)
+
 
 class TestMakeGate:
     def test_covers_padded_interval_with_smooth_count(self):
@@ -134,6 +143,14 @@ class TestTraceMatrix:
         trace = small_trace(flat_scene_builder)
         with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
             trace.replace(**{key: value})
+
+    def test_frame_is_the_view_frame_at_its_reference(self, flat_scene_builder):
+        trace = small_trace(flat_scene_builder).replace(rho_o=(1.0, -2.0, 0.0))
+        expected = make_frame(trace.traj, trace.rho_o)
+        for field in dataclasses.fields(expected):
+            np.testing.assert_array_equal(
+                getattr(trace.frame, field.name), getattr(expected, field.name)
+            )
 
 
 class TestFractionalShift:
