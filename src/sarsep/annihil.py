@@ -415,39 +415,48 @@ def locate_stationary(trace: TraceMatrix, extent: float = 80.0) -> np.ndarray:
     return _peak_positions(env, grid, iy[:_MAX_CANDIDATES], ix[:_MAX_CANDIDATES])
 
 
+def _window_width(half: int) -> int:
+    """FFT length of a point window of ``half`` samples per side."""
+    return next_fast_odd(4 * half + 1)
+
+
 class _PointWindow:
     """Valid rows straightened at one stationary point, over a short window.
 
     Row j is read on a padded block of columns around the point's delay
     d_j: the integer part of d_j is an index offset and only the
     sub-sample remainder is a spectral shift, so the block never wraps
-    the shifted window.  ``window(extra)`` returns the rows sampled at
-    t + d_j + extra_j for |t| <= ``half`` samples; ``put(profile)``
-    moves such a profile back to d_j and returns its samples at
-    ``index``, the in-gate (row, column) pairs of the central window.
-    The block's spectrum is kept, since refinement reads the window at
-    many trial shifts.
+    the shifted window.  ``padded`` holds the trace's rows with
+    ``_window_width(half)`` zero columns on either side, so each block
+    is a strided view at its row's offset; a block wholly outside the
+    gate is read from a margin.  ``window(extra)`` returns the rows
+    sampled at t + d_j + extra_j for |t| <= ``half`` samples;
+    ``put(profile)`` moves such a profile back to d_j and returns its
+    samples at ``index``, the (row, column) pairs of ``padded`` where
+    the central window lies inside the gate.  The block's spectrum is
+    kept, since refinement reads the window at many trial shifts.
     """
 
-    def __init__(self, trace: TraceMatrix, data: np.ndarray, rho, half: int):
+    def __init__(self, trace: TraceMatrix, padded: np.ndarray, rho, half: int):
         start, stop = trace.valid_rows
         dt = trace.axis.dt
         pos = (_track_delays(trace, rho, None)[start:stop] - trace.t_times[0]) / dt
         centers = np.rint(pos).astype(int)
         self.shifts = (pos - centers) * dt
         self.dt = dt
-        self.width = next_fast_odd(4 * half + 1)
+        self.width = _window_width(half)
         self.central = slice(self.width // 2 - half, self.width // 2 + half + 1)
-        cols = centers[:, None] + (np.arange(self.width) - self.width // 2)
-        inside = (cols >= 0) & (cols < data.shape[1])
-        rows = np.broadcast_to(np.arange(start, stop)[:, None], cols.shape)
-        block = np.where(inside, data[rows, np.clip(cols, 0, data.shape[1] - 1)], 0.0)
-        self.spectra = np.fft.rfft(block, axis=-1)
-        self.mask = inside[:, self.central]
-        self.index = (
-            rows[:, self.central][self.mask],
-            cols[:, self.central][self.mask],
+        # Each block's first column in ``padded``.
+        first = centers - self.width // 2 + self.width
+        first = np.clip(first, 0, padded.shape[1] - self.width)
+        blocks = np.lib.stride_tricks.sliding_window_view(
+            padded[start:stop], self.width, axis=-1
         )
+        self.spectra = np.fft.rfft(blocks[np.arange(stop - start), first], axis=-1)
+        cols = centers[:, None] + np.arange(-half, half + 1)
+        self.mask = (cols >= 0) & (cols <= trace.axis.m)
+        rows = np.broadcast_to(np.arange(start, stop)[:, None], cols.shape)
+        self.index = (rows[self.mask], cols[self.mask] + self.width)
 
     def _shifted(self, spectra: np.ndarray, delays: np.ndarray) -> np.ndarray:
         ramp = phase_ramp(delays, self.width, self.dt)
@@ -640,7 +649,9 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
     cross = trace.frame.cross_dir
     span = REFINE_SPAN * cross_range_cell(trace)
     floor = 10.0 ** (REMOVAL_FLOOR_DB / 20.0)
-    rest = trace.data.copy()
+    width = _window_width(half)
+    rest = np.zeros((trace.n + 1, trace.m + 1 + 2 * width))
+    rest[:, width:-width] = trace.data
     removed = {}
     kept = []
     strongest = 0.0
@@ -661,4 +672,4 @@ def remove_stationary(trace: TraceMatrix, points) -> StationaryRemoval:
             echo = win.put(_median_rows(win.window()))
             rest[win.index] -= echo
             removed[k] = (win.index, echo)
-    return _split_off(trace, rest, points[kept])
+    return _split_off(trace, rest[:, width:-width], points[kept])

@@ -186,7 +186,7 @@ def _cmd_simulate(args):
     out = Path(args.out) if args.out else Path(args.out_dir) / "scene.trc"
     outputs = []
     if args.split:
-        stationary, moving = simulate_split(scene, seed=args.seed)
+        stationary, moving = simulate_split(scene)
         base = out.name[: -len(".trc")] if out.name.endswith(".trc") else out.name
         mixture = stationary.replace(
             data=stationary.data + moving.data,
@@ -202,7 +202,7 @@ def _cmd_simulate(args):
         )
         outputs.append(sario.write_trace(out.with_name(base + ".moving.trc"), moving))
     else:
-        outputs.append(sario.write_trace(out, simulate(scene, seed=args.seed)))
+        outputs.append(sario.write_trace(out, simulate(scene)))
     outputs += [_sidecar(p) for p in list(outputs)]
     return [], outputs
 
@@ -345,8 +345,21 @@ def _cmd_rank(args):
     return [], [out]
 
 
+def _check_keys(block: dict, allowed: tuple, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown {where} keys {unknown}; allowed: {', '.join(allowed)}"
+        )
+
+
 def _cmd_run(args):
     config = json.loads(Path(args.config).read_text())
+    _check_keys(config, ("scene", "max_movers", "imaging"), "run config")
+    imaging_cfg = config.get("imaging", {})
+    _check_keys(imaging_cfg, ("grid", "center"), "imaging")
     max_movers = _mover_count(config.get("max_movers", 2))
     scene_spec = config["scene"]
     if isinstance(scene_spec, str):
@@ -356,7 +369,7 @@ def _cmd_run(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trace = simulate(scene, seed=config.get("seed"))
+    trace = simulate(scene)
     mixture = sario.write_trace(out_dir / "mixture.trc", trace)
     outputs = [mixture, _sidecar(mixture)]
     result = separate_movers(trace, max_movers=max_movers)
@@ -365,7 +378,6 @@ def _cmd_run(args):
     if g_curves:  # empty when no mover round ran
         outputs.append(_write_g_curve(out_dir / "g_curve.csv", *g_curves[0]))
 
-    imaging_cfg = config.get("imaging", {})
     ex, ey, spacing = _parse_grid(imaging_cfg.get("grid", "60x60:0.24"))
     grid = ImageGrid(
         center=np.asarray(imaging_cfg.get("center", scene.rho_o), dtype=float),
@@ -416,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=list_presets(), help="bundled scene")
     group.add_argument("--config", help="scene JSON file")
     p.add_argument("--out", help="output trace (default OUT_DIR/scene.trc)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--split",
         action="store_true",

@@ -145,7 +145,6 @@ def write_trace(path, trace: TraceMatrix) -> Path:
         "valid_rows": list(trace.valid_rows),
         "trajectory": trajectory_to_dict(trace.traj),
         "rho_o_meters": np.asarray(trace.rho_o).tolist(),
-        "seed": trace.seed,
         "meta": {**trace.meta, "nu0": trace.nu0, "bandwidth": trace.bandwidth},
     }
     data_path.parent.mkdir(parents=True, exist_ok=True)
@@ -188,7 +187,6 @@ def read_trace(path) -> TraceMatrix:
         tag=sidecar["provenance"],
         valid_rows=tuple(sidecar["valid_rows"]),
         meta=meta,
-        seed=sidecar.get("seed"),
     )
 
 
@@ -206,13 +204,16 @@ def write_image(path, envelope: np.ndarray, header: dict) -> Path:
 
 
 def read_image(path) -> tuple[np.ndarray, dict]:
-    """Read an image written by ``write_image``."""
+    """Read an image written by ``write_image``; raises ``ValueError``
+    when the payload's sample count or any sample is wrong."""
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
     data = np.fromfile(path, dtype="<f8")
     expected = int(np.prod(sidecar["shape"]))
     if data.size != expected:
         raise ValueError(f"{path} holds {data.size} samples, expected {expected}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path} holds non-finite samples")
     return data.reshape(sidecar["shape"]), sidecar
 
 
@@ -221,11 +222,14 @@ def write_pgm(path, magnitudes: np.ndarray, floor_db: float = -60.0) -> Path:
 
     The image is normalized to its peak; values at or below ``floor_db``
     map to black and the peak maps to full scale.  Samples are written
-    big-endian as the PGM specification requires.
+    big-endian as the PGM specification requires.  Non-finite magnitudes
+    raise ``ValueError``.
     """
+    magnitudes = np.abs(np.asarray(magnitudes, dtype=float))
+    if not np.all(np.isfinite(magnitudes)):
+        raise ValueError("cannot write non-finite magnitudes as a PGM")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    magnitudes = np.abs(np.asarray(magnitudes, dtype=float))
     peak = magnitudes.max()
     if peak <= 0.0:
         scaled = np.zeros_like(magnitudes)

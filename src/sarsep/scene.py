@@ -177,12 +177,12 @@ def _design_gate(scene: SceneSpec, dtau: np.ndarray) -> FastTimeAxis:
 def simulate(
     scene: SceneSpec,
     axis: FastTimeAxis | None = None,
-    seed: int | None = None,
 ) -> TraceMatrix:
     """Simulate range-compressed echo traces for a scene.
 
     Each target contributes pulse(t - dtau_q(s_j)) to row j, where
-    dtau_q is the target's differential delay.
+    dtau_q is the target's differential delay.  The traces are
+    noiseless, so the result depends on ``scene`` and ``axis`` alone.
 
     Parameters
     ----------
@@ -192,9 +192,6 @@ def simulate(
         differential-delay extremes of all targets plus
         ``GATE_PAD_FACTOR``/bandwidth of padding on each side.  An
         explicit gate that loses any target is rejected.
-    seed : int, optional
-        Recorded in the trace for provenance; the simulation itself is
-        deterministic.
 
     Returns
     -------
@@ -230,10 +227,10 @@ def simulate(
         amps,
         KERNEL_CLIP_FACTOR / radar.bandwidth,
     )
-    return _simulated(scene, axis, data, seed)
+    return _simulated(scene, axis, data)
 
 
-def _simulated(scene: SceneSpec, axis, data, seed) -> TraceMatrix:
+def _simulated(scene: SceneSpec, axis, data) -> TraceMatrix:
     """``data`` as the range-compressed trace of ``scene`` on ``axis``."""
     return TraceMatrix(
         data=data,
@@ -249,14 +246,12 @@ def _simulated(scene: SceneSpec, axis, data, seed) -> TraceMatrix:
             "targets": len(scene.targets),
             "movers": len(scene.moving_targets),
         },
-        seed=seed,
     )
 
 
 def simulate_split(
     scene: SceneSpec,
     axis: FastTimeAxis | None = None,
-    seed: int | None = None,
 ) -> tuple[TraceMatrix, TraceMatrix]:
     """Simulate the stationary-only and moving-only parts on one gate.
 
@@ -269,8 +264,8 @@ def simulate_split(
 
     def part(targets) -> TraceMatrix:
         if targets:
-            return simulate(scene.subset(targets), axis=axis, seed=seed)
+            return simulate(scene.subset(targets), axis=axis)
         data = np.zeros((scene.aperture.n + 1, axis.m + 1), dtype=float)
-        return _simulated(scene.subset(()), axis, data, seed)
+        return _simulated(scene.subset(()), axis, data)
 
     return part(scene.stationary_targets), part(scene.moving_targets)

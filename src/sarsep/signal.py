@@ -146,7 +146,6 @@ class TraceMatrix:
     tag: str = "raw"
     valid_rows: tuple[int, int] = None  # type: ignore[assignment]
     meta: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)

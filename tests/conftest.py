@@ -112,6 +112,20 @@ def compressed_trace(data, valid_rows=None):
     )
 
 
+#: Images that ``io.read_image`` and ``io.write_pgm`` must refuse.
+NON_FINITE_KINDS = ("one-nan", "all-nan", "one-inf")
+
+
+def non_finite_image(kind):
+    """A 4 x 5 image with one NaN, only NaNs, or one inf sample."""
+    image = np.linspace(0.1, 1.0, 20).reshape(4, 5)
+    if kind == "all-nan":
+        image[:] = np.nan
+    else:
+        image[1, 2] = np.nan if kind == "one-nan" else np.inf
+    return image
+
+
 @pytest.fixture
 def flat_scene_builder():
     return flat_scene

@@ -468,6 +468,43 @@ class TestStationaryRemoval:
         moving = simulate(scene.subset([mover]), axis=mixture.axis)
         return mixture, stationary, moving
 
+    def test_point_window_blocks_equal_a_clipped_gather(self, flat_scene_builder):
+        # Points whose rows straddle or miss either edge of the gate read
+        # the same block from the zero margins as a clipped gather that
+        # zeroes every column outside the gate.
+        trace, _, _ = self.crossing_scene(flat_scene_builder)
+        half = int(
+            np.ceil(annihil.REMOVAL_HALF_WINDOW / (trace.bandwidth * trace.axis.dt))
+        )
+        width = annihil._window_width(half)
+        padded = np.zeros((trace.n + 1, trace.m + 1 + 2 * width))
+        padded[:, width:-width] = trace.data
+        rows = np.arange(trace.n + 1)[:, None]
+
+        def column(rho):
+            delays = annihil._track_delays(trace, rho, None)
+            return (delays - trace.t_times[0]) / trace.axis.dt
+
+        step = trace.frame.range_dir
+        per_meter = float(np.mean(column(self.POINT + step) - column(self.POINT)))
+        seen = set()
+        m = trace.m
+        for target in (-2 * width, -half, m // 2, m + half, m + 2 * width):
+            rho = self.POINT + step * (target - column(self.POINT).mean()) / per_meter
+            win = annihil._PointWindow(trace, padded, rho, half)
+            centers = np.rint(column(rho)).astype(int)[:, None]
+            cols = centers + (np.arange(width) - width // 2)
+            inside = (cols >= 0) & (cols <= m)
+            block = np.where(inside, trace.data[rows, np.clip(cols, 0, m)], 0.0)
+            assert win.spectra.tobytes() == np.fft.rfft(block, axis=-1).tobytes()
+            central = inside[:, win.central]
+            assert np.array_equal(win.mask, central)
+            in_rows = np.broadcast_to(rows, cols.shape)[:, win.central][central]
+            assert np.array_equal(win.index[0], in_rows)
+            assert np.array_equal(win.index[1], cols[:, win.central][central] + width)
+            seen.add((bool(central.any()), bool(central.all())))
+        assert seen == {(False, False), (True, False), (True, True)}
+
     def test_a_point_at_its_true_location_is_removed(self, flat_scene_builder):
         mixture, stationary, moving = self.crossing_scene(flat_scene_builder)
         out = remove_stationary(mixture, [self.POINT])

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import flat_scene, near_scene, near_traj
+from conftest import (
+    NON_FINITE_KINDS,
+    flat_scene,
+    near_scene,
+    near_traj,
+    non_finite_image,
+)
 
 from sarsep import cli
 from sarsep import io as sario
@@ -123,8 +129,6 @@ class TestSimulate:
                 "single",
                 "--out",
                 str(out),
-                "--seed",
-                "3",
                 "--out-dir",
                 str(tmp_path),
             ]
@@ -133,6 +137,15 @@ class TestSimulate:
         trace = sario.read_trace(out)
         assert trace.aperture.n == 116
         assert trace.meta["targets"] == 1
+
+    def test_there_is_no_seed_option(self, tmp_path):
+        # The simulation draws no random numbers, so nothing takes a seed.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["simulate", "--preset", "single", "--seed", "1", "--out-dir", str(tmp_path)]
+            )
+        assert exit_info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_non_finite_carrier_is_a_usage_error(self, tmp_path, capsys):
         # JSON's NaN literal reaches Radar through scene_from_dict.
@@ -702,7 +715,6 @@ class TestRun:
             json.dumps(
                 {
                     "scene": sario.scene_to_dict(mixed_scene()),
-                    "seed": 0,
                     "max_movers": 1,
                     "imaging": {"grid": "12x8:0.5", "center": [0.0, 0.0, 0.0]},
                 }
@@ -765,6 +777,30 @@ class TestRun:
         assert rc == 2
         assert not out_dir.exists()
 
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"scene": "single", "max_mover": 0}, "run config keys ['max_mover']"),
+            ({"scene": "single", "seed": 0}, "run config keys ['seed']"),
+            (
+                {"scene": "single", "imaging": {"centre": [0.0, 0.0, 0.0]}},
+                "imaging keys ['centre']",
+            ),
+            ({"scene": "single", "imaging": "60x60:0.24"}, "imaging must be"),
+            ([{"scene": "single"}], "run config must be"),
+        ],
+    )
+    def test_unknown_keys_and_non_objects_are_usage_errors(
+        self, tmp_path, capsys, config, message
+    ):
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "run"
+        rc = main(["run", "--config", str(path), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not out_dir.exists()
+        assert message in capsys.readouterr().err
 
     def test_a_preset_name_is_a_scene(self, tmp_path):
         out_dir = tmp_path / "run"
@@ -855,6 +891,25 @@ class TestExport:
         )
         assert rc == 0
         assert image_pgm.read_bytes().startswith(b"P5\n")
+
+    @pytest.mark.parametrize("kind", NON_FINITE_KINDS)
+    def test_a_non_finite_image_is_a_usage_error(self, tmp_path, capsys, kind):
+        img = sario.write_image(tmp_path / "img.bin", non_finite_image(kind), {})
+        out = tmp_path / "out.pgm"
+        rc = main(
+            [
+                "export",
+                "--kind",
+                "image-pgm",
+                str(img),
+                str(out),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "img.bin holds non-finite samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_kind_is_rejected_by_the_parser(self, mixture, tmp_path):
         with pytest.raises(SystemExit):

@@ -358,6 +358,26 @@ def test_image_points_do_not_depend_on_the_worker_count(near_trace, monkeypatch)
     assert np.array_equal(pooled[0], alone[0])
 
 
+@pytest.mark.parametrize("order", ["random", "range-sorted"])
+def test_image_points_do_not_depend_on_point_order(near_trace, order):
+    """Permuted points get the permuted values bit for bit: the property
+    any tiling or pruning of the pixels relies on."""
+    # 2057 points, no multiple of _BLOCK; the 60 m down-range extent puts
+    # pixels both inside and outside the gate.
+    points = ImageGrid(np.array([2.0, 4.0, 0.0]), 60.0, 8.0, 0.5).points()
+    assert points.shape[0] % _BLOCK
+    if order == "random":
+        perm = np.random.default_rng(5).permutation(points.shape[0])
+    else:
+        perm = np.argsort(points @ near_trace.frame.range_dir, kind="stable")
+    u_vec = np.array([1.0, 2.0, 0.0])
+    values, missed = image_points(near_trace, points, u_vec)
+    assert 0 < missed < points.shape[0] * (near_trace.n + 1)
+    permuted, permuted_missed = image_points(near_trace, points[perm], u_vec)
+    assert permuted_missed == missed
+    assert permuted.tobytes() == values[perm].tobytes()
+
+
 class TestProfiles:
     def test_profile_peaks_at_the_target(self, near_trace):
         offsets, values = profile(

@@ -186,13 +186,6 @@ class TestSimulate:
         with pytest.raises(ValueError, match="no targets"):
             simulate(scene)
 
-    def test_seed_is_recorded_only(self, flat_scene_builder):
-        scene = flat_scene_builder([(0.0, 0.0, 0.0)], n=4)
-        t1 = simulate(scene, seed=5)
-        t2 = simulate(scene, seed=9)
-        assert t1.seed == 5 and t2.seed == 9
-        np.testing.assert_array_equal(t1.data, t2.data)
-
 
 class TestSimulateSplit:
     def test_parts_sum_to_the_mixture(self, flat_scene_builder):
