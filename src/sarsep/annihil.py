@@ -8,10 +8,11 @@ one.  ``annihilate`` composes its stages on the row spectra: the
 slow-time difference commutes with the per-row FFT and consecutive
 shifts add their delays, so a plan costs one FFT round trip and one
 phase ramp per stage.  It runs in place on one array of the valid rows'
-spectra, in blocks of rows (see ``sarsep.kernels``).  The slow-time
-difference of the complex spectra is taken on their float64 view and
-multiplied by 1/ds, which equals numpy's complex division by ds bit for
-bit, so the output does not depend on the block size.
+spectra: the phase ramps in blocks of rows on the pool of
+``signal._shift_spectra``, each slow-time difference in one numpy pass
+over all rows.  The difference of the complex spectra is taken on their
+float64 view and multiplied by 1/ds, which equals numpy's complex
+division by ds bit for bit.
 
 ``locate_stationary`` and ``remove_stationary`` use the same
 straightening to take out the echoes of stationary points found in a
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .geom import (
     C_LIGHT,
     Aperture,
     Trajectory,
+    _require_finite,
     delta_tau_moving,
     make_frame,
 )
@@ -41,6 +42,7 @@ from .imaging import (
     _peak_positions,
     image_points,
 )
+from .io import _json_object, _json_objects
 from .scene import Target
 from .signal import (
     TraceMatrix,
@@ -131,11 +133,6 @@ def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
     bit, in a sixth of the time (0.6 against 3.6 ms on example2's 117
     spectra).  A true division of the float view by ds would round
     differently.
-
-    The new rows run in blocks of ``kernels._ROW_CHUNK`` on
-    ``kernels._in_blocks``.  A block reads the old row after it and,
-    for order 2, the one before it, which other blocks may already have
-    rewritten, so those rows are copied before any block runs.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -147,26 +144,15 @@ def _row_difference(d: np.ndarray, valid_rows, order: int, ds: float):
     lo, hi = start + order - 1, stop - 1
     complex_rows = np.iscomplexobj(d)
     rows = d.view(float) if complex_rows else d
-    size = kernels._ROW_CHUNK
-    firsts = np.arange(lo, hi, size)
-    after = rows[np.minimum(firsts + size, hi)]
-    before = rows[firsts - 1] if order == 2 else None
-
-    def part(a, b):
-        k, r0, r1 = a // size, lo + a, lo + b
-        if order == 1:
-            # In place: numpy reads each row before it is rewritten.
-            np.subtract(rows[r0 + 1 : r1], rows[r0 : r1 - 1], out=rows[r0 : r1 - 1])
-            np.subtract(after[k], rows[r1 - 1], out=rows[r1 - 1])
-        else:
-            old = np.concatenate((before[k : k + 1], rows[r0:r1], after[k : k + 1]))
-            rows[r0:r1] = old[2:] - 2.0 * old[1:-1] + old[:-2]
-        if complex_rows:
-            rows[r0:r1] *= 1.0 / ds**order
-        else:
-            rows[r0:r1] /= ds**order
-
-    kernels._in_blocks(part, hi - lo, size)
+    if order == 1:
+        # In place: numpy reads the overlapping operand as if copied first.
+        np.subtract(rows[lo + 1 : hi + 1], rows[lo:hi], out=rows[lo:hi])
+    else:
+        rows[lo:hi] = rows[lo + 1 : hi + 1] - 2.0 * rows[lo:hi] + rows[lo - 1 : hi - 1]
+    if complex_rows:
+        rows[lo:hi] *= 1.0 / ds**order
+    else:
+        rows[lo:hi] /= ds**order
     return lo, hi
 
 
@@ -202,10 +188,13 @@ class AnnihilationStage:
         object.__setattr__(self, "u_vec", u_vec)
         if rho_e.shape != (3,) or u_vec.shape != (3,):
             raise ValueError("rho_e and u_vec must be 3-vectors")
+        _require_finite(rho_e=rho_e, u_vec=u_vec)
         if u_vec[2] != 0.0:
             raise ValueError("stage velocity must be in-plane")
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+        # 1.0 reads as 1; True would too, so a bool is rejected first.
+        if isinstance(self.order, bool) or self.order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
+        object.__setattr__(self, "order", int(self.order))
 
     def to_dict(self) -> dict:
         return {
@@ -216,6 +205,7 @@ class AnnihilationStage:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnnihilationStage":
+        _json_object(d, "stage")
         return cls(
             rho_e=d["rho_e_meters"],
             u_vec=d.get("u_vec_meters_per_second", (0.0, 0.0, 0.0)),
@@ -237,7 +227,8 @@ class AnnihilationPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnnihilationPlan":
-        return cls(stages=[AnnihilationStage.from_dict(s) for s in d["stages"]])
+        stages = _json_objects(_json_object(d, "plan")["stages"], "stages")
+        return cls(stages=[AnnihilationStage.from_dict(s) for s in stages])
 
     @classmethod
     def for_points(cls, points) -> "AnnihilationPlan":
@@ -260,10 +251,11 @@ def annihilate(trace: TraceMatrix, plan: AnnihilationPlan) -> TraceMatrix:
     The work is done in place on one array of the valid rows' spectra:
     the first stage's FFT is written into it, each stage multiplies its
     phase ramps into it and differences it in place
-    (``_row_difference``, with the reciprocal of ds), and the last
-    ramp's inverse FFT is written straight into the output rows.  Each
-    pass runs in blocks of rows (see ``sarsep.kernels``), so the only
-    other temporaries are a block's phase ramp or difference per worker.
+    (``_row_difference``, one numpy pass with the reciprocal of ds), and
+    the last ramp's inverse FFT is written straight into the output
+    rows.  The phase ramps run in blocks of rows
+    (``signal._shift_spectra``), so their temporaries are one block's
+    ramp per worker, and the difference's temporaries span all rows.
     """
     if not plan.stages:
         raise ValueError("annihilation plan has no stages")

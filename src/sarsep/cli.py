@@ -47,6 +47,8 @@ def _parse_vector(text: str) -> np.ndarray:
         parts.append(0.0)
     if len(parts) != 3:
         raise ValueError(f"expected 'x,y' or 'x,y,z', got {text!r}")
+    if not np.all(np.isfinite(parts)):
+        raise ValueError(f"vector components must be finite, got {text!r}")
     return np.array(parts)
 
 
@@ -125,7 +127,7 @@ def _load_scene(args):
     if getattr(args, "preset", None):
         return preset_scene(args.preset)
     config = json.loads(Path(args.config).read_text())
-    if "scene" in config:
+    if isinstance(config, dict) and "scene" in config:
         config = config["scene"]
     return sario.scene_from_dict(config)
 
@@ -346,9 +348,7 @@ def _cmd_rank(args):
 
 
 def _check_keys(block: dict, allowed: tuple, where: str) -> None:
-    if not isinstance(block, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - set(allowed))
+    unknown = sorted(set(sario._json_object(block, where)) - set(allowed))
     if unknown:
         raise ValueError(
             f"unknown {where} keys {unknown}; allowed: {', '.join(allowed)}"

@@ -27,9 +27,14 @@ __all__ = [
 
 
 def _require_finite(**values) -> None:
-    """Reject a non-finite value by name: NaN passes every comparison."""
+    """Reject a non-finite value, or one that is not a number, by name:
+    NaN passes every comparison."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        try:
+            finite = np.all(np.isfinite(value))
+        except TypeError:
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 

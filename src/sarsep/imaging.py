@@ -179,6 +179,7 @@ def image_compensated(trace: TraceMatrix, grid: ImageGrid, u_vec) -> SarImage:
     u_vec = np.asarray(u_vec, dtype=float)
     if u_vec.shape != (3,) or u_vec[2] != 0.0:
         raise ValueError("u_vec must be an in-plane 3-vector")
+    _require_finite(u_vec=u_vec)
     values, missed = image_points(trace, grid.points(), u_vec)
     if missed > 0:
         warnings.warn(

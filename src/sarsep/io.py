@@ -33,6 +33,29 @@ __all__ = [
 ]
 
 
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_objects(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, dict) for v in value
+    ):
+        raise ValueError(f"{name} must be a list of JSON objects")
+    return list(value)
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int; a bool, a fraction or a non-number is rejected."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def trajectory_to_dict(traj: Trajectory) -> dict:
     if isinstance(traj, LinearTrajectory):
         return {
@@ -54,7 +77,7 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_from_dict(spec: dict) -> Trajectory:
-    kind = spec.get("kind")
+    kind = _json_object(spec, "trajectory").get("kind")
     if kind == "linear":
         return LinearTrajectory(
             center=np.asarray(spec["center_meters"], dtype=float),
@@ -81,6 +104,7 @@ def target_to_dict(target: Target) -> dict:
 
 
 def target_from_dict(spec: dict) -> Target:
+    _json_object(spec, "target")
     return Target(
         rho=np.asarray(spec["rho_meters"], dtype=float),
         velocity=np.asarray(
@@ -105,21 +129,27 @@ def scene_to_dict(scene: SceneSpec) -> dict:
 
 
 def scene_from_dict(spec: dict) -> SceneSpec:
-    radar_spec = spec.get("radar", {})
+    """Scene from its JSON form; raises ``ValueError`` naming the field
+    when a block is not a JSON object, ``targets`` is not a list of
+    objects, or the pulse count is not a whole number."""
+    _json_object(spec, "scene")
+    radar_spec = _json_object(spec.get("radar", {}), "radar")
     radar = Radar(
         nu0=float(radar_spec.get("nu0_hz", 9.6e9)),
         bandwidth=float(radar_spec.get("bandwidth_hz", 622.0e6)),
         dt=radar_spec.get("dt_seconds"),
     )
-    aperture_spec = spec["aperture"]
+    aperture_spec = _json_object(spec["aperture"], "aperture")
+    targets = _json_objects(spec.get("targets", []), "targets")
     return SceneSpec(
         traj=trajectory_from_dict(spec["trajectory"]),
         rho_o=np.asarray(spec["rho_o_meters"], dtype=float),
         aperture=Aperture(
-            n=int(aperture_spec["n"]), ds=float(aperture_spec["ds_seconds"])
+            n=_whole(aperture_spec["n"], "aperture n"),
+            ds=float(aperture_spec["ds_seconds"]),
         ),
         radar=radar,
-        targets=tuple(target_from_dict(t) for t in spec.get("targets", [])),
+        targets=tuple(target_from_dict(t) for t in targets),
     )
 
 
@@ -222,9 +252,12 @@ def write_pgm(path, magnitudes: np.ndarray, floor_db: float = -60.0) -> Path:
 
     The image is normalized to its peak; values at or below ``floor_db``
     map to black and the peak maps to full scale.  Samples are written
-    big-endian as the PGM specification requires.  Non-finite magnitudes
-    raise ``ValueError``.
+    big-endian as the PGM specification requires.  Non-finite magnitudes,
+    and a ``floor_db`` that is not finite and negative, raise
+    ``ValueError``.
     """
+    if not (np.isfinite(floor_db) and floor_db < 0.0):
+        raise ValueError(f"floor_db must be finite and negative, got {floor_db}")
     magnitudes = np.abs(np.asarray(magnitudes, dtype=float))
     if not np.all(np.isfinite(magnitudes)):
         raise ValueError("cannot write non-finite magnitudes as a PGM")

@@ -19,8 +19,8 @@ every block writing only its own outputs.  The loops and their blocks:
 - ``accumulate_echoes``: as many rows as keep each temporary within
   ``_ECHO_CHUNK`` values;
 - ``signal._shift_spectra`` (the spectral shifts of
-  ``signal.fractional_shift`` and ``annihil.annihilate``) and
-  ``annihil._row_difference``: ``_ROW_CHUNK`` rows;
+  ``signal.fractional_shift`` and ``annihil.annihilate``):
+  ``_ROW_CHUNK`` rows;
 - ``motion._scan``: ``motion._SCAN_BATCH`` trial velocities;
 - ``imaging.image_points``: ``imaging._BLOCK`` pixels.
 
@@ -57,12 +57,11 @@ _MAX_WORKERS = 4
 #: blocks (1 MB of float64).
 _ECHO_CHUNK = 1 << 17
 
-#: Rows per block of the spectral shifts and slow-time differences: a
-#: spectral shift's phase ramp holds this many rows (3 MB on example2's
-#: 11907-sample rows).  Over perfbench annihil-rank's four filters on
-#: two CPUs, 16 rows took 6-10% longer than 32 and 64 rows 2-5% less;
-#: 32 still cuts example2's 117 rows into four blocks, one per thread
-#: at the cap.
+#: Rows per block of the spectral shifts: a phase ramp holds this many
+#: rows (3 MB on example2's 11907-sample rows).  Over perfbench
+#: annihil-rank's four filters on two CPUs, 16 rows took 6-10% longer
+#: than 32 and 64 rows 2-5% less; 32 still cuts example2's 117 rows
+#: into four blocks, one per thread at the cap.
 _ROW_CHUNK = 32
 
 #: Threads that run a call of ``_in_blocks``, the caller included: one

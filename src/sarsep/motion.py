@@ -163,8 +163,12 @@ def find_speed_peaks(
     the preliminary image.  A peak must reach ``height_factor`` times the
     curve median, which rejects the clutter plateau when no mover is
     present.  Peak positions are refined by a parabolic fit through the
-    neighbors.
+    neighbors.  ``height_factor`` must be finite and non-negative.
     """
+    if not (np.isfinite(height_factor) and height_factor >= 0.0):
+        raise ValueError(
+            f"height_factor must be finite and non-negative, got {height_factor}"
+        )
     values = np.asarray(values, dtype=float)
     (order,) = _local_maxima(values, height_factor * float(np.median(values)))
     step = u_grid[1] - u_grid[0] if u_grid.size > 1 else 0.0

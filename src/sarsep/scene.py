@@ -11,7 +11,7 @@ the same data on an absolute-delay gate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -146,13 +146,7 @@ class SceneSpec:
         return tuple(t for t in self.targets if t.moving)
 
     def subset(self, targets) -> "SceneSpec":
-        return SceneSpec(
-            traj=self.traj,
-            rho_o=self.rho_o,
-            aperture=self.aperture,
-            radar=self.radar,
-            targets=tuple(targets),
-        )
+        return replace(self, targets=tuple(targets))
 
 
 def target_delta_tau(scene: SceneSpec) -> np.ndarray:
@@ -190,19 +184,21 @@ def simulate(
     axis : FastTimeAxis, optional
         Gate to sample on.  By default a gate is designed to cover the
         differential-delay extremes of all targets plus
-        ``GATE_PAD_FACTOR``/bandwidth of padding on each side.  An
-        explicit gate that loses any target is rejected.
+        ``GATE_PAD_FACTOR``/bandwidth of padding on each side, so a
+        scene without targets needs an explicit gate, on which it
+        simulates to zeros.  An explicit gate that loses any target is
+        rejected.
 
     Returns
     -------
     TraceMatrix
         Tagged ``range-compressed``.
     """
-    if not scene.targets:
-        raise ValueError("scene has no targets")
     radar = scene.radar
     dtau = target_delta_tau(scene)
     if axis is None:
+        if not scene.targets:
+            raise ValueError("scene has no targets")
         axis = _design_gate(scene, dtau)
     else:
         t_lo, t_hi = axis.times[0], axis.times[-1]
@@ -227,11 +223,6 @@ def simulate(
         amps,
         KERNEL_CLIP_FACTOR / radar.bandwidth,
     )
-    return _simulated(scene, axis, data)
-
-
-def _simulated(scene: SceneSpec, axis, data) -> TraceMatrix:
-    """``data`` as the range-compressed trace of ``scene`` on ``axis``."""
     return TraceMatrix(
         data=data,
         aperture=scene.aperture,
@@ -261,11 +252,7 @@ def simulate_split(
     """
     if axis is None:
         axis = _design_gate(scene, target_delta_tau(scene))
-
-    def part(targets) -> TraceMatrix:
-        if targets:
-            return simulate(scene.subset(targets), axis=axis)
-        data = np.zeros((scene.aperture.n + 1, axis.m + 1), dtype=float)
-        return _simulated(scene.subset(()), axis, data)
-
-    return part(scene.stationary_targets), part(scene.moving_targets)
+    return tuple(
+        simulate(scene.subset(part), axis=axis)
+        for part in (scene.stationary_targets, scene.moving_targets)
+    )

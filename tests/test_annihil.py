@@ -154,13 +154,10 @@ class TestSlowDiff:
         assert np.all(out.data[0] == 0.0) and np.all(out.data[4] == 0.0)
         assert out.valid_rows == (1, 4)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_rows_equal_the_whole_array_formula(self, monkeypatch, chunk, order):
+    def test_rows_equal_the_whole_array_formula(self, order):
         # Real rows are divided by ds; complex rows are multiplied by 1/ds
         # on their float view, which must equal numpy's complex division.
-        monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
-        monkeypatch.setattr(kernels, "_WORKERS", 3)
         rng = np.random.default_rng(order)
         real = rng.normal(size=(40, 9))
         for data in (real, real + 1j * rng.normal(size=real.shape)):
@@ -169,7 +166,7 @@ class TestSlowDiff:
             assert _row_difference(out, (3, 37), order, DS) == valid
             start, stop = valid
             assert np.array_equal(out[start:stop], expected[start:stop])
-            # No chunk writes outside the rows it was given.
+            # Nothing is written outside the rows it was given.
             assert np.array_equal(out[:3], data[:3])
             assert np.array_equal(out[37:], data[37:])
 
@@ -191,6 +188,18 @@ class TestStageAndPlan:
             AnnihilationStage(rho_e=np.zeros(3), u_vec=(0.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="order"):
             AnnihilationStage(rho_e=np.zeros(3), order=0)
+        for order in (1.5, True, "1"):
+            with pytest.raises(ValueError, match="order must be 1 or 2"):
+                AnnihilationStage(rho_e=np.zeros(3), order=order)
+        for order in (1.0, 2.0, np.int64(2)):
+            stage = AnnihilationStage(rho_e=np.zeros(3), order=order)
+            assert stage.order == order and type(stage.order) is int
+        with pytest.raises(ValueError, match="rho_e must be finite"):
+            AnnihilationStage(rho_e=(np.nan, 0.0, 0.0))
+        with pytest.raises(ValueError, match="u_vec must be finite"):
+            AnnihilationStage(rho_e=np.zeros(3), u_vec=(np.nan, 0.0, 0.0))
+        with pytest.raises(ValueError, match="u_vec must be finite"):
+            AnnihilationStage(rho_e=np.zeros(3), u_vec=(np.inf, 0.0, 0.0))
 
     def test_stage_dict_round_trip(self):
         stage = AnnihilationStage(
@@ -202,6 +211,23 @@ class TestStageAndPlan:
         np.testing.assert_array_equal(again.rho_e, stage.rho_e)
         np.testing.assert_array_equal(again.u_vec, stage.u_vec)
         assert again.order == 2
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ([1, 2], "plan must be a JSON object"),
+            ({"stages": "abc"}, "stages must be a list of JSON objects"),
+            ({"stages": [[0.0, 0.0, 0.0]]}, "stages must be a list of JSON objects"),
+        ],
+        ids=["list", "string-stages", "list-stage"],
+    )
+    def test_a_malformed_plan_is_rejected_naming_the_field(self, plan, message):
+        with pytest.raises(ValueError, match=message):
+            AnnihilationPlan.from_dict(plan)
+
+    def test_a_stage_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(ValueError, match="stage must be a JSON object"):
+            AnnihilationStage.from_dict([0.0, 0.0, 0.0])
 
     def test_plan_dict_round_trip_and_for_points(self):
         plan = AnnihilationPlan.for_points([(0.0, 0.0, 0.0), (1.0, 2.0, 0.0)])

@@ -169,6 +169,34 @@ class TestSimulate:
         assert "nu0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda spec: [1, 2], "scene must be a JSON object"),
+            (lambda spec: {**spec, "targets": [[0, 0, 0]]}, "targets must be"),
+            (lambda spec: {**spec, "targets": "abc"}, "targets must be"),
+            (lambda spec: {**spec, "radar": {"dt_seconds": "x"}}, "dt must be a number"),
+            (
+                lambda spec: {**spec, "aperture": {**spec["aperture"], "n": 10.5}},
+                "aperture n must be a whole number",
+            ),
+        ],
+        ids=["list", "target-list", "target-string", "string-dt", "fractional-n"],
+    )
+    def test_malformed_scene_json_is_a_usage_error(
+        self, tmp_path, capsys, edit, field
+    ):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(edit(sario.scene_to_dict(preset_scene("single")))))
+        out = tmp_path / "scene.trc"
+        rc = main(
+            ["simulate", "--config", str(config), "--out", str(out),
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompress:
     def test_expand_then_compress_round_trips(self, mixture, tmp_path):
@@ -250,6 +278,62 @@ class TestAnnihilate:
         # One first-order stage drops the last row.
         assert summary["valid_rows"] == [0, result.n] == list(result.valid_rows)
         assert 0.0 < summary["seconds"] < 60.0
+
+    @pytest.mark.parametrize(
+        "plan, field",
+        [
+            ([1, 2], "plan must be a JSON object"),
+            ({"stages": "abc"}, "stages must be a list of JSON objects"),
+            ({"stages": [[0.0, 0.0, 0.0]]}, "stages must be a list of JSON objects"),
+            ({"stages": [{"rho_e_meters": [0, 0, 0], "order": 1.5}]}, "order"),
+            ({"stages": [{"rho_e_meters": [0, 0, 0], "order": True}]}, "order"),
+            ({"stages": [{"rho_e_meters": [float("nan"), 0, 0]}]}, "rho_e"),
+            (
+                {
+                    "stages": [
+                        {
+                            "rho_e_meters": [0, 0, 0],
+                            "u_vec_meters_per_second": [float("nan"), 0, 0],
+                        }
+                    ]
+                },
+                "u_vec",
+            ),
+        ],
+        ids=[
+            "list", "string-stages", "list-stage", "fractional-order",
+            "bool-order", "nan-rho-e", "nan-u-vec",
+        ],
+    )
+    def test_malformed_plans_are_usage_errors(
+        self, mixture, tmp_path, capsys, plan, field
+    ):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out = tmp_path / "never.trc"
+        rc = main(
+            ["annihilate", str(mixture), str(out), "--plan", str(plan_path),
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_integral_float_order_runs_as_that_order(self, mixture, tmp_path):
+        outputs = []
+        for order in (2, 2.0):
+            plan_path = tmp_path / "plan.json"
+            plan_path.write_text(
+                json.dumps({"stages": [{"rho_e_meters": [0, 0, 0], "order": order}]})
+            )
+            out = tmp_path / f"order{order}.trc"
+            rc = main(
+                ["annihilate", str(mixture), str(out), "--plan", str(plan_path),
+                 "--out-dir", str(tmp_path)]
+            )
+            assert rc == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_empty_plan_is_a_usage_error(self, mixture, tmp_path):
         plan_path = tmp_path / "empty.json"
@@ -503,6 +587,27 @@ class TestEstimateMotion:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--rho-e=nan,0", "'nan,0'"),
+            ("--height-factor=nan", "height_factor must be finite"),
+            ("--height-factor=-1", "height_factor must be finite"),
+        ],
+        ids=["nan-rho", "nan-height-factor", "negative-height-factor"],
+    )
+    def test_non_finite_or_negative_numbers_are_usage_errors(
+        self, mixture, tmp_path, capsys, option, message
+    ):
+        rc = main(
+            ["estimate-motion", str(mixture), option, "--report",
+             str(tmp_path / "motion.json"), "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSeparateMovers:
     def test_pipeline_outputs_and_reconstruction(self, mixture, tmp_path):
         prefix = tmp_path / "sep"
@@ -610,6 +715,16 @@ class TestImage:
             ]
         )
         assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_a_non_finite_velocity_is_a_usage_error(self, mixture, tmp_path, capsys):
+        rc = main(
+            ["image", str(mixture), "--grid", "4x4:0.5", "--u", "nan,0", "--out",
+             str(tmp_path / "img.bin"), "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "'nan,0'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -789,6 +904,7 @@ class TestRun:
             ),
             ({"scene": "single", "imaging": "60x60:0.24"}, "imaging must be"),
             ([{"scene": "single"}], "run config must be"),
+            ({"scene": [1]}, "scene must be a JSON object"),
         ],
     )
     def test_unknown_keys_and_non_objects_are_usage_errors(
@@ -910,6 +1026,19 @@ class TestExport:
         assert rc == 2
         assert "img.bin holds non-finite samples" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("floor", ["0", "nan", "10"])
+    def test_a_floor_that_is_not_negative_is_a_usage_error(
+        self, mixture, tmp_path, capsys, floor
+    ):
+        out = tmp_path / "trace.pgm"
+        rc = main(
+            ["export", "--kind", "trace-pgm", str(mixture), str(out),
+             f"--floor-db={floor}", "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "floor_db must be finite and negative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_kind_is_rejected_by_the_parser(self, mixture, tmp_path):
         with pytest.raises(SystemExit):

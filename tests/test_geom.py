@@ -143,6 +143,11 @@ class TestAperture:
         with pytest.raises(ValueError, match="ds must be finite"):
             Aperture(n=4, ds=ds)
 
+    @pytest.mark.parametrize("ds", ["x", None])
+    def test_rejects_a_step_that_is_not_a_number(self, ds):
+        with pytest.raises(ValueError, match="ds must be a number"):
+            Aperture(n=4, ds=ds)
+
 
 class TestTravelTime:
     def test_frozen_reference_value(self):

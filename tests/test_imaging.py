@@ -203,6 +203,14 @@ class TestImaging:
         with pytest.raises(ValueError, match="in-plane"):
             image_compensated(near_trace, grid, np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_velocity_must_be_finite(self, near_trace, bad):
+        grid = ImageGrid(
+            center=np.zeros(3), extent_x=2.0, extent_y=2.0, spacing=0.5
+        )
+        with pytest.raises(ValueError, match="u_vec must be finite"):
+            image_compensated(near_trace, grid, np.array([bad, 0.0, 0.0]))
+
     def test_rejects_raw_traces(self, near_trace):
         with pytest.raises(ValueError, match="range-compressed"):
             image_points(near_trace.replace(tag="raw"), np.zeros((1, 3)))

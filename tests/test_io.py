@@ -94,6 +94,42 @@ class TestDictConverters:
         )
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda spec: [spec], "scene must be a JSON object"),
+            (lambda spec: {**spec, "radar": [1]}, "radar must be a JSON object"),
+            (lambda spec: {**spec, "aperture": 116}, "aperture must be a JSON object"),
+            (lambda spec: {**spec, "trajectory": "linear"}, "trajectory must be"),
+            (lambda spec: {**spec, "targets": [[0, 0, 0]]}, "targets must be"),
+            (lambda spec: {**spec, "targets": "abc"}, "targets must be"),
+            (lambda spec: {**spec, "radar": {"dt_seconds": "x"}}, "dt must be a number"),
+            (
+                lambda spec: {**spec, "aperture": {**spec["aperture"], "n": 10.5}},
+                "aperture n must be a whole number",
+            ),
+            (
+                lambda spec: {**spec, "aperture": {**spec["aperture"], "n": True}},
+                "aperture n must be a whole number",
+            ),
+        ],
+        ids=[
+            "list", "radar-list", "aperture-number", "trajectory-string",
+            "target-list", "target-string", "string-dt", "fractional-n", "bool-n",
+        ],
+    )
+    def test_a_malformed_scene_is_rejected_naming_the_field(self, edit, message):
+        spec = json.loads(json.dumps(scene_to_dict(preset_scene("single"))))
+        with pytest.raises(ValueError, match=message):
+            scene_from_dict(edit(spec))
+
+    def test_a_whole_float_pulse_count_reads_as_an_int(self):
+        spec = scene_to_dict(preset_scene("single"))
+        spec["aperture"]["n"] = 116.0
+        aperture = scene_from_dict(spec).aperture
+        assert aperture.n == 116 and isinstance(aperture.n, int)
+
+
 class TestTraceFiles:
     def test_round_trip_preserves_everything(self, tmp_path, circular_trace):
         path = write_trace(tmp_path / "echo", circular_trace)
@@ -222,6 +258,14 @@ class TestPgm:
         with pytest.raises(ValueError, match="non-finite"):
             write_pgm(tmp_path / "img.pgm", non_finite_image(kind))
         assert not (tmp_path / "img.pgm").exists()
+
+    @pytest.mark.parametrize("floor_db", [0.0, 10.0, np.nan, -np.inf])
+    def test_a_floor_that_is_not_finite_and_negative_is_rejected(
+        self, tmp_path, floor_db
+    ):
+        with pytest.raises(ValueError, match="floor_db must be finite and negative"):
+            write_pgm(tmp_path / "img.pgm", np.ones((2, 2)), floor_db=floor_db)
+        assert list(tmp_path.iterdir()) == []
 
     def test_floor_controls_the_dynamic_range(self, tmp_path):
         magnitudes = np.array([[1.0, 0.1]])

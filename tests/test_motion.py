@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import compressed_trace, flat_scene, near_scene, near_traj
 
-from sarsep import annihil, kernels, motion
+from sarsep import annihil, imaging, kernels, motion
 from sarsep.annihil import tt_forward, tt_inverse
 from sarsep.geom import (
     LinearTrajectory,
@@ -156,6 +156,14 @@ class TestFindSpeedPeaks:
         values = 1.0 + 0.01 * rng.random(grid.size)
         assert find_speed_peaks(grid, values) == []
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -1.0])
+    def test_rejects_a_height_factor_that_is_not_finite_and_non_negative(
+        self, factor
+    ):
+        grid = np.arange(-5.0, 5.25, 0.5)
+        with pytest.raises(ValueError, match="height_factor must be finite"):
+            find_speed_peaks(grid, np.ones(grid.size), factor)
+
 
 def test_scans_do_not_depend_on_the_worker_count(
     mover_trace, near_frame, monkeypatch
@@ -182,6 +190,36 @@ def test_scans_do_not_depend_on_the_worker_count(
     assert np.array_equal(
         g_perp_curve(mover_trace, np.zeros(3), 2.0, grid[some])[1], first[1][some]
     )
+
+
+def test_separate_movers_does_not_depend_on_the_pool(monkeypatch):
+    # The far-range scene of the CLI's rpca test: two stationary points
+    # for the removal and one range mover for a scan, a location image
+    # and a peel.  Each setting puts a different number of workers,
+    # rows, pixels and trials in every blocked loop.
+    u_vec = compose_velocity(make_frame(flat_scene([]).traj, np.zeros(3)), 3.0, 0.0)
+    mover = Target(rho=np.zeros(3), velocity=tuple(u_vec), amplitude=2.0)
+    trace = simulate(flat_scene([(1.0, 0.0, 0.0), (-2.0, 3.0, 0.0), mover], n=64))
+    runs = []
+    for workers, rows, pixels, batch in ((1, 32, 256, 4), (3, 7, 100, 3)):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", rows)
+        monkeypatch.setattr(imaging, "_BLOCK", pixels)
+        monkeypatch.setattr(motion, "_SCAN_BATCH", batch)
+        runs.append(separate_movers(trace, max_movers=2, extent=12.0))
+    first, second = runs
+    assert first.diagnostics["stationary_candidates"] > 0
+    assert first.estimates
+    for a, b in zip(
+        (first.low, *first.movers, first.residual),
+        (second.low, *second.movers, second.residual),
+        strict=True,
+    ):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert [e.to_dict() for e in first.estimates] == [
+        e.to_dict() for e in second.estimates
+    ]
+    assert first.diagnostics["scans"] == second.diagnostics["scans"]
 
 
 def _search(values, sign=1.0, height_factor=None, factor=motion._COARSE_FACTOR):

@@ -210,3 +210,21 @@ class TestSimulateSplit:
         scene = flat_scene_builder([(1.0, 0.0, 0.0)], n=4)
         stationary, moving = simulate_split(scene)
         assert np.all(moving.data == 0.0)
+
+    @pytest.mark.parametrize("velocity", [(0.0, 0.0, 0.0), (3.0, 1.0, 0.0)])
+    def test_an_empty_part_is_the_empty_scene_on_the_gate(
+        self, flat_scene_builder, velocity
+    ):
+        scene = flat_scene_builder([Target(rho=np.zeros(3), velocity=velocity)], n=4)
+        parts = simulate_split(scene)
+        empty = parts[1] if velocity[0] == 0.0 else parts[0]
+        expected = simulate(scene.subset(()), axis=empty.axis)
+        assert empty.data.tobytes() == expected.data.tobytes()
+        assert np.all(expected.data == 0.0)
+        assert empty.meta == expected.meta == {
+            "kind": "simulated",
+            "targets": 0,
+            "movers": 0,
+        }
+        assert empty.valid_rows == expected.valid_rows
+        assert empty.tag == expected.tag == "range-compressed"
