@@ -154,10 +154,15 @@ class TestSlowDiff:
         assert np.all(out.data[0] == 0.0) and np.all(out.data[4] == 0.0)
         assert out.valid_rows == (1, 4)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_rows_equal_the_whole_array_formula(self, order):
+    def test_rows_equal_the_whole_array_formula(self, monkeypatch, chunk, order):
         # Real rows are divided by ds; complex rows are multiplied by 1/ds
         # on their float view, which must equal numpy's complex division.
+        # The difference is one pass over the rows, so the pool's row-block
+        # and worker settings must not change a single value.
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "_WORKERS", 3)
         rng = np.random.default_rng(order)
         real = rng.normal(size=(40, 9))
         for data in (real, real + 1j * rng.normal(size=real.shape)):
