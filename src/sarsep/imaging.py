@@ -4,7 +4,12 @@ Each pixel sums the traces at that pixel's differential travel times.
 Off-grid fast-time samples come from band-limited 4x Fourier
 upsampling of the analytic traces followed by 4-tap cubic
 interpolation, and the image envelope is the magnitude of the sum of
-the analytic traces.
+the analytic traces.  The upsampled rows come from
+``signal.AnalyticRows.of``: built on a trace's first image and kept
+for its later ones, so the calls of one location search
+(``motion.estimate_location``, which images a lattice of its box and
+then climbs to the peak) and the images that follow it upsample once.
+A pixel's value does not depend on the other points of its call.
 
 Pixels are imaged in blocks of ``_BLOCK`` points on
 ``kernels._in_blocks`` (see ``sarsep.kernels``), each block writing
@@ -144,7 +149,7 @@ def image_points(
     _require_compressed(trace, "imaging")
     u_vec = _ZERO3 if u_vec is None else np.asarray(u_vec, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows_up = AnalyticRows(trace).upsampled(_UPSAMPLE)
+    rows_up = AnalyticRows.of(trace).upsampled(_UPSAMPLE)
     t0, dt_up = float(trace.t_times[0]), trace.axis.dt / _UPSAMPLE
     start, stop = trace.valid_rows
     s = trace.s_times[start:stop]
@@ -170,24 +175,37 @@ def image_points(
     return values, sum(_in_blocks(part, points.shape[0], _BLOCK))
 
 
+def _compensation(u_vec) -> np.ndarray:
+    """``u_vec`` as a finite in-plane 3-vector, or ``ValueError``."""
+    u_vec = np.asarray(u_vec, dtype=float)
+    if u_vec.shape != (3,) or u_vec[2] != 0.0:
+        raise ValueError("u_vec must be an in-plane 3-vector")
+    _require_finite(u_vec=u_vec)
+    return u_vec
+
+
+def _warn_missed(missed: int, stacklevel: int) -> None:
+    """Warn that ``missed`` (pixel, pulse) samples of an image fell
+    outside the gate, unless there are none; ``stacklevel`` counts from
+    the caller."""
+    if missed > 0:
+        warnings.warn(
+            f"{missed} (pixel, pulse) samples fell outside the fast-time "
+            "gate and contributed zero",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def image_compensated(trace: TraceMatrix, grid: ImageGrid, u_vec) -> SarImage:
     """Backprojection image with motion compensation at velocity u_vec.
 
     With u_vec = 0 this is exactly the plain image: the search points
     simply do not move.
     """
-    u_vec = np.asarray(u_vec, dtype=float)
-    if u_vec.shape != (3,) or u_vec[2] != 0.0:
-        raise ValueError("u_vec must be an in-plane 3-vector")
-    _require_finite(u_vec=u_vec)
+    u_vec = _compensation(u_vec)
     values, missed = image_points(trace, grid.points(), u_vec)
-    if missed > 0:
-        warnings.warn(
-            f"{missed} (pixel, pulse) samples fell outside the fast-time "
-            "gate and contributed zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_missed(missed, stacklevel=2)
     return SarImage(
         grid=grid,
         envelope=np.abs(values).reshape(grid.shape),

@@ -56,6 +56,21 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool or a non-number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _vector(value, name: str) -> np.ndarray:
+    """``value`` as a float array; one that holds a non-number is rejected."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}") from None
+
+
 def trajectory_to_dict(traj: Trajectory) -> dict:
     if isinstance(traj, LinearTrajectory):
         return {
@@ -80,17 +95,19 @@ def trajectory_from_dict(spec: dict) -> Trajectory:
     kind = _json_object(spec, "trajectory").get("kind")
     if kind == "linear":
         return LinearTrajectory(
-            center=np.asarray(spec["center_meters"], dtype=float),
-            tangent=np.asarray(spec["tangent"], dtype=float),
-            speed=float(spec["speed_meters_per_second"]),
+            center=_vector(spec["center_meters"], "center"),
+            tangent=_vector(spec["tangent"], "tangent"),
+            speed=_real(spec["speed_meters_per_second"], "speed"),
         )
     if kind == "circular":
         return CircularTrajectory(
-            center=np.asarray(spec["center_meters"], dtype=float),
-            radius=float(spec["radius_meters"]),
-            height=float(spec["height_meters"]),
-            angular_rate=float(spec["angular_rate_radians_per_second"]),
-            origin_angle=float(spec.get("origin_angle_radians", 0.0)),
+            center=_vector(spec["center_meters"], "center"),
+            radius=_real(spec["radius_meters"], "radius"),
+            height=_real(spec["height_meters"], "height"),
+            angular_rate=_real(
+                spec["angular_rate_radians_per_second"], "angular_rate"
+            ),
+            origin_angle=_real(spec.get("origin_angle_radians", 0.0), "origin_angle"),
         )
     raise ValueError(f"unknown trajectory kind: {kind!r}")
 
@@ -106,11 +123,11 @@ def target_to_dict(target: Target) -> dict:
 def target_from_dict(spec: dict) -> Target:
     _json_object(spec, "target")
     return Target(
-        rho=np.asarray(spec["rho_meters"], dtype=float),
-        velocity=np.asarray(
-            spec.get("velocity_meters_per_second", (0.0, 0.0, 0.0)), dtype=float
+        rho=_vector(spec["rho_meters"], "rho"),
+        velocity=_vector(
+            spec.get("velocity_meters_per_second", (0.0, 0.0, 0.0)), "velocity"
         ),
-        amplitude=float(spec.get("amplitude", 1.0)),
+        amplitude=_real(spec.get("amplitude", 1.0), "amplitude"),
     )
 
 
@@ -131,22 +148,24 @@ def scene_to_dict(scene: SceneSpec) -> dict:
 def scene_from_dict(spec: dict) -> SceneSpec:
     """Scene from its JSON form; raises ``ValueError`` naming the field
     when a block is not a JSON object, ``targets`` is not a list of
-    objects, or the pulse count is not a whole number."""
+    objects, a number or a vector of numbers holds anything else, or
+    the pulse count is not a whole number."""
     _json_object(spec, "scene")
     radar_spec = _json_object(spec.get("radar", {}), "radar")
+    dt = radar_spec.get("dt_seconds")
     radar = Radar(
-        nu0=float(radar_spec.get("nu0_hz", 9.6e9)),
-        bandwidth=float(radar_spec.get("bandwidth_hz", 622.0e6)),
-        dt=radar_spec.get("dt_seconds"),
+        nu0=_real(radar_spec.get("nu0_hz", 9.6e9), "nu0"),
+        bandwidth=_real(radar_spec.get("bandwidth_hz", 622.0e6), "bandwidth"),
+        dt=None if dt is None else _real(dt, "dt"),
     )
     aperture_spec = _json_object(spec["aperture"], "aperture")
     targets = _json_objects(spec.get("targets", []), "targets")
     return SceneSpec(
         traj=trajectory_from_dict(spec["trajectory"]),
-        rho_o=np.asarray(spec["rho_o_meters"], dtype=float),
+        rho_o=_vector(spec["rho_o_meters"], "rho_o"),
         aperture=Aperture(
             n=_whole(aperture_spec["n"], "aperture n"),
-            ds=float(aperture_spec["ds_seconds"]),
+            ds=_real(aperture_spec["ds_seconds"], "ds"),
         ),
         radar=radar,
         targets=tuple(target_from_dict(t) for t in targets),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,9 @@ class TraceMatrix:
     the fast-time coordinate convention.  ``valid_rows`` is the
     half-open row range untouched by slow-time differencing; rows
     outside it are zero.  ``meta`` is provenance no computation reads.
+    ``data`` is a read-only view of the array given, which is not
+    copied: the rows of ``AnalyticRows.of`` are built once per trace,
+    so a trace's samples must not change.
     """
 
     data: np.ndarray
@@ -148,7 +152,8 @@ class TraceMatrix:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = np.asarray(self.data, dtype=float).view()
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rho_o", np.asarray(self.rho_o, dtype=float))
         for name in ("nu0", "bandwidth"):
@@ -293,6 +298,12 @@ class AnalyticRows:
     does not fit inside the gate's spectrum (a sample rate below about
     2 (nu0 + 2B)), ``k_lo`` is 0 and ``bins`` spans the whole one-sided
     spectrum.
+
+    ``AnalyticRows.of(trace)`` is how the scans and images get their
+    rows: one object per trace, kept in a single slot for the most
+    recent trace until another trace asks, the trace is collected or
+    ``release`` empties the slot.  A trace's data is read-only, so the
+    slot's rows never go stale.
     """
 
     def __init__(self, trace: TraceMatrix):
@@ -305,6 +316,30 @@ class AnalyticRows:
         k_lo = int(round(trace.nu0 / df)) - keep // 2
         if keep < self.count and k_lo >= 1 and k_lo + keep <= self.bins:
             self.k_lo, self.bins = k_lo, keep
+        self._factor, self._upsampled = 0, None
+
+    @classmethod
+    def of(cls, trace: TraceMatrix) -> "AnalyticRows":
+        """The rows of ``trace``, built on the first call for it.
+
+        The slot holds one trace's rows; asking for another trace's
+        replaces them, and they are dropped when their trace is
+        collected or ``release`` is called.
+        """
+        global _SLOT
+        held = _SLOT
+        if held is not None and held[0]() is trace:
+            return held[1]
+        rows = cls(trace)
+        _SLOT = (weakref.ref(trace, _free_slot), rows)
+        return rows
+
+    @staticmethod
+    def release() -> None:
+        """Empty the slot now, before a stage that reads no rows: the
+        rows would otherwise stay until their trace is collected."""
+        global _SLOT
+        _SLOT = None
 
     def shifted(self, delays) -> np.ndarray:
         """Rows advanced by per-row ``delays``: out_j(t) = in_j(t + delays_j).
@@ -322,14 +357,35 @@ class AnalyticRows:
         return np.fft.ifft(band, n=self.bins if self.k_lo else self.count, axis=-1)
 
     def upsampled(self, factor: int) -> np.ndarray:
-        """Analytic rows at step dt/``factor`` from the gate's first sample."""
+        """Analytic rows at step dt/``factor`` from the gate's first sample.
+
+        Built on the first call for a factor and kept until a call asks
+        for another factor; the array is read-only.
+        """
+        if factor == self._factor:
+            return self._upsampled
+        self._upsampled = None  # freed before the new rows are made
         rows, bins = self.spectra.shape
         padded = np.zeros((rows, factor * self.count), dtype=complex)
         padded[:, :bins] = self.spectra
         # In place: the rows are the largest array of an image.
         np.fft.ifft(padded, axis=1, out=padded)
         padded *= factor
+        padded.flags.writeable = False
+        self._factor, self._upsampled = factor, padded
         return padded
+
+
+#: (weak reference to a trace, its ``AnalyticRows``) or None; see
+#: ``AnalyticRows.of``.
+_SLOT = None
+
+
+def _free_slot(ref) -> None:
+    """Drop the slot's rows when their trace is collected."""
+    global _SLOT
+    if _SLOT is not None and _SLOT[0] is ref:
+        _SLOT = None
 
 
 def fast_time_shift(trace: TraceMatrix, shifts) -> TraceMatrix:

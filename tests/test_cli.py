@@ -180,8 +180,27 @@ class TestSimulate:
                 lambda spec: {**spec, "aperture": {**spec["aperture"], "n": 10.5}},
                 "aperture n must be a whole number",
             ),
+            (
+                lambda spec: {
+                    **spec,
+                    "targets": [{**spec["targets"][0], "amplitude": [1]}],
+                },
+                "amplitude must be a number",
+            ),
+            (
+                lambda spec: {**spec, "radar": {**spec["radar"], "nu0_hz": [1]}},
+                "nu0 must be a number",
+            ),
         ],
-        ids=["list", "target-list", "target-string", "string-dt", "fractional-n"],
+        ids=[
+            "list",
+            "target-list",
+            "target-string",
+            "string-dt",
+            "fractional-n",
+            "list-amplitude",
+            "list-nu0",
+        ],
     )
     def test_malformed_scene_json_is_a_usage_error(
         self, tmp_path, capsys, edit, field

@@ -427,6 +427,152 @@ class TestEstimateLocation:
             estimate_location(flat, np.zeros(3), extent=2.0)
 
 
+def full_image_location(trace, u_vec, extent):
+    """``peak_extract``'s location in the whole location box."""
+    grid = imaging._location_grid(trace, extent)
+    return imaging.peak_extract(imaging.image_compensated(trace, grid, u_vec))[0]
+
+
+class TestLocationSearch:
+    """``estimate_location`` images part of its box and returns the full
+    image's location bit for bit."""
+
+    def test_mirror_lobes_of_equal_strength(self):
+        trace = simulate(flat_scene([(0.0, -3.0, 0.0), (0.0, 3.0, 0.0)], n=64))
+        grid = imaging._location_grid(trace, 12.0)
+        env = imaging.image_compensated(trace, grid, np.zeros(3)).envelope
+        half = grid.shape[0] // 2
+        assert env[:half].max() == pytest.approx(env[half + 1 :].max(), rel=1e-12)
+        *_, imaged = motion._search_box(trace, grid, np.zeros(3))
+        assert imaged.sum() < imaged.size / 4
+        np.testing.assert_array_equal(
+            estimate_location(trace, np.zeros(3), extent=12.0),
+            full_image_location(trace, np.zeros(3), 12.0),
+        )
+
+    def test_a_maximum_on_the_border_row(self):
+        # The target lies just past the box's last pixel row.
+        trace = simulate(flat_scene([(0.3, 6.3, 0.0)], n=64))
+        grid = imaging._location_grid(trace, 12.0)
+        env = imaging.image_compensated(trace, grid, np.zeros(3)).envelope
+        assert np.unravel_index(np.argmax(env), env.shape)[0] == grid.shape[0] - 1
+        np.testing.assert_array_equal(
+            estimate_location(trace, np.zeros(3), extent=12.0),
+            full_image_location(trace, np.zeros(3), 12.0),
+        )
+
+    @pytest.mark.parametrize("extent", [0.6, 1.0])
+    def test_a_box_a_few_pixels_wide(self, extent):
+        trace = simulate(flat_scene([(0.2, 0.4, 0.0)], n=64))
+        assert imaging._location_grid(trace, extent).shape in ((3, 3), (5, 5))
+        np.testing.assert_array_equal(
+            estimate_location(trace, np.zeros(3), extent=extent),
+            full_image_location(trace, np.zeros(3), extent),
+        )
+
+    def test_a_moving_target_at_range_speed_only(self, mover_trace, near_frame):
+        u_vec = trial_velocity(near_frame, 2.0)
+        np.testing.assert_array_equal(
+            estimate_location(mover_trace, u_vec, extent=4.0),
+            full_image_location(mover_trace, u_vec, 4.0),
+        )
+
+    @staticmethod
+    def search_field(monkeypatch, field, steps=(4, 2)):
+        """``_search_box`` on an envelope ``field`` given per pixel, with
+        lattice ``steps``: (position, value, floor, missed, imaged) and
+        ``peak_extract`` on the whole field."""
+        ny, nx = field.shape
+        grid = imaging.ImageGrid(
+            center=np.zeros(3), extent_x=nx - 0.5, extent_y=ny - 0.5, spacing=1.0
+        )
+        assert grid.shape == field.shape
+
+        def image_points(trace, points, u_vec=None):
+            ix = np.rint(points[:, 0] - grid.x_axis[0]).astype(int)
+            iy = np.rint(points[:, 1] - grid.y_axis[0]).astype(int)
+            return field[iy, ix].astype(complex), 0
+
+        monkeypatch.setattr(motion, "image_points", image_points)
+        monkeypatch.setattr(motion, "_search_steps", lambda trace, spacing: steps)
+        whole = imaging.SarImage(grid, field, np.zeros(3), 0)
+        return motion._search_box(None, grid, np.zeros(3)), imaging.peak_extract(whole)
+
+    def test_a_narrow_lobe_between_lattice_samples_is_climbed_to(
+        self, monkeypatch
+    ):
+        y, x = np.mgrid[:21, :21]
+        # A broad lobe whose top sits on a lattice sample, and a higher,
+        # narrower lobe whose best lattice samples read 5 dB lower.
+        field = 0.99 * np.exp(-((y - 4.0) ** 2 + (x - 4.0) ** 2) / 40.0)
+        field += np.exp(-((y - 14.0) ** 2 + (x - 15.0) ** 2) / 8.0)
+        (position, value, *_), (expected, peak) = self.search_field(
+            monkeypatch, field
+        )
+        assert value == peak == field[14, 15]
+        np.testing.assert_array_equal(position, expected)
+
+    def test_a_tie_with_an_earlier_neighbour_is_refined_there(self, monkeypatch):
+        field = np.zeros((13, 13))
+        field[4:8, 4:8] = [
+            [0.1, 0.5, 0.2, 0.0],
+            [0.6, 1.0, 0.4, 0.1],
+            [0.2, 0.3, 1.0, 0.2],
+            [0.0, 0.1, 0.2, 0.1],
+        ]
+        # The lattice sample (6, 6) climbs nowhere: its diagonal
+        # neighbour (5, 5) ties it and comes first, so the search must
+        # image (5, 5)'s own neighbours before refining it.
+        (position, value, _, _, imaged), (expected, peak) = self.search_field(
+            monkeypatch, field, steps=(3, 3)
+        )
+        assert imaged[6, 6] and imaged[5, 4] and value == peak == 1.0
+        np.testing.assert_array_equal(position, expected)
+
+    def test_a_maximum_in_the_last_row_and_column(self, monkeypatch):
+        field = np.zeros((15, 15))
+        field[14, 14] = 1.0
+        (position, value, floor, _, imaged), (expected, _) = self.search_field(
+            monkeypatch, field, steps=(4, 4)
+        )
+        assert value == 1.0 and floor == 0.0
+        np.testing.assert_array_equal(position, expected)
+        assert imaged.sum() < field.size / 2
+
+    def test_the_floor_is_the_median_of_the_lattice(self):
+        trace = simulate(flat_scene([(0.0, 0.0, 0.0)], n=64))
+        grid = imaging._location_grid(trace, 12.0)
+        env = imaging.image_compensated(trace, grid, np.zeros(3)).envelope
+        sy, sx = motion._search_steps(trace, grid.spacing)
+        ny, nx = grid.shape
+        rows = np.unique(np.append(np.arange(0, ny, sy), ny - 1))
+        cols = np.unique(np.append(np.arange(0, nx, sx), nx - 1))
+        _, _, floor, _, _ = motion._search_box(trace, grid, np.zeros(3))
+        assert floor == np.median(env[np.ix_(rows, cols)])
+
+    def test_steps_are_the_main_lobe_widths(self):
+        # Far range, broadside: ground range along x, 2 sqrt(ln 2) c/2B
+        # wide, and the cross-range cell along y.
+        trace = simulate(flat_scene([(0.0, 0.0, 0.0)], n=64))
+        spacing = imaging._location_grid(trace, 12.0).spacing
+        cell = annihil.cross_range_cell(trace)
+        assert motion._search_steps(trace, spacing) == (int(cell / spacing), 1)
+
+    def test_the_out_of_gate_warning_counts_the_imaged_pixels(self):
+        trace = simulate(flat_scene([(0.0, 0.0, 0.0)], n=64))
+        grid = imaging._location_grid(trace, 12.0)
+        *_, missed, imaged = motion._search_box(trace, grid, np.zeros(3))
+        _, expected = imaging.image_points(trace, grid.points()[imaged.ravel()])
+        whole = imaging.image_compensated(trace, grid, np.zeros(3)).missed
+        assert 0 < missed == expected < whole
+        with pytest.warns(RuntimeWarning, match=f"^{missed} \\(pixel, pulse\\)"):
+            estimate_location(trace, np.zeros(3), extent=12.0)
+
+    def test_rejects_an_out_of_plane_velocity(self, mover_trace):
+        with pytest.raises(ValueError, match="in-plane"):
+            estimate_location(mover_trace, [0.0, 0.0, 1.0], extent=4.0)
+
+
 class TestVelocityEstimate:
     def test_frame_consistency_is_enforced(self, near_frame, single_mover_run):
         made = VelocityEstimate(

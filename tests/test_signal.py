@@ -1,6 +1,8 @@
 """Pulse model, fast-time grids, shifts, and gate conversions."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
-from sarsep.geom import make_frame, travel_time
-from sarsep.scene import Radar, simulate
+from sarsep import kernels, motion, signal
+from sarsep.geom import compose_velocity, make_frame, travel_time
+from sarsep.scene import Radar, Target, simulate
 from sarsep.signal import (
     GATE_PAD_FACTOR,
     AnalyticRows,
@@ -300,6 +303,95 @@ class TestAnalyticRows:
         assert got.shape == (3,) + rows.shifted(delays).shape
         for k, row_delays in enumerate(stacked):
             assert np.array_equal(got[k], rows.shifted(row_delays))
+
+
+class TestRowsSlot:
+    """``AnalyticRows.of``: one trace's rows, built once and dropped with
+    the trace."""
+
+    def test_a_trace_asked_twice_gets_the_same_rows(self, flat_scene_builder):
+        trace = small_trace(flat_scene_builder)
+        rows = AnalyticRows.of(trace)
+        up = rows.upsampled(4)
+        assert AnalyticRows.of(trace) is rows
+        assert rows.upsampled(4) is up
+        assert np.array_equal(up, AnalyticRows(trace).upsampled(4))
+
+    def test_a_replaced_trace_gets_new_rows(self, flat_scene_builder):
+        trace = small_trace(flat_scene_builder)
+        old = AnalyticRows.of(trace)
+        old.upsampled(4)
+        doubled = trace.replace(data=2.0 * trace.data)
+        rows = AnalyticRows.of(doubled)
+        assert rows is not old
+        fresh = AnalyticRows(doubled)
+        assert np.array_equal(rows.spectra, fresh.spectra)
+        assert np.array_equal(rows.upsampled(4), fresh.upsampled(4))
+        assert np.array_equal(old.upsampled(4), AnalyticRows(trace).upsampled(4))
+
+    def test_the_slot_drops_the_rows_of_a_collected_trace(self, flat_scene_builder):
+        trace = small_trace(flat_scene_builder)
+        rows = weakref.ref(AnalyticRows.of(trace))
+        rows().upsampled(4)
+        assert signal._SLOT is not None
+        del trace
+        gc.collect()
+        assert signal._SLOT is None and rows() is None
+
+    def test_release_empties_the_slot(self, flat_scene_builder):
+        trace = small_trace(flat_scene_builder)
+        rows = AnalyticRows.of(trace)
+        AnalyticRows.release()
+        assert signal._SLOT is None
+        assert AnalyticRows.of(trace) is not rows
+
+    def test_trace_data_is_read_only(self, flat_scene_builder):
+        data = small_trace(flat_scene_builder).data.copy()
+        trace = small_trace(flat_scene_builder).replace(data=data)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            trace.valid_data[...] = 0.0
+        assert np.shares_memory(trace.data, data)
+        assert data.flags.writeable
+        assert AnalyticRows.of(trace).upsampled(4).flags.writeable is False
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_separate_movers_from_a_cold_and_a_warm_slot(
+        self, flat_scene_builder, monkeypatch, workers
+    ):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        frame = make_frame(flat_scene_builder([]).traj, np.zeros(3))
+        mover = Target(
+            rho=np.zeros(3),
+            velocity=tuple(compose_velocity(frame, 3.0, 0.0)),
+            amplitude=2.0,
+        )
+        trace = small_trace(
+            flat_scene_builder, [(1.0, 0.0, 0.0), (-2.0, 3.0, 0.0), mover], n=64
+        )
+        runs = []
+        for warm in (False, True):
+            AnalyticRows.release()
+            if warm:
+                # The slot holds the mixture's rows and an upsampled
+                # buffer of the movers' shape before the run.
+                AnalyticRows.of(trace).upsampled(4)
+            # The 12 m box reaches past the gate on purpose: it is the
+            # one the pipeline's pool test images.
+            with pytest.warns(RuntimeWarning, match="outside the fast-time gate"):
+                runs.append(motion.separate_movers(trace, max_movers=2, extent=12.0))
+        cold, warm = runs
+        assert cold.estimates
+        for a, b in zip(
+            (cold.low, *cold.movers, cold.residual),
+            (warm.low, *warm.movers, warm.residual),
+            strict=True,
+        ):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert [e.to_dict() for e in cold.estimates] == [
+            e.to_dict() for e in warm.estimates
+        ]
 
 
 class TestGateConversions:
